@@ -31,13 +31,15 @@ Measures, on one process with fixed seeds:
   4 workers (K=8, best of ``PARALLEL_REPS``, steady-state: worker
   startup excluded), preceded by a process-mode serialized bitwise
   preflight against direct engine calls.
-* **ingest kernel (PR 9)** — large-batch ingest throughput through the
-  shared-index two-phase kernel at K ∈ {1, 8, 32}, identical stream and
-  chunk size for every K (best of ``INGEST_KERNEL_REPS``), preceded by
-  a bitwise preflight: shared-index ingest, the materialized-subchunk
-  reference path (``shared_index=False``), and item-at-a-time chunking
-  must all land the identical engine snapshot and answer the identical
-  sample.
+* **ingest kernel** — the one batched ingest route over the grid
+  K ∈ {1, 8, 32} × call size ∈ {2^11, 2^16, 2^20}: the same stream fed
+  as successive ``ingest`` calls of that size, cells interleaved across
+  ``INGEST_KERNEL_REPS`` repetitions, reported as median and quartiles
+  of items/s plus the per-call p99 latency.  A bitwise preflight comes
+  first: batched ingest must land the identical engine snapshot as the
+  scalar ``update()`` loop on a prefix, and as item-at-a-time ingest
+  (``chunk_size=1``) on the whole preflight stream, and answer the
+  identical sample.
 * **telemetry overhead (PR 10)** — the identical process-mode ingest
   workload with the cross-process worker telemetry plane on
   (``worker_telemetry=True``: worker-side registries, span shipping,
@@ -74,10 +76,10 @@ The suite *gates* itself (exit code 1 on failure):
 * telemetry-enabled process-mode ingest throughput must be ≥0.95x the
   telemetry-off run (worker metric/span shipping piggybacks on the
   pull cadence — it must not tax the ingest path);
-* ingest-kernel K=8 throughput must be ≥0.5x the K=1 rate on the same
-  stream and chunk size (sharding must not collapse single-core ingest
-  — the shared index is built once per batch, not per shard), and the
-  K=1 rate itself must clear an absolute floor so the ratio cannot pass
+* ingest-kernel K=8 median throughput must be ≥0.5x the K=1 median at
+  the 2^20 call size (sharding must not collapse single-core ingest —
+  the shared index is built once per call, not per shard), and the K=1
+  median itself must clear an absolute floor so the ratio cannot pass
   by both sides degenerating;
 * parallel ingest gates are hardware-adaptive: every mode/worker-count
   combination must clear an absolute throughput floor and adding
@@ -152,13 +154,16 @@ MIN_PROCESS_VS_THREAD_AT_4 = 1.5
 PARALLEL_TOL_IN_CORES = 0.85
 PARALLEL_TOL_OVERSUBSCRIBED = 0.40
 MIN_PARALLEL_INGEST_FLOOR = 20_000  # items/s, any mode, any worker count
-#: Ingest-kernel scenario (PR 9).  One chunk size for every shard
-#: count — the large-batch serving regime the two-phase kernel exists
-#: for; the K=8 rate must hold ≥ this fraction of the K=1 rate, and
-#: the K=1 rate must clear the absolute floor (so the ratio gate can
+#: Ingest-kernel grid: every shard count × call size, from 2K-item
+#: submits (the serving regime) to 1M-item batches.  At the largest call
+#: size the K=8 median must hold ≥ this fraction of the K=1 median, and
+#: the K=1 median must clear the absolute floor (so the ratio gate can
 #: never pass by mutual collapse).
-INGEST_KERNEL_CHUNK = 1 << 20
-INGEST_KERNEL_REPS = 3
+INGEST_KERNEL_CHUNKS = (1 << 11, 1 << 16, 1 << 20)
+INGEST_KERNEL_CHUNK = INGEST_KERNEL_CHUNKS[-1]
+INGEST_KERNEL_REPS = 5
+#: Stream prefix the scalar ``update()`` reference replays.
+INGEST_KERNEL_SCALAR_PREFIX = 5_000
 MIN_INGEST_KERNEL_K8_RATIO = 0.5
 MIN_INGEST_KERNEL_K1_FLOOR = 2_000_000  # items/s
 
@@ -224,61 +229,80 @@ def _normalized(state):
 
 
 def check_ingest_kernel_bitwise(items: np.ndarray) -> None:
-    """Bitwise gate for the ingest-kernel scenario: the shared-index
-    two-phase path, the materialized-subchunk reference path, and
-    item-at-a-time chunking must all produce the identical engine state
-    (full snapshot: counts, offsets, heaps, RNG streams) and the
+    """Bitwise gate for the ingest-kernel scenario: batched ingest must
+    produce the identical engine state (full snapshot: counts, offsets,
+    heaps, RNG streams) as the scalar ``update()`` loop on a prefix, and
+    as item-at-a-time ingest on the whole stream, and answer the
     identical next sample.  Speed on a kernel that drifts from the
     scalar semantics would be meaningless."""
-    shared = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    shared.ingest(items, chunk_size=INGEST_KERNEL_CHUNK)
-    reference = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    reference.ingest(items, chunk_size=INGEST_KERNEL_CHUNK, shared_index=False)
+    prefix = items[:INGEST_KERNEL_SCALAR_PREFIX]
+    batched = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
+    batched.ingest(prefix, chunk_size=INGEST_KERNEL_CHUNK)
+    scalar = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
+    for item in prefix.tolist():
+        scalar.update(item)
+    if _normalized(batched.snapshot()) != _normalized(scalar.snapshot()):
+        raise AssertionError("batched ingest state != scalar update() loop")
+    if batched.sample() != scalar.sample():
+        raise AssertionError("batched ingest samples unlike the scalar loop")
+    batched = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
+    batched.ingest(items, chunk_size=INGEST_KERNEL_CHUNK)
     stepwise = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    stepwise.ingest(items, chunk_size=1, shared_index=False)
-    want = _normalized(shared.snapshot())
-    if _normalized(reference.snapshot()) != want:
-        raise AssertionError(
-            "shared-index ingest state != materialized-subchunk reference"
-        )
-    if _normalized(stepwise.snapshot()) != want:
-        raise AssertionError(
-            "shared-index ingest state != item-at-a-time chunking"
-        )
-    a, b, c = shared.sample(), reference.sample(), stepwise.sample()
-    if not (a == b == c):
-        raise AssertionError(f"kernel paths sample differently: {a} {b} {c}")
+    stepwise.ingest(items, chunk_size=1)
+    if _normalized(batched.snapshot()) != _normalized(stepwise.snapshot()):
+        raise AssertionError("batched ingest state != item-at-a-time ingest")
+    a, b = batched.sample(), stepwise.sample()
+    if a != b:
+        raise AssertionError(f"kernel call sizes sample differently: {a} {b}")
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def bench_ingest_kernel(items: np.ndarray) -> dict:
-    """The PR 9 scenario: large-batch ingest through the two-phase
-    shared-index kernel at every shard count, identical stream and
-    chunk size (best of ``INGEST_KERNEL_REPS`` — gates compare
-    capability, not scheduler jitter)."""
-    rows = []
-    for shards in SHARD_COUNTS:
-        wall = float("inf")
-        for __ in range(INGEST_KERNEL_REPS):
+    """The ingest-kernel grid: the stream fed as successive ``ingest``
+    calls of each call size at each shard count.  Cells run in an order
+    that reverses every repetition, so slow drift in the host hits every
+    cell alike; each cell reports the median and quartiles of items/s
+    over repetitions and the p99 of every call's latency."""
+    cells = [(k, c) for k in SHARD_COUNTS for c in INGEST_KERNEL_CHUNKS]
+    rates: dict[tuple[int, int], list[float]] = {cell: [] for cell in cells}
+    calls: dict[tuple[int, int], list[float]] = {cell: [] for cell in cells}
+    for rep in range(INGEST_KERNEL_REPS):
+        for shards, chunk in cells if rep % 2 == 0 else cells[::-1]:
             engine = _build(shards, cache=True)
+            lat = calls[(shards, chunk)]
             t0 = time.perf_counter()
-            engine.ingest(items, chunk_size=INGEST_KERNEL_CHUNK)
-            wall = min(wall, time.perf_counter() - t0)
+            for start in range(0, items.size, chunk):
+                c0 = time.perf_counter()
+                engine.ingest(items[start:start + chunk], chunk_size=chunk)
+                lat.append(time.perf_counter() - c0)
+            rates[(shards, chunk)].append(items.size / (time.perf_counter() - t0))
+    rows = []
+    for shards, chunk in cells:
+        lat = sorted(calls[(shards, chunk)])
         rows.append(
             {
                 "shards": shards,
+                "chunk_size": chunk,
                 "items": int(items.size),
                 "reps": INGEST_KERNEL_REPS,
-                "chunk_size": INGEST_KERNEL_CHUNK,
-                "seconds": wall,
-                "items_per_sec": items.size / wall,
+                "items_per_sec": _quartiles(rates[(shards, chunk)]),
+                "call_p99_us": 1e6 * lat[min(len(lat) - 1, int(0.99 * len(lat)))],
             }
         )
-    by_k = {row["shards"]: row["items_per_sec"] for row in rows}
+    top = {
+        row["shards"]: row["items_per_sec"]["median"]
+        for row in rows
+        if row["chunk_size"] == INGEST_KERNEL_CHUNK
+    }
     return {
         "chunk_size": INGEST_KERNEL_CHUNK,
         "runs": rows,
-        "k8_over_k1": by_k[8] / by_k[1],
-        "k32_over_k1": by_k[32] / by_k[1],
+        "k8_over_k1": top[8] / top[1],
+        "k32_over_k1": top[32] / top[1],
     }
 
 
@@ -882,7 +906,9 @@ def evaluate_gates(report: dict) -> list[str]:
         )
     kernel = report["ingest_kernel"]
     rate_k1 = next(
-        r["items_per_sec"] for r in kernel["runs"] if r["shards"] == 1
+        r["items_per_sec"]["median"]
+        for r in kernel["runs"]
+        if r["shards"] == 1 and r["chunk_size"] == kernel["chunk_size"]
     )
     if rate_k1 < MIN_INGEST_KERNEL_K1_FLOOR:
         failures.append(
@@ -961,7 +987,7 @@ def main(argv: list[str] | None = None) -> int:
     check_process_serialized_equals_direct(items[:20_000])
     print("bitwise gate: process-mode serving == direct engine ✓")
     check_ingest_kernel_bitwise(kernel_items[:20_000])
-    print("bitwise gate: shared-index kernel == reference == scalar-chunked ✓")
+    print("bitwise gate: batched ingest == scalar loop == item-at-a-time ✓")
 
     report = {
         "bench": "E23-query-fast-path",
@@ -1020,10 +1046,12 @@ def main(argv: list[str] | None = None) -> int:
         )
     ik = report["ingest_kernel"]
     for row in ik["runs"]:
+        rate = row["items_per_sec"]
         print(
-            f"  kernel  K={row['shards']:<3} "
-            f"{row['items_per_sec'] / 1e6:6.2f}M items/s "
-            f"(chunk {row['chunk_size']}, best of {row['reps']})"
+            f"  kernel  K={row['shards']:<3} chunk {row['chunk_size']:>7}  "
+            f"{rate['median'] / 1e6:6.2f}M items/s "
+            f"[q1 {rate['q1'] / 1e6:6.2f}, q3 {rate['q3'] / 1e6:6.2f}]  "
+            f"call p99 {row['call_p99_us']:9.0f}us ({row['reps']} reps)"
         )
     print(
         f"  kernel  K8/K1 {ik['k8_over_k1']:.3f}x  "

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.measures import Measure
 from repro.core.rejection import rejection_many
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
-from repro.core.timeline import ChunkDigest, ShardView, simulate_events
+from repro.core.timeline import ShardView, shard_views, simulate_events
 from repro.core.types import SampleResult, as_item_array
 from repro.lifecycle.memory import (
     INSTANCE_BYTES,
@@ -106,9 +106,6 @@ class SamplerPool(StaticLifecycleMixin):
     ``counts[item] − offset`` (≥ 1, includes its sampled occurrence).
     """
 
-    #: The engine may pass a shared whole-chunk ChunkDigest to
-    #: :meth:`update_batch` (see :func:`repro.engine.batch.ingest`).
-    accepts_digest = True
     #: :meth:`update_batch` also consumes position views of a shared
     #: indexed chunk (:class:`~repro.core.timeline.ShardView`) — the
     #: sharded engine's zero-materialization ingest path.
@@ -166,10 +163,10 @@ class SamplerPool(StaticLifecycleMixin):
 
     @property
     def settle_scans(self) -> int:
-        """Full-chunk position scans taken by the batched kernel — the
-        only data-dependent work that is not O(1) per heap event.
-        Diagnostic, not state: excluded from snapshots so batch- and
-        scalar-built pools stay bitwise comparable."""
+        """Position-index passes taken by the batched kernel — one rank
+        pass per call with heap events, one totals pass per call with
+        tracked items.  Diagnostic, not state: excluded from snapshots so
+        batch- and scalar-built pools stay bitwise comparable."""
         return self._settle_scans
 
     def approx_size_bytes(self) -> int:
@@ -221,378 +218,81 @@ class SamplerPool(StaticLifecycleMixin):
         scalar loop for a fixed seed)."""
         self.update_batch(as_item_array(items))
 
-    def update_batch(self, items, digest: ChunkDigest | None = None) -> None:
+    def update_batch(self, items) -> None:
         """Timeline-precomputed ingestion of a whole chunk of items.
 
         The heap-event schedule is *data-independent* — an instance's
         next replacement time depends only on the stream position and
-        the RNG — so phase 1 (:func:`repro.core.timeline.simulate_events`)
-        replays the entire pop order for the chunk up front, drawing the
-        skip-ahead jumps in exactly the scalar order.  Phase 2 applies
-        the data: one vectorized gather fetches the item at every event
-        position, shared-counter settles become binary searches on lazily
-        built per-item position indexes (at most one full-chunk scan per
-        settled item), and the end-of-chunk flush counts every untouched
-        tracked item in one ``bincount``/``searchsorted`` pass — or in
-        O(1) dict lookups when the caller supplies a shared
-        :class:`~repro.core.timeline.ChunkDigest`.  For a fixed seed the
-        post-batch state is *bitwise identical* to the scalar
-        ``update()`` loop.
+        the RNG — so phase 1 (:meth:`plan_batch`) replays the entire pop
+        order for the chunk up front, drawing the skip-ahead jumps in
+        exactly the scalar order.  Phase 2 applies the data through one
+        event loop: the item at every event position comes from one
+        gather, every shared-counter settle is a prefix rank and the
+        end-of-chunk flush a whole-chunk count, both answered by one
+        :class:`~repro.core.timeline.PositionIndex` over the chunk.  For
+        a fixed seed the post-batch state is *bitwise identical* to the
+        scalar ``update()`` loop.
 
-        ``digest`` must report, for every item tracked by this pool or
-        present in ``items``, the exact occurrence count of that item in
-        ``items`` (the sharded engine's whole-batch digest qualifies
-        because a value partition routes all of an item's occurrences to
-        one shard).
-
-        ``items`` may also be a :class:`~repro.core.timeline.ShardView`
-        — this pool's positions in a larger indexed chunk.  That path
-        (same bitwise contract) does O(events) work: every settle and
-        flush count is answered by the shared position index, and the
-        subchunk is never materialized.
+        ``items`` is an array-like chunk — the one-view case, built here
+        by :func:`~repro.core.timeline.shard_views` — or a
+        :class:`~repro.core.timeline.ShardView` the sharded engine
+        planned for this pool's part of a larger chunk.
         """
-        if isinstance(items, ShardView):
-            self._update_batch_view(items)
-            return
-        arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
-        if arr.ndim != 1:
-            raise ValueError("update_batch expects a 1-d sequence of items")
-        length = int(arr.size)
-        if length == 0:
-            return
-        t0 = self._t
-        end = t0 + length
-        counts = self._counts
-        refs = self._refs
-        # accrued[i]: chunk offset up to which occurrences of i are
-        # already reflected in counts[i]; ranks[i]: occurrences of i at
-        # offsets < accrued[i] (a cursor into the position index, so
-        # successive settles of one item cost binary searches, not a
-        # rescan).
-        accrued = dict.fromkeys(counts, 0)
-        ranks: dict[int, int] = {}
-        positions: dict[int, np.ndarray] = {}
-        scans = 0
+        if not isinstance(items, ShardView):
+            arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
+            if arr.ndim != 1:
+                raise ValueError("update_batch expects a 1-d sequence of items")
+            if arr.size == 0:
+                return
+            bounds = np.array([0, arr.size], dtype=np.int64)
+            items = shard_views(arr, None, bounds, [self])[0]
+        self._apply(items)
 
-        # Phase 1 — the data-independent timeline: pop order, event
-        # positions, instance ids, and next wakeups, with batched draws.
-        ev_times, ev_slots = simulate_events(
-            self._heap, end, self._rng, expect=2 * self._r
-        )
-        nev = len(ev_times)
-        if nev:
-            self._heap_events += nev
-            # Phase 2 — apply the data: which item sits at each event.
-            ev_offs_np = np.asarray(ev_times, dtype=np.int64)
-            ev_offs_np -= t0 + 1  # chunk offsets of the replacement positions
-            ev_items_np = arr[ev_offs_np]
-            ev_items = ev_items_np.tolist()
-            ev_offs = ev_offs_np.tolist()
-            # Every mid-chunk settle bound is an event offset, so position
-            # indexes only ever need the chunk prefix up to the last event
-            # (event times pop in nondecreasing order).
-            off_last = ev_offs[-1] + 1
-            prefix = arr[:off_last]
-            # Candidate items a settle can touch: everything tracked on
-            # entry (all slot occupants are tracked) plus the event items.
-            n_tracked = len(counts)
-            if n_tracked:
-                cand = np.unique(
-                    np.concatenate(
-                        (
-                            np.fromiter(
-                                counts.keys(), dtype=np.int64, count=n_tracked
-                            ),
-                            ev_items_np,
-                        )
-                    )
-                )
-            else:
-                cand = np.unique(ev_items_np)
-            # Fast path: when every value in play fits a 16-bit table, all
-            # settle ranks are precomputed in one vectorized pass and the
-            # event loop below degenerates to dict arithmetic.
-            fast = (
-                cand.size <= 0xFFFF
-                and int(cand[0]) >= 0
-                and int(cand[-1]) <= 0xFFFF
-                and int(prefix.min()) >= 0
-                and int(prefix.max()) <= 0xFFFF
-            )
-            slots = self._items
-            offsets = self._offsets
-            timestamps = self._timestamps
-            if fast:
-                # One combined position-index pass: group every candidate
-                # occurrence in the prefix by candidate id.
-                lut = np.full(1 << 16, -1, dtype=np.int32)
-                lut[cand] = np.arange(cand.size, dtype=np.int32)
-                ci = lut[prefix]
-                hit = np.flatnonzero(ci >= 0)
-                cid = ci[hit]
-                horder = np.argsort(cid.astype(np.uint16), kind="stable")
-                gpos = hit[horder]
-                gcid = cid[horder].astype(np.int64)
-                starts = np.zeros(cand.size + 1, dtype=np.int64)
-                np.cumsum(np.bincount(cid, minlength=cand.size), out=starts[1:])
-                # Previous occupant of each event's slot (the item a
-                # settle targets), recovered without running the loop:
-                # within a slot, it is the prior event's item; for a
-                # slot's first event, the pre-chunk occupant.
-                ev_slots_np = np.asarray(ev_slots, dtype=np.int64)
-                sarg = (
-                    np.argsort(ev_slots_np.astype(np.uint16), kind="stable")
-                    if self._r <= 0xFFFF
-                    else np.argsort(ev_slots_np, kind="stable")
-                )
-                ss = ev_slots_np[sarg]
-                sit = ev_items_np[sarg]
-                prev_sorted = np.empty(nev, dtype=np.int64)
-                prev_sorted[1:] = sit[:-1]
-                firsts = np.empty(nev, dtype=bool)
-                firsts[0] = True
-                np.not_equal(ss[1:], ss[:-1], out=firsts[1:])
-                # Empty slots never settle; any in-range stand-in works.
-                stand_in = int(cand[0])
-                init_vals = np.fromiter(
-                    (stand_in if x is None else x for x in slots),
-                    dtype=np.int64,
-                    count=self._r,
-                )
-                prev_sorted[firsts] = init_vals[ss[firsts]]
-                old_vals = np.empty(nev, dtype=np.int64)
-                old_vals[sarg] = prev_sorted
-                # Each settle bound is an event offset, so every rank the
-                # loop can ask for — outgoing occupant and adopted item,
-                # at that event's offset — is one encoded searchsorted:
-                # candidate groups are disjoint blocks of the key space.
-                qi = lut[np.concatenate((old_vals, ev_items_np))].astype(np.int64)
-                stride = np.int64(off_last + 1)
-                gkey = gcid * stride
-                gkey += gpos
-                qkey = qi * stride
-                qkey[:nev] += ev_offs_np
-                qkey[nev:] += ev_offs_np
-                qrank = gkey.searchsorted(qkey)
-                qrank -= starts[qi]
-                old_rank = qrank[:nev].tolist()
-                new_rank = qrank[nev:].tolist()
-                scans += 1
-                for item in counts:
-                    ranks[item] = 0
-                for j in range(nev):
-                    time = ev_times[j]
-                    off = ev_offs[j]
-                    item = ev_items[j]
-                    idx = ev_slots[j]
-                    old = slots[idx]
-                    if old is not None:
-                        if refs[old] == 1:
-                            # Last holder: the shared counter dies with it.
-                            del refs[old]
-                            del counts[old]
-                            del accrued[old]
-                            del ranks[old]
-                        else:
-                            if accrued[old] < off:
-                                r1 = old_rank[j]
-                                r0 = ranks[old]
-                                if r1 > r0:
-                                    counts[old] += r1 - r0
-                                ranks[old] = r1
-                                accrued[old] = off
-                            refs[old] -= 1
-                    slots[idx] = item
-                    if item in refs:
-                        refs[item] += 1
-                        if accrued[item] < off:
-                            r1 = new_rank[j]
-                            r0 = ranks[item]
-                            if r1 > r0:
-                                counts[item] += r1 - r0
-                            ranks[item] = r1
-                            accrued[item] = off
-                    else:
-                        refs[item] = 1
-                        counts[item] = 0
-                        accrued[item] = off  # the occurrence at `off` accrues later
-                        ranks[item] = new_rank[j]
-                    offsets[idx] = counts[item]
-                    timestamps[idx] = time
-            else:
-                # General path: lazily built per-item position indexes
-                # (at most one prefix scan per settled item).
-                def settle(item: int, upto: int) -> None:
-                    nonlocal scans
-                    start = accrued[item]
-                    if start >= upto:
-                        return
-                    pos = positions.get(item)
-                    if pos is None:
-                        pos = np.flatnonzero(prefix == item)
-                        positions[item] = pos
-                        scans += 1
-                    r0 = ranks.get(item)
-                    if r0 is None:
-                        r0 = pos.searchsorted(start) if start else 0
-                    r1 = pos.searchsorted(upto)
-                    if r1 > r0:
-                        counts[item] += int(r1 - r0)
-                    ranks[item] = r1
-                    accrued[item] = upto
+    def _apply(self, view: ShardView) -> None:
+        """Phase 2: apply a planned view's data — the one event loop.
 
-                for j in range(nev):
-                    time = ev_times[j]
-                    off = ev_offs[j]
-                    item = ev_items[j]
-                    idx = ev_slots[j]
-                    old = slots[idx]
-                    if old is not None:
-                        if refs[old] == 1:
-                            # Last holder: the shared counter dies with it, so
-                            # the settle (and its occurrence scan) is skipped.
-                            del refs[old]
-                            del counts[old]
-                            del accrued[old]
-                            ranks.pop(old, None)
-                        else:
-                            settle(old, off)
-                            refs[old] -= 1
-                    slots[idx] = item
-                    if item in refs:
-                        refs[item] += 1
-                        settle(item, off)
-                    else:
-                        refs[item] = 1
-                        counts[item] = 0
-                        accrued[item] = off  # the occurrence at `off` accrues later
-                        ranks.pop(item, None)
-                    offsets[idx] = counts[item]
-                    timestamps[idx] = time
-        # Final flush: every tracked item still owes its occurrences from
-        # accrued (0 for items no event touched — the common case in
-        # steady state) to the end of the chunk.  Whole-chunk totals come
-        # from the shared digest when one is supplied, else from one
-        # bincount pass (or a searchsorted pass when the universe is too
-        # large to bincount); partially settled items subtract their
-        # position-index rank at `accrued` instead of rescanning.
-        whole: list[int] = []
-        partial: list[int] = []
-        for item, a in accrued.items():
-            (whole if a == 0 else partial).append(item)
-        if whole or partial:
-            if digest is not None:
-                count_of = digest.count
-            else:
-                top = int(arr.max())
-                if 0 <= int(arr.min()) and top < max(1 << 20, 4 * length):
-                    occ_all = np.bincount(arr, minlength=top + 1)
+        Every occurrence-count question — the settle ranks at event
+        positions and the end-of-chunk flush — is answered by the
+        chunk's position index, so the per-call cost is O(events · log)
+        plus the flush, independent of the view length.
 
-                    def count_of(item: int) -> int:
-                        # Items adopted in earlier chunks may lie outside
-                        # this chunk's value range.
-                        return int(occ_all[item]) if 0 <= item <= top else 0
-
-                else:
-                    tracked = np.array(whole + partial, dtype=np.int64)
-                    tracked.sort()
-                    slot = tracked.searchsorted(arr)
-                    np.minimum(slot, tracked.size - 1, out=slot)
-                    occ = np.bincount(
-                        slot[tracked[slot] == arr], minlength=tracked.size
-                    )
-                    table = {
-                        item: int(occ[j])
-                        for j, item in enumerate(tracked.tolist())
-                    }
-
-                    def count_of(item: int) -> int:
-                        return table.get(item, 0)
-
-            for item in whole:
-                hits = count_of(item)
-                if hits:
-                    counts[item] += hits
-            for item in partial:
-                a = accrued[item]
-                r0 = ranks.get(item)
-                if r0 is None:
-                    pos = positions.get(item)
-                    if pos is None:
-                        pos = np.flatnonzero(prefix == item)
-                        positions[item] = pos
-                        scans += 1
-                    r0 = pos.searchsorted(a) if a else 0
-                hits = count_of(item) - int(r0)
-                if hits:
-                    counts[item] += hits
-        self._t = end
-        if scans:
-            self._settle_scans += scans
-            self._m_settle_scans.add(scans)
-        if nev:
-            self._m_heap_events.add(nev)
-
-    def _update_batch_view(self, view: ShardView) -> None:
-        """Ingest this pool's positions of a shared indexed chunk.
-
-        Identical two-phase structure to the array path, but every
-        occurrence-count question — the settle ranks at event offsets
-        and the end-of-chunk flush — is answered by the chunk-wide
-        position index (``view.index.rank_many``), so the per-call cost
-        is O(events · log), independent of the subchunk length.
-
-        The trick that makes global answers locally correct: the value
-        partition routes *all* occurrences of an owned item into
-        ``view.positions``, so a global prefix rank at an owned position
-        is the local one plus a constant (the occurrences before the
-        view).  Every rank this kernel uses is a *difference* of two
-        global ranks at bounds inside the view, so the constant cancels
-        — ``ranks[item]`` holds global ranks throughout, seeded at the
-        view's start bound for items tracked on entry.
-
-        When the engine already hoisted phase 1 (``plan_batch``) the
-        view carries the event schedule and no simulation happens here.
+        The trick that makes chunk-wide answers locally correct: the
+        ownership contract (see :class:`~repro.core.timeline.ShardView`)
+        puts *all* occurrences of a tracked item inside the view, so a
+        chunk prefix rank at an owned position is the view-local one,
+        and the settled rank of an item no event touched is 0.
         """
         length = view.size
-        if length == 0:
-            return
         t0 = self._t
         end = t0 + length
         counts = self._counts
         refs = self._refs
         index = view.index
-        base_pos = view.positions
-        scans = 0
-
-        if view.events is not None:
-            ev_times, ev_slots = view.events
-        else:
-            ev_times, ev_slots = simulate_events(
-                self._heap, end, self._rng, expect=2 * self._r
-            )
+        ev_times, ev_slots = view.events
         nev = len(ev_times)
-
-        # ranks[i]: global prefix rank of i at the offset up to which
-        # counts[i] is settled.  The ownership contract (see ShardView)
-        # puts every occurrence of a tracked item inside the view, so
-        # the settled rank of an untouched item is 0 — no seeding pass.
-        ranks: dict[int, int] = dict.fromkeys(counts, 0)
-        accrued = dict.fromkeys(counts, 0)
+        scans = 0
+        # ranks[i]: chunk prefix rank of i at the offset up to which
+        # counts[i] is settled (accrued[i]); both start at 0, and an
+        # event-free call needs neither.
+        ranks: dict[int, int] = {}
 
         if nev:
             self._heap_events += nev
+            ranks = dict.fromkeys(counts, 0)
+            accrued = dict.fromkeys(counts, 0)
             ev_offs_np = np.asarray(ev_times, dtype=np.int64)
             ev_offs_np -= t0 + 1  # view-local offsets of the events
-            gpos = base_pos[ev_offs_np]  # global positions of the events
+            gpos = view.chunk_positions(ev_offs_np)
             ev_items_np = view.base[gpos]
             ev_items = ev_items_np.tolist()
             ev_offs = ev_offs_np.tolist()
             slots = self._items
             offsets = self._offsets
             timestamps = self._timestamps
-            # Previous occupant of each event's slot, recovered without
-            # running the loop (same recurrence as the array fast path).
+            # Previous occupant of each event's slot (the item a settle
+            # targets), recovered without running the loop: within a
+            # slot, it is the prior event's item; for a slot's first
+            # event, the pre-chunk occupant.
             ev_slots_np = np.asarray(ev_slots, dtype=np.int64)
             sarg = (
                 np.argsort(ev_slots_np.astype(np.uint16), kind="stable")
@@ -606,9 +306,9 @@ class SamplerPool(StaticLifecycleMixin):
             firsts = np.empty(nev, dtype=bool)
             firsts[0] = True
             np.not_equal(ss[1:], ss[:-1], out=firsts[1:])
-            # Empty slots never settle; -1 ranks as 0 and is unused.
+            # Empty slots never settle; any stand-in value works.
             init_vals = np.fromiter(
-                (-1 if x is None else x for x in slots),
+                (0 if x is None else x for x in slots),
                 dtype=np.int64,
                 count=self._r,
             )
@@ -661,16 +361,14 @@ class SamplerPool(StaticLifecycleMixin):
                     ranks[item] = new_rank[j]
                 offsets[idx] = counts[item]
                 timestamps[idx] = time
-        # Flush: owed occurrences of item = whole-batch total (the
-        # histogram gather — an owned item's global count is its shard
-        # count) minus the settled global rank — uniform for touched and
-        # untouched items alike.
+        # Flush: owed occurrences of an item = whole-chunk total (an
+        # owned item's chunk count is its view count) minus its settled
+        # rank — uniform for touched and untouched items alike.
         if counts:
-            titems = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-            tot = index.totals(titems)
+            totals = index.totals
             scans += 1
-            for item, t in zip(titems.tolist(), tot.tolist()):
-                hits = t - ranks[item]
+            for item in counts:
+                hits = totals.get(item, 0) - ranks.get(item, 0)
                 if hits:
                     counts[item] += hits
         self._t = end
@@ -886,11 +584,9 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
     is too small (only the FAIL rate suffers).
     """
 
-    #: The engine may pass a shared whole-chunk ChunkDigest to
-    #: :meth:`update_batch` (see :func:`repro.engine.batch.ingest`).
-    accepts_digest = True
-    #: … or a :class:`~repro.core.timeline.ShardView` of a shared
-    #: indexed chunk (forwarded to the pool untouched).
+    #: :meth:`update_batch` also takes a
+    #: :class:`~repro.core.timeline.ShardView` of a shared indexed chunk
+    #: (forwarded to the pool untouched).
     accepts_index = True
 
     def __init__(
@@ -956,9 +652,9 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
     def extend(self, items) -> None:
         self._pool.extend(items)
 
-    def update_batch(self, items, digest: ChunkDigest | None = None) -> None:
+    def update_batch(self, items) -> None:
         """Vectorized ingestion — see :meth:`SamplerPool.update_batch`."""
-        self._pool.update_batch(items, digest=digest)
+        self._pool.update_batch(items)
 
     def tracked_values(self) -> np.ndarray:
         """See :meth:`SamplerPool.tracked_values`."""

@@ -76,12 +76,10 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
     constant of the acceptance bound.
     """
 
-    #: The engine may pass a shared whole-chunk ChunkDigest to
-    #: :meth:`update_batch` (see :func:`repro.engine.batch.ingest`).
-    accepts_digest = True
-    #: … or a :class:`~repro.core.timeline.ShardView` of a shared
-    #: indexed chunk: the pool consumes the view directly; only the
-    #: Misra–Gries normalizer pass materializes the subchunk values.
+    #: :meth:`update_batch` also takes a
+    #: :class:`~repro.core.timeline.ShardView` of a shared indexed
+    #: chunk: the pool consumes the view directly; only the Misra–Gries
+    #: normalizer pass materializes the subchunk values.
     accepts_index = True
 
     def __init__(
@@ -143,7 +141,7 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         Misra–Gries normalizer)."""
         self.update_batch(as_item_array(items))
 
-    def update_batch(self, items, digest=None) -> None:
+    def update_batch(self, items) -> None:
         """Vectorized ingestion of a chunk of items.
 
         The pool path is bitwise identical to the scalar loop for a fixed
@@ -151,8 +149,7 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         for ``p > 1`` the certified normalizer ζ may differ slightly from
         the scalar run — the *conditional output distribution* is exactly
         the target either way (any certified ζ is), only the FAIL rate
-        can shift marginally.  ``digest`` is the engine's shared
-        whole-chunk digest, forwarded to the pool kernel.
+        can shift marginally.
         """
         if isinstance(items, ShardView):
             self._pool.update_batch(items)
@@ -160,7 +157,7 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
                 self._mg.update_batch(items.values())
             return
         arr = np.asarray(items, dtype=np.int64)
-        self._pool.update_batch(arr, digest=digest)
+        self._pool.update_batch(arr)
         if self._mg is not None:
             self._mg.update_batch(arr)
 

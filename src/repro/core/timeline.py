@@ -7,22 +7,19 @@ That splits batched ingestion into two phases:
 
 1. :func:`simulate_events` replays the whole heap-event schedule for a
    chunk up front — pop order, event positions, instance ids, next
-   wakeups — drawing the skip-ahead jumps through :class:`BlockUniforms`
-   so the RNG stream is consumed *bitwise identically* to the scalar
-   ``update()`` loop;
+   wakeups — drawing the skip-ahead jumps in blocks so the RNG stream is
+   consumed *bitwise identically* to the scalar ``update()`` loop;
 2. the data-dependent remainder (which item sits at each event position,
-   shared-counter settles, the end-of-chunk flush) collapses to
-   vectorized occurrence counting, served by :class:`ChunkDigest` and
-   per-item position indexes.
+   shared-counter settles, the end-of-chunk flush) collapses to prefix
+   rank and whole-chunk count queries about a known set of candidate
+   values, answered by one :class:`PositionIndex` per chunk.
 
-``ChunkDigest`` is built once per engine batch and shared by every
-shard: a hash partition routes all occurrences of an item to one shard,
-so an item's whole-batch occurrence count *is* its subchunk count.  For
-small universes the digest is a dense ``bincount``; for large ones it
-keeps a sorted copy of the chunk with a Misra–Gries aux whose surviving
-candidates are exactified in one vectorized pass — every heavy item
-(``f > n/(capacity+1)``) is answered from an O(1) dict instead of
-re-scanning the chunk per tracked item.
+There is one route.  :func:`shard_views` plans every pool's events for
+its part of a chunk, collects the candidates (tracked items plus event
+items), builds the one index and hands back one :class:`ShardView` per
+pool; ``SamplerPool.update_batch`` consumes views through its single
+event loop.  A lone pool's array chunk is the one-view case (identity
+positions), and the sharded engine's K-way split is the general one.
 """
 
 from __future__ import annotations
@@ -32,68 +29,17 @@ import math
 
 import numpy as np
 
-from repro.sketches.misra_gries import MisraGries
-
 __all__ = [
-    "BlockUniforms",
-    "ChunkDigest",
     "PositionIndex",
     "ShardView",
+    "shard_views",
     "simulate_events",
 ]
 
-#: Dense-count regime bound: same rule the pool's legacy flush used.
-_DENSE_LIMIT_FLOOR = 1 << 20
-
-
-class BlockUniforms:
-    """Uniform draws taken in blocks, bitwise equal to scalar consumption.
-
-    ``rng.random(n)`` produces exactly the same floats, and leaves the
-    generator in exactly the same state, as ``n`` scalar ``rng.random()``
-    calls (one 64-bit draw each, verified by the parity tests).  So a
-    consumer that does not know how many draws it needs can over-draw in
-    blocks and :meth:`close` by rewinding to the saved state and
-    re-drawing exactly the number it took — the stream position ends up
-    where scalar consumption would have left it.
-    """
-
-    __slots__ = ("_rng", "_saved", "_buf", "_pos", "_taken", "_block")
-
-    def __init__(self, rng: np.random.Generator, block: int = 64) -> None:
-        self._rng = rng
-        self._saved = None
-        self._buf: list[float] = []
-        self._pos = 0
-        self._taken = 0
-        self._block = max(1, int(block))
-
-    @property
-    def taken(self) -> int:
-        """Uniforms handed out so far."""
-        return self._taken
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            if self._saved is None:
-                self._saved = self._rng.bit_generator.state
-            self._buf = self._rng.random(self._block).tolist()
-            self._pos = 0
-            self._block = min(self._block * 2, 1 << 16)
-        u = self._buf[self._pos]
-        self._pos += 1
-        self._taken += 1
-        return u
-
-    def close(self) -> None:
-        """Leave the RNG exactly where ``taken`` scalar draws would."""
-        if self._saved is not None and self._pos < len(self._buf):
-            self._rng.bit_generator.state = self._saved
-            if self._taken:
-                self._rng.random(self._taken)
-        self._saved = None
-        self._buf = []
-        self._pos = 0
+#: Span-table rule: a value→id table sized to the chunk's value span is
+#: used while the span is at most this many times the chunk length;
+#: wider chunks map values by ``searchsorted`` into the candidates.
+_SPAN_PER_ITEM = 8
 
 
 def simulate_events(
@@ -105,10 +51,10 @@ def simulate_events(
     """Phase 1: replay every heap event scheduled at positions ≤ ``end``.
 
     Pops ``(time, idx)`` entries in exactly the scalar order, draws each
-    popped instance's next wakeup (``max(t+1, ceil(t/u))``) from ``rng``
-    through :class:`BlockUniforms`, and pushes it back.  On return the
-    heap holds the post-chunk schedule and the RNG stream has advanced by
-    exactly one draw per event — bitwise identical to the scalar loop.
+    popped instance's next wakeup (``max(t+1, ceil(t/u))``) from ``rng``,
+    and pushes it back.  On return the heap holds the post-chunk schedule
+    and the RNG stream has advanced by exactly one draw per event —
+    bitwise identical to the scalar loop.
 
     Returns ``(times, slots)``: the absolute event positions and the
     instance ids, in pop order.  Pure timeline — no item data involved.
@@ -117,9 +63,11 @@ def simulate_events(
         return [], []
     times: list[int] = []
     slots: list[int] = []
-    # Inlined BlockUniforms (same save / block-draw / rewind protocol):
-    # the draw is the per-event hot path, so the buffer is managed with
-    # local variables instead of method calls.
+    # Block draws: ``rng.random(n)`` yields the same floats, and leaves
+    # the generator in the same state, as ``n`` scalar ``rng.random()``
+    # calls.  The count is unknown up front, so draw in growing blocks
+    # and, at the end, rewind to the saved state and re-draw exactly the
+    # number taken.
     saved = None
     buf: list[float] = []
     pos = 0
@@ -154,248 +102,173 @@ def simulate_events(
     return times, slots
 
 
-class ChunkDigest:
-    """Exact whole-chunk occurrence counts, computed once and shared.
-
-    Two regimes, chosen like the pool flush's legacy rule:
-
-    * **dense** — non-negative items with a boundable range: one
-      ``np.bincount`` holds the exact count of every value;
-    * **sorted + Misra–Gries** — a sorted copy of the chunk answers any
-      ``count`` query in O(log n), and a Misra–Gries pass (capacity
-      ``heavy_capacity``) nominates candidates whose counts are then
-      exactified in one vectorized pass: by the MG guarantee every item
-      with ``f > n/(capacity+1)`` survives, so all heavy items are
-      answered from the O(1) ``heavy`` dict.
-
-    The digest is valid only for the exact array it was built from (or,
-    under a value partition, for any subchunk that owns all occurrences
-    of the queried item — the sharded engine's case).
-    """
-
-    __slots__ = ("size", "heavy", "_occ", "_top", "_sorted")
-
-    def __init__(self, items: np.ndarray, heavy_capacity: int = 64) -> None:
-        arr = np.asarray(items, dtype=np.int64)
-        self.size = int(arr.size)
-        self.heavy: dict[int, int] = {}
-        self._occ = None
-        self._top = -1
-        self._sorted = None
-        if self.size == 0:
-            return
-        top = int(arr.max())
-        if int(arr.min()) >= 0 and top < max(_DENSE_LIMIT_FLOOR, 4 * self.size):
-            self._occ = np.bincount(arr, minlength=top + 1)
-            self._top = top
-            return
-        svals = np.sort(arr, kind="stable")
-        self._sorted = svals
-        # Distinct values + exact counts fall out of the sorted copy.
-        cuts = np.flatnonzero(svals[1:] != svals[:-1])
-        bounds = np.concatenate(([0], cuts + 1, [self.size]))
-        uniq = svals[bounds[:-1]]
-        cnts = np.diff(bounds)
-        mg = MisraGries(heavy_capacity)
-        for item, count in zip(uniq.tolist(), cnts.tolist()):
-            mg.update(item, int(count))
-        # Exactify the survivors: MG estimates undercount, but every
-        # survivor's true count is one searchsorted range away.
-        for item in mg.items():
-            lo = int(np.searchsorted(svals, item, side="left"))
-            hi = int(np.searchsorted(svals, item, side="right"))
-            self.heavy[item] = hi - lo
-
-    @property
-    def dense(self) -> bool:
-        return self._occ is not None
-
-    def count(self, item: int) -> int:
-        """Exact occurrences of ``item`` in the digested chunk."""
-        occ = self._occ
-        if occ is not None:
-            return int(occ[item]) if 0 <= item <= self._top else 0
-        hit = self.heavy.get(item)
-        if hit is not None:
-            return hit
-        svals = self._sorted
-        if svals is None:
-            return 0
-        lo = int(np.searchsorted(svals, item, side="left"))
-        hi = int(np.searchsorted(svals, item, side="right"))
-        return hi - lo
-
-
 class PositionIndex:
-    """Candidate-limited position index over one engine batch.
+    """Candidate-limited position index over one chunk.
 
-    The pool kernel only ever asks prefix-rank queries — "occurrences of
-    ``v`` at chunk positions ``< g``" — about *candidates*: items a pool
-    tracked when the batch began, plus items sitting at event positions.
-    Both sets are known before any data is applied (heap events are
-    data-independent, so the engine pre-simulates every shard's schedule
-    via ``plan_batch``), which is what makes one shared index per batch
-    possible at all.
+    The pool kernel asks two kinds of question, both about *candidates*
+    — items a pool tracked when the chunk began, plus items sitting at
+    event positions, all known before any data is applied because heap
+    events are data-independent:
 
-    Under a skewed stream the candidates cover most of the chunk (pools
-    track heavy items), so sorting *candidate occurrences* wholesale is
-    nearly as expensive as sorting the chunk.  The index therefore
-    splits candidates by batch mass (taken from the value histogram):
+    * whole-chunk totals, for the end-of-chunk flush;
+    * prefix ranks — occurrences of ``v`` at chunk positions ``< g`` —
+      for bounds ``g ≤ prefix`` (every bound is an event position, so
+      ``prefix`` is the last one; with no events it is 0 and the rank
+      side is never built).
 
-    * **heavy** — the ≤255 candidates with the largest batch counts get
-      their position lists from a single one-pass ``uint8`` radix
-      argsort of the heavy-id array (sentinel 255 = everything else);
-      within a group positions ascend, so a rank query is one
-      ``searchsorted`` into that value's own slice;
-    * **light** — the remaining candidates live in the sentinel tail of
-      the same argsort (in position order).  A second, much smaller sort
-      of the tail's candidate hits builds encoded keys
-      ``cid · stride + position`` (``stride = size + 1``), and one
-      ``searchsorted`` answers all light queries per call.
+    ``candidates`` must be sorted and unique.  Every chunk value is first
+    given a chunk-local dense *slot*, by a map picked from the chunk
+    itself: its offset in the chunk's value span when that span is small
+    relative to the chunk, otherwise its index in the sorted candidates
+    (one ``searchsorted``; non-candidates share one miss slot).  Nothing is sized to the id universe, so any
+    ``int64`` ids work, negative ones too.  Totals are one ``bincount``
+    of the slots, kept as the :attr:`totals` dict.
 
-    Every sort is either one-pass radix over bytes or small, which is
-    the whole trick: the 16-bit whole-chunk radix argsort this replaces
-    costs ~3× the chunk's ingest budget by itself.
+    Ranks are built over the prefix only, as one sorted array of encoded
+    keys ``rank_id · (prefix + 1) + position``, so one ``searchsorted``
+    pair answers every rank query of a call.  Grouping the positions by
+    rank id splits the candidates by chunk mass:
 
-    Built once per engine batch and shared by every shard.  Precondition
-    (the engine's gate): every chunk value in ``[0, 0xFFFF]`` and every
-    candidate non-negative, unique.  Queries for items outside
-    ``[0, 0xFFFF]`` return rank 0 (they cannot occur in a gated chunk);
-    queries for in-range non-candidates are a contract violation and
-    also return 0.
+    * **heavy** — the ≤255 candidates with the largest totals (rank ids
+      ``0 … h−1``) are grouped by one one-pass ``uint8`` radix argsort of
+      the prefix, everything else falling into group 255;
+    * **light** — the remaining candidates (rank ids from ``h``) are
+      picked out of that group-255 tail and grouped by a second, much
+      smaller sort.
+
+    Queries about non-candidates return 0.
     """
 
-    __slots__ = (
-        "size", "_occ", "_stride", "_hlut", "_horder", "_hstarts",
-        "_llut", "_lkey", "_lstarts",
-    )
+    __slots__ = ("size", "totals", "_cand", "_rid", "_stride", "_keys", "_starts")
 
-    #: Heavy ids fit uint8 with 255 reserved as the miss sentinel.
+    #: Heavy group ids fit uint8 with 255 reserved for everything else.
     _HEAVY_CAP = 255
 
-    def __init__(
-        self,
-        base: np.ndarray,
-        candidates: np.ndarray,
-        occ: np.ndarray | None = None,
-    ) -> None:
-        self.size = int(base.size)
+    def __init__(self, base: np.ndarray, candidates, prefix: int | None = None) -> None:
+        n = int(base.size)
+        self.size = n
         cand = np.asarray(candidates, dtype=np.int64)
-        self._stride = np.int64(self.size + 1)
-        if occ is None:
-            occ = (
-                np.bincount(base, minlength=1 << 16)
-                if self.size
-                else np.zeros(1 << 16, dtype=np.int64)
-            )
-        if occ.size < 1 << 16:
-            occ = np.pad(occ, (0, (1 << 16) - occ.size))
-        self._occ = occ
+        self._cand = cand
+        prefix = n if prefix is None else min(int(prefix), n)
+        stride = self._stride = np.int64(prefix + 1)
+        #: Whole-chunk occurrence count of every candidate that can occur
+        #: in the chunk (a dict: the flush looks items up one by one).
+        self.totals: dict[int, int] = {}
+        # Rank id per candidate (-1: cannot occur in the chunk); the rank
+        # side stays None when no query can have a bound above 0.
+        self._rid = None
+        self._keys = self._starts = None
+        nc = int(cand.size)
+        if n == 0 or nc == 0:
+            return
+        # Slots of the chunk values, and of candidates a..b-1 (the rest
+        # cannot occur in the chunk).
+        lo, hi = int(base.min()), int(base.max())
+        span = hi - lo + 1
+        if span <= _SPAN_PER_ITEM * n:
+            slots = base - lo
+            a = int(cand.searchsorted(lo))
+            b = int(cand.searchsorted(hi, side="right"))
+            cslot = cand[a:b] - lo
+            width = span
+        else:
+            cid = cand.searchsorted(base)
+            np.minimum(cid, nc - 1, out=cid)
+            slots = np.where(cand[cid] == base, cid, nc)
+            a, b = 0, nc
+            cslot = np.arange(nc, dtype=np.int64)
+            width = nc + 1
+        totals = np.bincount(slots, minlength=width)[cslot]
+        self.totals = dict(zip(cand[a:b].tolist(), totals.tolist()))
+        if prefix == 0 or a == b:
+            return
+        head = slots[:prefix]
+        m = b - a
         cap = self._HEAVY_CAP
-        if cand.size > cap:
-            sel = np.argpartition(occ[cand], cand.size - cap)[cand.size - cap:]
-            heavy = cand[sel]
-            light_mask = np.ones(cand.size, dtype=bool)
-            light_mask[sel] = False
-            light = cand[light_mask]
-        else:
-            heavy = cand
-            light = cand[:0]
-        nh = int(heavy.size)
-        hlut = np.full(1 << 16, cap, dtype=np.uint8)
-        hlut[heavy] = np.arange(nh, dtype=np.uint8)
-        self._hlut = hlut
-        hid = hlut[base]
+        heavy = (
+            np.argpartition(totals, m - cap)[m - cap:] if m > cap else np.arange(m)
+        )
+        nh = nr = int(heavy.size)
+        rid = np.full(nc, -1, dtype=np.int64)
+        rid[a + heavy] = np.arange(nh)
+        hlut = np.full(width, cap, dtype=np.uint8)
+        hlut[cslot[heavy]] = np.arange(nh, dtype=np.uint8)
+        hid = hlut[head]
         horder = np.argsort(hid, kind="stable")
-        hstarts = np.zeros(nh + 2, dtype=np.int64)
-        np.cumsum(occ[heavy], out=hstarts[1:nh + 1])
-        hstarts[nh + 1] = self.size
-        self._horder = horder
-        self._hstarts = hstarts
-        llut = np.full(1 << 16, -1, dtype=np.int32)
-        self._llut = llut
-        nl = int(light.size)
-        if nl:
-            llut[light] = np.arange(nl, dtype=np.int32)
-            tail = horder[hstarts[nh]:]
-            li = llut[base[tail]]
+        hsorted = hid[horder]
+        nheavy = int(hsorted.searchsorted(np.uint8(nh)))
+        lhit = lorder = None
+        if m > cap:
+            light = np.ones(m, dtype=bool)
+            light[heavy] = False
+            lsel = np.flatnonzero(light)
+            nl = int(lsel.size)
+            nr += nl
+            rid[a + lsel] = np.arange(nh, nr)
+            llut = np.full(width, -1, dtype=np.int32)
+            llut[cslot[lsel]] = np.arange(nl, dtype=np.int32)
+            tail = horder[nheavy:]
+            li = llut[head[tail]]
             lhit = np.flatnonzero(li >= 0)
-            lcid = li[lhit].astype(np.uint16)
-            lorder = np.argsort(lcid, kind="stable")
-            lkey = lcid[lorder].astype(np.int64)
-            lkey *= self._stride
-            lkey += tail[lhit][lorder]
-            lstarts = np.zeros(nl + 1, dtype=np.int64)
-            np.cumsum(np.bincount(lcid, minlength=nl), out=lstarts[1:])
-            self._lkey = lkey
-            self._lstarts = lstarts
-        else:
-            self._lkey = np.empty(0, dtype=np.int64)
-            self._lstarts = np.zeros(1, dtype=np.int64)
+            lid = li[lhit].astype(np.uint16 if nl <= 0xFFFF else np.int64)
+            lorder = np.argsort(lid, kind="stable")
+        # One key array, filled in place: chunk-sized temporaries cost
+        # page faults on every call.
+        keys = np.empty(nheavy + (0 if lhit is None else lhit.size), dtype=np.int64)
+        heavy_keys = keys[:nheavy]
+        np.multiply(hsorted[:nheavy], stride, out=heavy_keys)
+        heavy_keys += horder[:nheavy]
+        if lhit is not None:
+            light_keys = keys[nheavy:]
+            light_keys[:] = lid[lorder]
+            light_keys += nh
+            light_keys *= stride
+            light_keys += tail[lhit][lorder]
+        self._rid = rid
+        self._keys = keys
+        self._starts = keys.searchsorted(np.arange(nr, dtype=np.int64) * stride)
 
     def rank_many(self, items, bounds) -> np.ndarray:
         """Batched prefix ranks: entry ``j`` is the number of
-        occurrences of ``items[j]`` at chunk positions ``< bounds[j]``."""
-        it = np.asarray(items, dtype=np.int64)
+        occurrences of ``items[j]`` at chunk positions ``< bounds[j]``
+        (every bound at most ``prefix``)."""
         bnd = np.asarray(bounds, dtype=np.int64)
-        out = np.zeros(it.size, dtype=np.int64)
-        valid = (it >= 0) & (it <= 0xFFFF)
-        safe = np.where(valid, it, 0)
-        hid = self._hlut[safe].astype(np.int64)
-        hq = np.flatnonzero(valid & (hid < self._HEAVY_CAP))
-        if hq.size:
-            # Group the heavy queries by value id: each distinct id is
-            # one searchsorted into its own position slice.
-            hs = self._hstarts
-            horder = self._horder
-            qh = hid[hq]
-            qord = np.argsort(qh.astype(np.uint8), kind="stable")
-            qh_s = qh[qord]
-            cuts = np.flatnonzero(
-                np.concatenate(([True], qh_s[1:] != qh_s[:-1]))
-            )
-            cuts = np.append(cuts, qh_s.size)
-            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-                h = int(qh_s[a])
-                grp = horder[hs[h]:hs[h + 1]]
-                sel = hq[qord[a:b]]
-                out[sel] = grp.searchsorted(bnd[sel])
-        li = self._llut[safe].astype(np.int64)
-        lq = np.flatnonzero(valid & (li >= 0))
-        if lq.size:
-            q = li[lq] * self._stride
-            q += bnd[lq]
-            out[lq] = self._lkey.searchsorted(q) - self._lstarts[li[lq]]
-        return out
-
-    def totals(self, items) -> np.ndarray:
-        """Whole-batch occurrence counts (the histogram gather) — the
-        rank at the end of the batch, without touching the sorts."""
+        if self._rid is None:
+            return np.zeros(bnd.size, dtype=np.int64)
         it = np.asarray(items, dtype=np.int64)
-        valid = (it >= 0) & (it <= 0xFFFF)
-        t = self._occ[np.where(valid, it, 0)]
-        return np.where(valid, t, 0)
+        cand = self._cand
+        cid = cand.searchsorted(it)
+        np.minimum(cid, cand.size - 1, out=cid)
+        rid = np.where(cand[cid] == it, self._rid[cid], -1)
+        # Rank id -1 (non-candidates) encodes below every key: rank 0.
+        q = rid * self._stride
+        q += bnd
+        # Sorted needles make the searchsorted walk cache-friendly.
+        order = np.argsort(q)
+        out = np.empty(q.size, dtype=np.int64)
+        out[order] = self._keys.searchsorted(q[order])
+        out -= np.where(rid >= 0, self._starts[rid], 0)
+        return out
 
 
 class ShardView:
-    """A shard's whole-batch slice of an engine chunk, by *position*
-    instead of by copy: the base chunk, the (ascending) positions this
-    shard owns, the shared :class:`PositionIndex` of the base, and the
-    shard's pre-simulated event schedule.
+    """A pool's part of a chunk, by *position* instead of by copy: the
+    base chunk, the (ascending) positions this pool owns — ``None`` for
+    all of them, the one-pool case — the chunk's shared
+    :class:`PositionIndex`, and the pool's planned event schedule.
 
     The ownership contract (what a value partition guarantees): *every*
-    occurrence in ``base`` of any item this shard tracks — or adopts
-    during the batch — sits at one of ``positions``.  That makes global
-    prefix ranks shard-locally meaningful (an owned item has no
+    occurrence in ``base`` of any item this pool tracks — or adopts
+    during the chunk — sits at one of ``positions``.  That makes chunk
+    prefix ranks pool-locally meaningful (an owned item has no
     occurrences outside the view, so its settled rank starts at 0 and
-    its flush total is the whole-batch count), and the pool kernel
+    its flush total is the whole-chunk count), and the pool kernel
     consumes the view with O(events) work, never materializing the
     subchunk.
 
-    ``events`` is the ``(times, slots)`` pair the engine obtained from
-    the pool's ``plan_batch`` (phase 1 hoisted so candidates were known
-    before the index was built); the kernel applies it instead of
-    re-simulating.
+    ``events`` is the ``(times, slots)`` pair the pool's ``plan_batch``
+    returned for this view: phase 1 has already run, and the kernel only
+    applies the data.
     """
 
     __slots__ = ("base", "positions", "index", "events")
@@ -403,9 +276,9 @@ class ShardView:
     def __init__(
         self,
         base: np.ndarray,
-        positions: np.ndarray,
+        positions: np.ndarray | None,
         index: PositionIndex,
-        events: tuple[list[int], list[int]] | None = None,
+        events: tuple[list[int], list[int]],
     ) -> None:
         self.base = base
         self.positions = positions
@@ -414,10 +287,80 @@ class ShardView:
 
     @property
     def size(self) -> int:
+        if self.positions is None:
+            return int(self.base.size)
         return int(self.positions.size)
 
     def values(self) -> np.ndarray:
         """Materialize the subchunk (the one gather the view otherwise
         avoids) — for consumers that need the raw items, e.g. the
         Misra–Gries normalizer pass."""
+        if self.positions is None:
+            return self.base
         return self.base[self.positions]
+
+    def chunk_positions(self, offsets: np.ndarray) -> np.ndarray:
+        """Chunk positions of view-local ``offsets``."""
+        if self.positions is None:
+            return offsets
+        return self.positions[offsets]
+
+
+def shard_views(
+    base: np.ndarray,
+    order: np.ndarray | None,
+    bounds: np.ndarray,
+    pools: list,
+) -> list[ShardView | None]:
+    """Phase 1 for every pool's part of one chunk, then the shared index.
+
+    Pool ``k`` owns chunk positions ``order[bounds[k]:bounds[k+1]]``
+    (``order`` ``None``: the identity grouping, one pool owning the
+    whole chunk).  Each pool with a non-empty part plans its events
+    (``plan_batch`` — its heap and RNG advance now); the tracked items
+    plus the event items are every value any pool will query, so one
+    :class:`PositionIndex` over the chunk, with ranks up to the last
+    event position, serves them all.  Entry ``k`` of the result is pool
+    ``k``'s view, or ``None`` for an empty part.  Every view must then
+    be applied exactly once (``update_batch(view)``).
+    """
+    plans: list[tuple[list[int], list[int]] | None] = []
+    parts: list[np.ndarray] = []
+    prefix = 0
+    # A lone pool's tracked items are unique already; event items repeat
+    # and may be tracked too.
+    dedupe = len(pools) > 1
+    for k, pool in enumerate(pools):
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        if hi <= lo:
+            plans.append(None)
+            continue
+        tracked = pool.tracked_values()
+        if tracked.size:
+            parts.append(tracked)
+        t0 = pool.position
+        plan = pool.plan_batch(hi - lo)
+        plans.append(plan)
+        if plan[0]:
+            offs = np.asarray(plan[0], dtype=np.int64)
+            offs -= t0 + 1
+            gpos = offs if order is None else order[lo + offs]
+            parts.append(base[gpos])
+            prefix = max(prefix, int(gpos.max()))
+            dedupe = True
+    cand = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+    if dedupe and cand.size > 1:
+        keep = np.empty(cand.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+        cand = cand[keep]
+    index = PositionIndex(base, cand, prefix)
+    views: list[ShardView | None] = []
+    for k, plan in enumerate(plans):
+        if plan is None:
+            views.append(None)
+            continue
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        positions = None if order is None else order[lo:hi]
+        views.append(ShardView(base, positions, index, plan))
+    return views

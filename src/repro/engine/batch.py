@@ -29,13 +29,11 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.timeline import ShardView
 from repro.core.types import as_item_array as _as_array
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "supports_batch",
-    "supports_digest",
     "supports_index",
     "ingest",
     "BatchIngestor",
@@ -47,12 +45,6 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 def supports_batch(sampler) -> bool:
     """Whether the sampler exposes the vectorized ``update_batch`` hook."""
     return callable(getattr(sampler, "update_batch", None))
-
-
-def supports_digest(sampler) -> bool:
-    """Whether ``update_batch`` accepts a shared ``ChunkDigest`` (the
-    pool-backed samplers declare ``accepts_digest``)."""
-    return bool(getattr(sampler, "accepts_digest", False))
 
 
 def supports_index(sampler) -> bool:
@@ -73,7 +65,6 @@ def ingest(
     items,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     timestamps=None,
-    digest=None,
 ) -> int:
     """Feed ``items`` (array, ``repro.streams.Stream`` /
     ``TimestampedStream``, or iterable) into ``sampler`` in chunks;
@@ -83,25 +74,9 @@ def ingest(
     when ``items`` is a ``TimestampedStream`` or ``timestamps`` is given
     explicitly: chunks carry ``(items, timestamps)`` pairs into
     ``update_batch(items, ts)`` / ``update(item, ts)``.
-
-    ``digest`` is an optional precomputed
-    :class:`repro.core.timeline.ChunkDigest` whose ``count(item)`` is
-    exact for every item in (or tracked against) ``items`` — the sharded
-    engine builds one per batch and shares it across shards.  It is only
-    forwarded when the whole input fits a single ``update_batch`` call
-    (a chunked pass would mis-scope the whole-batch counts) and the
-    sampler declares ``accepts_digest``.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be ≥ 1, got {chunk_size}")
-    if isinstance(items, ShardView):
-        # Position view of a shared indexed chunk carrying its
-        # pre-simulated event schedule: the kernel's cost is O(events),
-        # so there are no O(n) per-call passes for chunk_size to
-        # amortize — and the hoisted plan covers the whole view, so it
-        # must be applied in one call.
-        sampler.update_batch(items)
-        return items.size
     if timestamps is None:
         timestamps = getattr(items, "timestamps", None)
     if timestamps is None:
@@ -118,13 +93,6 @@ def ingest(
             return total
         arr = _as_array(items)
         if supports_batch(sampler):
-            if (
-                digest is not None
-                and arr.size <= chunk_size
-                and supports_digest(sampler)
-            ):
-                sampler.update_batch(arr, digest=digest)
-                return int(arr.size)
             for start in range(0, arr.size, chunk_size):
                 sampler.update_batch(arr[start:start + chunk_size])
         else:

@@ -38,7 +38,7 @@ class UniversePartitioner:
         Seeds the multiply–shift constant; ignored for ``"modulo"``.
     """
 
-    __slots__ = ("_shards", "_strategy", "_seed", "_multiplier", "_vmap")
+    __slots__ = ("_shards", "_strategy", "_seed", "_multiplier")
 
     def __init__(self, shards: int, strategy: str = "hash", seed: int = 0) -> None:
         if shards < 1:
@@ -51,7 +51,6 @@ class UniversePartitioner:
         rng = np.random.default_rng(seed)
         # Odd multiplier — multiply-shift needs it to be a bijection.
         self._multiplier = np.uint64(int(rng.integers(1 << 63, 1 << 64, dtype=np.uint64)) | 1)
-        self._vmap: np.ndarray | None = None
 
     @property
     def shards(self) -> int:
@@ -92,8 +91,7 @@ class UniversePartitioner:
     def _mix(self, arr: np.ndarray) -> np.ndarray:
         """Multiply–shift ids as ``uint64`` with in-place intermediates
         (same values :meth:`assign` returns, minus the final cast)."""
-        mixed = arr.astype(np.uint64)
-        mixed *= self._multiplier
+        mixed = np.multiply(arr.view(np.uint64), self._multiplier)
         mixed >>= np.uint64(32)
         k = self._shards
         if k & (k - 1) == 0:
@@ -121,9 +119,8 @@ class UniversePartitioner:
         ids = self._ids(arr)
         # 8/16-bit keys take numpy's radix path (~5x the 64-bit merge sort).
         order = np.argsort(ids, kind="stable")
-        counts = np.bincount(ids, minlength=self._shards)
-        bounds = np.zeros(self._shards + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
+        # Needles in the ids' own dtype keep the search off a widened copy.
+        bounds = ids[order].searchsorted(np.arange(self._shards + 1, dtype=ids.dtype))
         return order, bounds
 
     def _ids(self, arr: np.ndarray) -> np.ndarray:
@@ -137,23 +134,6 @@ class UniversePartitioner:
         if self._shards <= 0xFFFF:
             return ids.astype(np.uint16)
         return ids.astype(np.int64)
-
-    def value_shards(self, universe: int) -> np.ndarray:
-        """The whole value → shard map for ``[0, universe)`` as one
-        narrow-dtype array (cached: the map is a pure function of the
-        partitioner).
-
-        For bounded universes a gather through this map replaces the
-        per-item hash mix, and a weighted ``bincount`` of it against a
-        value histogram yields per-shard subchunk lengths without
-        touching the items — the sharded engine's shared-index fast path
-        leans on both.
-        """
-        vmap = self._vmap
-        if vmap is None or vmap.size < universe:
-            vmap = self._ids(np.arange(universe, dtype=np.int64))
-            self._vmap = vmap
-        return vmap[:universe]
 
     def split(self, items) -> list[np.ndarray]:
         """Partition a chunk into per-shard subchunks, preserving the

@@ -61,14 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.timeline import ChunkDigest, PositionIndex, ShardView
-from repro.core.types import SampleResult
-from repro.engine.batch import (
-    DEFAULT_CHUNK_SIZE,
-    ingest,
-    supports_digest,
-    supports_index,
-)
+from repro.core.timeline import shard_views
+from repro.core.types import SampleResult, as_item_array
+from repro.engine.batch import DEFAULT_CHUNK_SIZE, ingest, supports_index
 from repro.engine.partition import UniversePartitioner
 from repro.engine.registry import build_sampler, kind_spec
 from repro.engine.state import merged
@@ -324,117 +319,58 @@ class ShardedSamplerEngine:
         items,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         timestamps=None,
-        shared_index: bool = True,
     ) -> int:
-        """Split a batch by shard and feed each sampler its subchunk;
+        """Split a batch by shard and feed each sampler its part;
         returns the number of items ingested.
+
+        Untimed input takes one route for every id width and shard
+        count: the batch is cut into ``chunk_size`` slices
+        (``chunk_size=1`` is item at a time), each slice is grouped by
+        shard (``split_indices``), and for pool-backed kinds every
+        shard plans its heap events, one shared
+        :class:`~repro.core.timeline.PositionIndex` is built over the
+        slice, and each shard applies a position view of it
+        (:func:`~repro.core.timeline.shard_views`).  Other kinds get
+        their materialized subchunks.
 
         Pass a ``TimestampedStream`` (or an explicit ``timestamps``
         array) to feed time-windowed sampler kinds — each shard receives
         its items *with* their arrival times, so every shard's window
         boundaries line up on the shared wall clock.
-
-        ``shared_index=False`` disables the shared-index two-phase fast
-        path and takes the materialized-subchunk reference route instead.
-        Both paths are bitwise identical by contract; the flag exists so
-        parity tests and bench preflights can pin the comparison.
         """
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be ≥ 1, got {chunk_size}")
         if timestamps is None:
             timestamps = getattr(items, "timestamps", None)
         if timestamps is None:
-            arr = np.asarray(items, dtype=np.int64)
-            k = len(self._samplers)
-            total = 0
-            bumps = 0
-            # Shared-index two-phase path (pool-backed shards, 16-bit
-            # values): heap events are data-independent, so every
-            # shard's schedule is pre-simulated (``plan_batch``) before
-            # any data is applied.  Tracked items plus event items are
-            # then *all* the items any kernel will ever ask a rank query
-            # about, so one candidate-limited PositionIndex over the
-            # whole batch — sorting only candidate occurrences, not the
-            # universe — serves every shard's settles and flushes, and
-            # shards ingest position views with no subchunk ever
-            # materialized.
-            use_index = shared_index and bool(arr.size) and k > 1 and supports_index(
-                self._samplers[0]
-            )
-            if use_index:
-                use_index = int(arr.min()) >= 0 and int(arr.max()) <= 0xFFFF
-            if use_index:
-                # Slim split: the value → shard map answers everything
-                # the per-item hash mix would — shard ids come from one
-                # narrow gather, subchunk lengths from a weighted
-                # bincount of the map against the batch histogram — and
-                # one one-pass uint8 radix argsort groups positions by
-                # shard in arrival order.
-                occ = np.bincount(arr, minlength=1 << 16)
-                vmap = self._partitioner.value_shards(1 << 16)
-                ids = vmap[arr]
-                order = np.argsort(ids, kind="stable")
-                lengths = np.bincount(
-                    vmap, weights=occ, minlength=k
-                ).astype(np.int64)
-                bounds = np.zeros(k + 1, dtype=np.int64)
-                np.cumsum(lengths, out=bounds[1:])
-                plans: list[tuple[list[int], list[int]] | None] = []
-                cand_parts: list[np.ndarray] = []
-                for shard in range(k):
+            arr = as_item_array(items)
+            samplers = self._samplers
+            indexed = supports_index(samplers[0])
+            touched = [False] * len(samplers)
+            for start in range(0, arr.size, chunk_size):
+                piece = arr[start:start + chunk_size]
+                order, bounds = self._partitioner.split_indices(piece)
+                if indexed:
+                    views = shard_views(piece, order, bounds, samplers)
+                for shard, sampler in enumerate(samplers):
                     lo, hi = int(bounds[shard]), int(bounds[shard + 1])
                     if hi <= lo:
-                        plans.append(None)
                         continue
-                    sampler = self._samplers[shard]
-                    tracked = sampler.tracked_values()
-                    if tracked.size:
-                        cand_parts.append(
-                            tracked[(tracked >= 0) & (tracked <= 0xFFFF)]
-                        )
-                    t0 = sampler.position
-                    plan = sampler.plan_batch(hi - lo)
-                    plans.append(plan)
-                    if plan[0]:
-                        offs = np.asarray(plan[0], dtype=np.int64)
-                        offs -= t0 + 1  # shard-local offsets of the events
-                        cand_parts.append(arr[order[lo + offs]])
-                cand = (
-                    np.unique(np.concatenate(cand_parts))
-                    if cand_parts
-                    else np.empty(0, dtype=np.int64)
-                )
-                index = PositionIndex(arr, cand, occ=occ)
-                for shard in range(k):
-                    lo, hi = int(bounds[shard]), int(bounds[shard + 1])
-                    if hi > lo:
-                        view = ShardView(
-                            arr, order[lo:hi], index, events=plans[shard]
-                        )
-                        total += ingest(
-                            self._samplers[shard], view, chunk_size=chunk_size
-                        )
-                        self._epochs[shard] += 1
-                        bumps += 1
-            else:
-                # Fallback: materialized subchunks, with one whole-batch
-                # digest shared across shards (the value partition routes
-                # all of an item's occurrences to one shard, so an item's
-                # whole-batch count *is* its subchunk count).
-                digest = None
-                if arr.size and k > 1 and supports_digest(self._samplers[0]):
-                    digest = ChunkDigest(arr)
-                subchunks = self._partitioner.split(arr)
-                for shard, subchunk in enumerate(subchunks):
-                    if subchunk.size:
-                        total += ingest(
-                            self._samplers[shard], subchunk,
-                            chunk_size=chunk_size, digest=digest,
-                        )
-                        self._epochs[shard] += 1
-                        bumps += 1
+                    if indexed:
+                        sampler.update_batch(views[shard])
+                    else:
+                        part = piece if order is None else piece[order[lo:hi]]
+                        ingest(sampler, part, chunk_size=chunk_size)
+                    touched[shard] = True
+            bumps = 0
+            for shard, hit in enumerate(touched):
+                if hit:
+                    self._epochs[shard] += 1
+                    bumps += 1
             if bumps:
                 self._m_epoch["ingest"].add(bumps)
-            self._after_ingest(total)
-            return total
+            self._after_ingest(int(arr.size))
+            return int(arr.size)
         inner = getattr(items, "items", None)
         arr = np.asarray(inner if inner is not None else items, dtype=np.int64)
         ts = np.asarray(timestamps, dtype=np.float64)

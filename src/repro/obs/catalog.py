@@ -35,7 +35,8 @@ METRIC_CATALOG: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         "repro_ingest_settle_scans_total", "counter", (),
-        "Full-chunk position-index scans taken by the batched pool ingest kernel",
+        "Position-index passes of batched pool ingest: per call, one rank "
+        "pass if it has heap events and one totals pass if it tracks items",
     ),
     # -- engine (merged-view cache + lifecycle) ------------------------------
     CatalogEntry(

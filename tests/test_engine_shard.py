@@ -58,6 +58,20 @@ class TestShardedEngineBasics:
         assert engine.position == 3000
         assert all(s.position > 0 for s in engine.samplers)
 
+    def test_ingest_accepts_any_1d_item_source(self):
+        stream = zipf_stream(64, 500, alpha=1.1, seed=3)
+        items = np.asarray(stream.items)
+        want = ShardedSamplerEngine(self.CONFIG, shards=4, seed=0)
+        want.ingest(items)
+        for source in (stream, (int(x) for x in items.tolist())):
+            engine = ShardedSamplerEngine(self.CONFIG, shards=4, seed=0)
+            assert engine.ingest(source) == 500
+            assert state_to_bytes(engine.snapshot()) == state_to_bytes(want.snapshot())
+        engine = ShardedSamplerEngine(self.CONFIG, shards=4, seed=0)
+        with pytest.raises(ValueError, match="1-d sequence of items"):
+            engine.ingest(items.reshape(20, 25))
+        assert engine.position == 0
+
     def test_scalar_update_routes_consistently(self):
         engine = ShardedSamplerEngine(self.CONFIG, shards=4, seed=0)
         for item in [3, 3, 3, 17]:

@@ -1,23 +1,28 @@
-"""The two-phase shared-index ingest kernel (PR 9).
+"""The one pool ingest kernel.
 
-The contract under test: the engine's batched ingest — phase-1 heap
-events pre-simulated per shard (``plan_batch``), one candidate-limited
-:class:`PositionIndex` shared by every shard, data applied through
-:class:`ShardView` position views — is *bitwise identical* to the
-scalar ``update()`` loop, across every pool-backed registry kind and
-across the whole lifecycle (snapshot/restore, merge, compact).  The
-perf story in ``benchmarks/perf_suite.py`` (scenario ``ingest_kernel``)
-rides entirely on this equivalence.
+The contract under test: batched ingest — phase-1 heap events planned
+per pool (``plan_batch``), one candidate-limited :class:`PositionIndex`
+over each chunk in chunk-local dense ids, data applied through
+:class:`ShardView` position views by the pool's one event loop — is
+*bitwise identical* to the scalar ``update()`` loop, for every
+pool-backed registry kind, every shard count (K=1 is the one-view case),
+every id width (16-bit, beyond 2^32, negative), every way of cutting the
+stream into ``ingest`` calls, and across the whole lifecycle
+(snapshot/restore, merge, compact).  The perf story in
+``benchmarks/perf_suite.py`` (scenario ``ingest_kernel``) rides entirely
+on this equivalence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.g_sampler import SamplerPool
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
-from repro.core.timeline import ChunkDigest, PositionIndex, ShardView
+from repro.core.timeline import PositionIndex, ShardView
 from repro.engine import ShardedSamplerEngine
 from repro.obs import MetricsRegistry, use_registry
 
@@ -64,8 +69,17 @@ def _feed_scalar(engine: ShardedSamplerEngine, items: np.ndarray) -> None:
         engine.update(item)
 
 
+#: Id shapes beyond the Zipf ranks' small non-negative range: past the
+#: 16-bit table, past 32 bits, and negative.
+ID_SHAPES = {
+    "ge-2^16": lambda z: z + (1 << 17),
+    "ge-2^32": lambda z: z * (1 << 33) + (1 << 32),
+    "negative": lambda z: z - 150,
+}
+
+
 @pytest.mark.parametrize("kind,config", POOL_BACKED, ids=[k for k, _ in POOL_BACKED])
-@pytest.mark.parametrize("shards", [2, 8])
+@pytest.mark.parametrize("shards", [1, 2, 8])
 class TestEngineScalarParity:
     def test_batched_ingest_matches_scalar_loop(self, kind, config, shards):
         items = _zipf(3000, 400, seed=17)
@@ -82,31 +96,41 @@ class TestEngineScalarParity:
         """compact → merge → snapshot/restore, then keep ingesting:
         the batched and scalar paths must stay bitwise locked through
         every lifecycle edge, not just on a fresh sampler."""
-        s1, s2, s3 = (_zipf(1200, 300, seed=s) for s in (21, 22, 23))
-        batched = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
-        scalar = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
-        # Same seed: engine merge demands an identical partition layout
-        # (the real deployment — one config fed from two sites).
-        other_b = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
-        other_s = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
-        batched.ingest(s1, chunk_size=389)
-        _feed_scalar(scalar, s1)
-        other_b.ingest(s2, chunk_size=389)
-        _feed_scalar(other_s, s2)
-        batched.compact()
-        scalar.compact()
-        batched.merge(other_b)
-        scalar.merge(other_s)
-        snap = batched.snapshot()
-        assert norm(snap) == norm(scalar.snapshot())
-        # Replica boot: same config/seed (restore demands the layout),
-        # state then overwritten wholesale by the snapshot.
-        restored = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
-        restored.restore(snap)
-        batched.ingest(s3, chunk_size=1 << 16)
-        _feed_scalar(restored, s3)
-        assert norm(batched.snapshot()) == norm(restored.snapshot())
-        _assert_same_sample(kind, batched, restored)
+        _check_lifecycle_parity(kind, config, shards, lambda z: z)
+
+    @pytest.mark.parametrize("shape", sorted(ID_SHAPES))
+    def test_wide_and_negative_ids_survive_lifecycle(
+        self, kind, config, shards, shape
+    ):
+        _check_lifecycle_parity(kind, config, shards, ID_SHAPES[shape])
+
+
+def _check_lifecycle_parity(kind, config, shards, shape) -> None:
+    s1, s2, s3 = (shape(_zipf(1200, 300, seed=s)) for s in (21, 22, 23))
+    batched = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
+    scalar = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
+    # Same seed: engine merge demands an identical partition layout
+    # (the real deployment — one config fed from two sites).
+    other_b = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
+    other_s = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
+    batched.ingest(s1, chunk_size=389)
+    _feed_scalar(scalar, s1)
+    other_b.ingest(s2, chunk_size=389)
+    _feed_scalar(other_s, s2)
+    batched.compact()
+    scalar.compact()
+    batched.merge(other_b)
+    scalar.merge(other_s)
+    snap = batched.snapshot()
+    assert norm(snap) == norm(scalar.snapshot())
+    # Replica boot: same config/seed (restore demands the layout),
+    # state then overwritten wholesale by the snapshot.
+    restored = ShardedSamplerEngine(dict(config), shards=shards, seed=9)
+    restored.restore(snap)
+    batched.ingest(s3, chunk_size=1 << 16)
+    _feed_scalar(restored, s3)
+    assert norm(batched.snapshot()) == norm(restored.snapshot())
+    _assert_same_sample(kind, batched, restored)
 
 
 ADVERSARIAL = {
@@ -114,13 +138,13 @@ ADVERSARIAL = {
     "all-one-item": np.full(4000, 7, dtype=np.int64),
     # No item repeats: the index's heavy side is all singletons.
     "all-distinct": np.arange(4000, dtype=np.int64),
-    # Values straddle the 16-bit index gate mid-stream: the engine must
-    # mix shared-index chunks with fallback chunks without drifting.
+    # The value span jumps mid-stream: chunks switch between the span
+    # table and the searchsorted value→id map without drifting.
     "mixed-range": np.concatenate(
         [_zipf(1500, 200, seed=3), _zipf(1500, 200, seed=4) + (1 << 17),
          _zipf(1000, 200, seed=5)]
     ),
-    # Negative ids are never indexable — pure fallback, still batched.
+    # Negative ids index like any others.
     "negative-ids": _zipf(2000, 300, seed=6) - 150,
 }
 
@@ -132,35 +156,32 @@ def test_adversarial_chunks_match_scalar(name):
     scalar = ShardedSamplerEngine(dict(config), shards=4, seed=2)
     _feed_scalar(scalar, items)
     want = norm(scalar.snapshot())
-    # chunk_size=1 puts every heap event on a chunk boundary; the shared
-    # index covers whole batches, so boundary handling lives in the
-    # reference path and in the batched kernel's flush-at-end.
-    for chunk_size, shared_index in [(1, False), (7, True), (997, True), (1 << 16, True)]:
+    # One-item calls put every heap event on a call boundary; larger
+    # calls put many events, settles and the flush inside one index.
+    for call in (1, 7, 997, 1 << 16):
         engine = ShardedSamplerEngine(dict(config), shards=4, seed=2)
-        engine.ingest(items, chunk_size=chunk_size, shared_index=shared_index)
-        assert norm(engine.snapshot()) == want, (
-            f"{name}: chunk_size={chunk_size} shared_index={shared_index}"
-        )
+        for start in range(0, items.size, call):
+            engine.ingest(items[start:start + call])
+        assert norm(engine.snapshot()) == want, f"{name}: calls of {call}"
 
 
 class TestPositionIndex:
-    def _check(self, base, cand, queries, bounds):
-        index = PositionIndex(base, cand)
+    def _check(self, base, cand, queries, bounds, prefix=None):
+        index = PositionIndex(base, cand, prefix)
         got = index.rank_many(queries, bounds)
+        members = set(cand.tolist())
         for j, (v, g) in enumerate(zip(queries.tolist(), bounds.tolist())):
-            if 0 <= v <= 0xFFFF and v in set(cand.tolist()):
-                assert got[j] == int(np.sum(base[:g] == v)), (v, g)
-            else:
-                assert got[j] == 0, (v, g)
-        tot = index.totals(queries)
-        for j, v in enumerate(queries.tolist()):
-            want = int(np.sum(base == v)) if 0 <= v <= 0xFFFF else 0
-            assert tot[j] == want
+            want = int(np.sum(base[:g] == v)) if v in members else 0
+            assert got[j] == want, (v, g)
+        for v in queries.tolist():
+            want = int(np.sum(base == v)) if v in members else 0
+            assert index.totals.get(v, 0) == want, v
 
     def test_rank_many_heavy_and_light(self):
         # >255 candidates forces the heavy/light split: the 255 largest
-        # by batch mass take the uint8 radix side, the rest the encoded
-        # mini-index over the sentinel tail.
+        # by chunk mass take the uint8 radix side, the rest the second
+        # sort over the group-255 tail.  The value span is narrow, so
+        # values map through the span table.
         rng = np.random.default_rng(31)
         base = _zipf(5000, 450, seed=31)
         cand = np.unique(rng.choice(450, size=320, replace=False)).astype(np.int64)
@@ -169,64 +190,62 @@ class TestPositionIndex:
         self._check(base, cand, queries, bounds)
 
     def test_rank_many_all_heavy(self):
+        # ≤255 candidates: no light side at all.  Ids ≥ 2^32 spread the
+        # span far past the chunk length, so values map by searchsorted
+        # into the candidates; ranks are kept over the prefix only.
         rng = np.random.default_rng(32)
-        base = _zipf(2000, 90, seed=32)
-        cand = np.arange(90, dtype=np.int64)  # ≤255: no light side at all
+        base = _zipf(2000, 90, seed=32) * (1 << 33) + (1 << 32)
+        cand = np.unique(base)
         queries = rng.choice(cand, size=300).astype(np.int64)
-        bounds = rng.integers(0, base.size + 1, size=300)
-        self._check(base, cand, queries, bounds)
+        bounds = rng.integers(0, 1501, size=300)
+        self._check(base, cand, queries, bounds, prefix=1500)
+
+    @pytest.mark.parametrize("shape", sorted(ID_SHAPES))
+    def test_rank_many_sorted_candidates(self, shape):
+        # Wide, offset or negative ids with >255 candidates: the
+        # searchsorted value map under the heavy/light split, ranks over
+        # a prefix, and every other distinct value left out.
+        rng = np.random.default_rng(34)
+        base = ID_SHAPES[shape](rng.integers(0, 800, size=6000) * 977)
+        cand = np.unique(base)[::2]
+        queries = rng.choice(cand, size=400).astype(np.int64)
+        bounds = rng.integers(0, 4001, size=400)
+        self._check(base, cand, queries, bounds, prefix=4000)
 
     def test_out_of_range_and_non_candidate_queries_rank_zero(self):
-        base = _zipf(1000, 100, seed=33)
-        cand = np.arange(0, 50, dtype=np.int64)
-        queries = np.array([-3, 1 << 17, 0xFFFF, 60, 5], dtype=np.int64)
+        base = _zipf(1000, 100, seed=33) * (1 << 40) - (1 << 45)
+        cand = np.unique(base)[:50]
+        queries = np.array(
+            [int(base.min()) - 1, int(base.max()) + 1, int(cand[-1]) + 1,
+             int(np.unique(base)[60]), int(cand[5]), int(cand[0])],
+            dtype=np.int64,
+        )
         bounds = np.full(queries.size, base.size, dtype=np.int64)
         index = PositionIndex(base, cand)
         got = index.rank_many(queries, bounds)
-        assert got[0] == 0 and got[1] == 0  # outside the 16-bit gate
-        assert got[2] == 0  # in range, absent from the chunk
-        assert got[3] == 0  # in range, not a candidate (contract: 0)
-        assert got[4] == int(np.sum(base == 5))
+        assert got[0] == 0 and got[1] == 0  # outside the chunk's span
+        assert got[2] == 0  # inside the span, absent from the chunk
+        assert got[3] == 0  # in the chunk, not a candidate (contract: 0)
+        assert got[4] == int(np.sum(base == cand[5]))
+        assert got[5] == int(np.sum(base == cand[0]))
+        assert index.totals.get(int(queries[2]), 0) == 0
+        empty = PositionIndex(base, np.empty(0, dtype=np.int64))
+        assert empty.rank_many(queries, bounds).tolist() == [0] * queries.size
+        assert empty.totals == {}
 
     def test_shard_view_materializes_subchunk(self):
         base = np.array([5, 9, 5, 3, 9, 9], dtype=np.int64)
+        index = PositionIndex(base, np.unique(base))
         positions = np.array([0, 2, 3], dtype=np.int64)
-        view = ShardView(base, positions, PositionIndex(base, np.unique(base)))
+        view = ShardView(base, positions, index, ([], []))
         assert view.size == 3
         np.testing.assert_array_equal(view.values(), [5, 5, 3])
-
-
-class TestChunkDigestHeavyHitters:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_mg_aux_answers_every_heavy_hitter_exactly(self, seed):
-        # Values far above the dense-regime bound force the sorted +
-        # Misra–Gries side.  MG property: every item with
-        # f > n/(capacity+1) survives the pass, so after the exactify
-        # step its *true* count sits in the O(1) heavy dict.
-        capacity = 64
-        rng = np.random.default_rng(seed)
-        items = (_zipf(3000, 500, seed=seed) + (1 << 40)).astype(np.int64)
-        digest = ChunkDigest(items, heavy_capacity=capacity)
-        assert not digest.dense
-        uniq, counts = np.unique(items, return_counts=True)
-        threshold = items.size / (capacity + 1)
-        for value, count in zip(uniq.tolist(), counts.tolist()):
-            if count > threshold:
-                assert digest.heavy.get(value) == count
-            assert digest.count(value) == count
-        absent = int(uniq.max()) + 1
-        assert digest.count(absent) == 0
-        assert digest.count(int(rng.integers(0, 100))) == 0
-
-    def test_dense_regime_is_exact(self):
-        items = _zipf(2000, 300, seed=40)
-        digest = ChunkDigest(items)
-        assert digest.dense
-        uniq, counts = np.unique(items, return_counts=True)
-        for value, count in zip(uniq.tolist(), counts.tolist()):
-            assert digest.count(value) == count
-        assert digest.count(301) == 0
-        assert digest.count(-1) == 0
+        np.testing.assert_array_equal(view.chunk_positions(np.array([1, 2])), [2, 3])
+        # The identity view (positions None) is the whole chunk.
+        whole = ShardView(base, None, index, ([], []))
+        assert whole.size == base.size
+        assert whole.values() is base
+        np.testing.assert_array_equal(whole.chunk_positions(np.array([4])), [4])
 
 
 class TestScalarKernelContracts:
@@ -270,7 +289,7 @@ class TestScalarKernelContracts:
             )
             view = ShardView(
                 items, np.arange(items.size, dtype=np.int64),
-                PositionIndex(items, cand), events=plan,
+                PositionIndex(items, cand), plan,
             )
             pool.update_batch(view)
             assert norm(pool.snapshot()) == norm(scalar.snapshot())
@@ -292,3 +311,34 @@ def test_ingest_kernel_counters_exposed():
             settles = float(line.split()[-1])
     assert events is not None and events > 0
     assert settles is not None and settles >= 0
+
+
+_ID_POOLS = st.lists(
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+    min_size=1, max_size=12, unique=True,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    pool=_ID_POOLS,
+    shards=st.sampled_from([1, 3, 8]),
+)
+def test_any_int64_batches_any_calls_match_scalar(data, pool, shards):
+    """Arbitrary int64 ids (drawn from a small pool, so items repeat),
+    cut into arbitrary ``ingest`` calls: same snapshot and same next
+    sample as the scalar ``update()`` loop."""
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=300))
+    items = np.asarray([pool[j] for j in picks], dtype=np.int64)
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, items.size), max_size=6))
+    )
+    config = {"kind": "g", "measure": {"name": "huber"}, "instances": 8}
+    batched = ShardedSamplerEngine(dict(config), shards=shards, seed=4)
+    scalar = ShardedSamplerEngine(dict(config), shards=shards, seed=4)
+    for lo, hi in zip([0, *cuts], [*cuts, items.size]):
+        batched.ingest(items[lo:hi])
+    _feed_scalar(scalar, items)
+    assert norm(batched.snapshot()) == norm(scalar.snapshot())
+    assert batched.sample() == scalar.sample()

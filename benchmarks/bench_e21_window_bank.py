@@ -1,7 +1,7 @@
 """E21 — WindowBank: batched windowed ingest throughput + sharded
 windowed exactness.
 
-Claims: (a) the bank's shared-boundary batched ingest runs a
+Claims: (a) the bank's planned batched ingest runs a
 multi-resolution ladder {1m, 5m, 1h} at ≥ 3× the scalar per-update
 loop's throughput while staying *bitwise identical* to it (per-bucket
 RNG streams mean batching reorders no randomness); (b) time-windowed

@@ -41,7 +41,7 @@ from repro.lifecycle.memory import (
 )
 from repro.lifecycle.protocol import StaticLifecycleMixin
 from repro.obs.catalog import CATALOG_HELP
-from repro.obs.metrics import current_registry
+from repro.obs.metrics import MetricsRegistry, current_registry
 
 __all__ = ["SingleGSampler", "SamplerPool", "TrulyPerfectGSampler"]
 
@@ -115,7 +115,8 @@ class SamplerPool(StaticLifecycleMixin):
                  "_refs", "_t", "_rng", "_heap_events", "_settle_scans",
                  "_m_heap_events", "_m_settle_scans")
 
-    def __init__(self, instances: int, seed: int | np.random.Generator | None = None) -> None:
+    def __init__(self, instances: int, seed: int | np.random.Generator | None = None,
+                 *, registry: MetricsRegistry | None = None) -> None:
         if instances < 1:
             raise ValueError(f"need at least one instance, got {instances}")
         self._r = instances
@@ -133,7 +134,11 @@ class SamplerPool(StaticLifecycleMixin):
         )
         self._heap_events = 0
         self._settle_scans = 0
-        registry = current_registry()
+        self.bind_metrics(registry if registry is not None else current_registry())
+
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Route this pool's ingest counters to ``registry`` (by default
+        the :func:`use_registry` scope current at construction)."""
         self._m_heap_events = registry.counter(
             "repro_ingest_heap_events_total",
             CATALOG_HELP["repro_ingest_heap_events_total"],
@@ -473,8 +478,10 @@ class SamplerPool(StaticLifecycleMixin):
         self._rng = rng
 
     @classmethod
-    def from_snapshot(cls, state: dict) -> "SamplerPool":
-        pool = cls(int(state["instances"]))
+    def from_snapshot(
+        cls, state: dict, registry: MetricsRegistry | None = None
+    ) -> "SamplerPool":
+        pool = cls(int(state["instances"]), registry=registry)
         pool.restore(state)
         return pool
 

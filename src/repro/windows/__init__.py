@@ -14,9 +14,11 @@ traffic actually asks in, at several resolutions at once:
 * :class:`TimeWindowF0Sampler` — Corollary 5.3's windowed F0 sampler
   with timestamps in place of positions (LRU + eviction certificate,
   random-subset S-regime);
-* :class:`WindowBank` — one batched ingest path fanned out to a
-  resolution ladder {1m, 5m, 1h, …}, sharing the boundary scan when
-  the ladder nests.
+* :class:`WindowBank` — one validated chunk fanned out to a
+  resolution ladder {1m, 5m, 1h, …}; each rung feeds only the
+  generations the chunk leaves kept (a generation born and dropped
+  inside one chunk never reaches a snapshot, and the kept ones draw
+  from per-bucket RNG streams, so skipping it is bitwise).
 
 All of them implement the engine's :class:`MergeableState` protocol
 (snapshot / restore / merge), so they serve behind

@@ -10,13 +10,13 @@ and feeds them all from a single batched ingest call:
 * optionally an F0 sampler per horizon (uniform over active items) when
   the universe size ``n`` is given.
 
-When the ladder *nests* (every horizon is an integer multiple of the
-finest), all samplers' generation boundaries are multiples of the finest
-horizon, so the bank splits each incoming chunk **once** at the finest
-resolution's bucket crossings and hands every sampler pre-segmented
-spans — the boundary scan is shared across the ladder instead of
-repeated per sampler.  Non-nesting ladders fall back to per-sampler
-segmentation, which is still a single vectorized pass each.
+The bank validates each chunk **once** and hands it whole to every
+member.  A pool member plans the chunk first and feeds only the (at most
+two) generations kept at its end, each with one batched suffix call —
+at most two pool calls per rung however many buckets the chunk spans.
+Skipping the generations born and dropped inside the chunk is bitwise:
+they never reach a snapshot or a sample, and the kept ones draw from
+per-bucket RNG streams.
 
 All member RNG streams derive deterministically from one root seed, so
 batched ingestion is bitwise identical to the scalar loop and snapshots
@@ -37,7 +37,7 @@ from repro.core.types import SampleResult, as_timed_arrays
 from repro.lifecycle.memory import INSTANCE_BYTES
 from repro.obs.catalog import CATALOG_HELP
 from repro.obs.metrics import current_registry
-from repro.windows.chunking import as_timed_chunk, bucket_cuts
+from repro.windows.chunking import as_timed_chunk
 from repro.windows.f0 import TimeWindowF0Sampler
 from repro.windows.time_window import (
     TimeWindowGSampler,
@@ -46,16 +46,6 @@ from repro.windows.time_window import (
 )
 
 __all__ = ["WindowBank"]
-
-
-def _ladder_nests(resolutions: tuple[float, ...]) -> bool:
-    """Whether every horizon is an integer multiple of the finest."""
-    finest = resolutions[0]
-    for horizon in resolutions[1:]:
-        ratio = horizon / finest
-        if abs(ratio - round(ratio)) > 1e-9:
-            return False
-    return True
 
 
 class WindowBank:
@@ -110,7 +100,6 @@ class WindowBank:
         if n is None and f0_seed is not None:
             raise ValueError("f0_seed needs n= (no F0 members otherwise)")
         self._resolutions = horizons
-        self._nests = _ladder_nests(horizons)
         self._n = n
         self._root = _derive_root(seed)
         self._f0_seed = f0_seed
@@ -180,12 +169,6 @@ class WindowBank:
     def resolutions(self) -> tuple[float, ...]:
         """The ladder horizons, ascending."""
         return self._resolutions
-
-    @property
-    def nests(self) -> bool:
-        """Whether the ladder shares generation boundaries (every horizon
-        a multiple of the finest)."""
-        return self._nests
 
     @property
     def has_f0(self) -> bool:
@@ -280,45 +263,15 @@ class WindowBank:
         self.update_batch(*as_timed_arrays(pairs))
 
     def update_batch(self, items, timestamps) -> None:
-        """One vectorized pass feeding every rung.
-
-        With a nesting ladder the chunk is segmented once at the finest
-        horizon's bucket boundaries (a superset of every rung's
-        boundaries), and each pool sampler consumes pre-split spans; F0
-        members take the whole chunk (they have no generations).
-
-        Validation (shapes, universe membership, clock monotonicity)
-        happens before any member is touched, so a rejected chunk
-        leaves the whole bank unchanged and retryable.
-        """
+        """Validate the chunk once, then feed it whole to every member
+        (pool members plan which generations survive it; see the module
+        docstring).  Validation precedes any mutation, so a rejected
+        chunk leaves the whole bank unchanged and retryable."""
         arr, ts = as_timed_chunk(items, timestamps, self.now, n=self._n)
         if arr.size == 0:
             return
-        if not self._nests:
-            for sampler in self._pool_samplers.values():
-                sampler.update_batch(arr, ts)
-        else:
-            __, cuts = bucket_cuts(ts, self._resolutions[0])
-            spans = [
-                (arr[a:b], ts[a:b]) for a, b in zip(cuts[:-1], cuts[1:]) if a != b
-            ]
-            for horizon, sampler in self._pool_samplers.items():
-                for seg_items, seg_ts in spans:
-                    # Nesting makes every rung's buckets constant per
-                    # span *mathematically*; floating-point floor
-                    # division can still disagree at a boundary, so
-                    # verify on the span's (monotone) endpoints and
-                    # fall back to the sampler's own splitting when a
-                    # span straddles — keeping the batched path bitwise
-                    # equal to the scalar loop unconditionally.
-                    first = int(seg_ts[0] // horizon)
-                    last = int(seg_ts[-1] // horizon)
-                    if first == last:
-                        sampler._ingest_span(seg_items, seg_ts, first)
-                    else:
-                        sampler.update_batch(seg_items, seg_ts)
-        for sampler in self._f0_samplers.values():
-            sampler.update_batch(arr, ts)
+        for member in self._members():
+            member._ingest(arr, ts)
         self._count_ingested(int(arr.size))
 
     # -- queries ------------------------------------------------------------

@@ -8,9 +8,21 @@ implementation, used by all of them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["as_timed_chunk", "bucket_cuts"]
+__all__ = ["as_clock", "as_timed_chunk", "bucket_cuts"]
+
+
+def as_clock(value) -> float:
+    """One timestamp or clock reading as a float, rejecting NaN (it
+    compares false against everything, so the clock could run
+    backwards) and ±inf (+inf would latch the clock forever)."""
+    t = float(value)
+    if not math.isfinite(t):
+        raise ValueError("timestamps must be finite")
+    return t
 
 
 def as_timed_chunk(
@@ -19,10 +31,10 @@ def as_timed_chunk(
     """Coerce and validate an ``(items, timestamps)`` chunk.
 
     Checks, in order: matching 1-d shapes, universe membership (when
-    ``n`` is given — done *before* any sampler state is touched, so a
-    rejected chunk leaves every member of a composite sampler
-    untouched), non-negative timestamps, continuity with ``now``, and
-    within-chunk monotonicity.
+    ``n`` is given), finite and non-negative timestamps, continuity
+    with ``now``, and within-chunk monotonicity — all *before* any
+    sampler state is touched, so a rejected chunk leaves every member
+    of a composite sampler untouched.
     """
     arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
     ts = np.asarray(timestamps, dtype=np.float64)
@@ -34,6 +46,8 @@ def as_timed_chunk(
         return arr, ts
     if n is not None and (int(arr.min()) < 0 or int(arr.max()) >= n):
         raise ValueError(f"items outside universe [0, {n})")
+    if not np.isfinite(ts).all():
+        raise ValueError("timestamps must be finite")
     if float(ts[0]) < 0:
         raise ValueError("timestamps must be non-negative")
     if float(ts[0]) < now:

@@ -43,7 +43,7 @@ from repro.lifecycle.memory import (
     set_bytes,
 )
 from repro.sliding_window.f0_window import chunk_last_occurrences, lru_fold_chunk
-from repro.windows.chunking import as_timed_chunk
+from repro.windows.chunking import as_clock, as_timed_chunk
 
 __all__ = ["TimeWindowF0Sampler"]
 
@@ -159,7 +159,7 @@ class TimeWindowF0Sampler:
         horizon.
         """
         if now is not None:
-            now = float(now)
+            now = as_clock(now)
             if now > self._now:
                 self._now = now
         window_start = self._now - self._horizon
@@ -178,7 +178,7 @@ class TimeWindowF0Sampler:
         return mapping_bytes(dropped) - mapping_bytes(0) if dropped else 0
 
     def update(self, item: int, timestamp: float) -> None:
-        ts = float(timestamp)
+        ts = as_clock(timestamp)
         if not 0 <= item < self._n:
             raise ValueError(f"item {item} outside universe [0, {self._n})")
         if ts < 0:
@@ -218,8 +218,12 @@ class TimeWindowF0Sampler:
         per distinct chunk item.
         """
         arr, ts = as_timed_chunk(items, timestamps, self._now, n=self._n)
-        if arr.size == 0:
-            return
+        if arr.size:
+            self._ingest(arr, ts)
+
+    def _ingest(self, arr: np.ndarray, ts: np.ndarray) -> None:
+        """Fold a validated, non-empty chunk (also the
+        :class:`repro.windows.WindowBank` entry point)."""
         uniq, last_pos = chunk_last_occurrences(arr)
         self._recent, self._evict_horizon = lru_fold_chunk(
             self._recent,

@@ -60,8 +60,9 @@ from repro.lifecycle.memory import (
     mapping_bytes,
     sequence_bytes,
 )
+from repro.obs.metrics import current_registry
 from repro.sliding_window.lp_window import sliding_window_lp_instances
-from repro.windows.chunking import as_timed_chunk, bucket_cuts
+from repro.windows.chunking import as_clock, as_timed_chunk, bucket_cuts
 
 __all__ = ["TimeWindowGSampler", "TimeWindowLpSampler"]
 
@@ -190,6 +191,10 @@ class _TimeWindowPoolSampler:
         self._now = 0.0
         self._last_arrival = -math.inf
         self._generations: list[_TimeGeneration] = []
+        # Pools are born at ingest, maybe on a worker thread outside the
+        # use_registry scope that built this sampler: every pool it
+        # births, restores or merge-copies reports here instead.
+        self._registry = current_registry()
 
     # -- construction hooks -------------------------------------------------
     def _make_aux(self):
@@ -276,7 +281,7 @@ class _TimeWindowPoolSampler:
         never re-key), so batched/scalar bitwise identity is preserved.
         """
         if now is not None:
-            now = float(now)
+            now = as_clock(now)
             if now > self._now:
                 self._now = now
         if not self._generations:
@@ -298,16 +303,13 @@ class _TimeWindowPoolSampler:
     def _gen_rng(self, bucket: int) -> np.random.Generator:
         return np.random.default_rng([self._root, 1, bucket])
 
+    def _new_generation(self, bucket: int) -> _TimeGeneration:
+        pool = SamplerPool(self._instances, self._gen_rng(bucket), registry=self._registry)
+        return _TimeGeneration(pool, bucket, self._instances, self._make_aux())
+
     def _ensure_generation(self, bucket: int) -> None:
         if not self._generations or bucket > self._generations[-1].bucket:
-            self._generations.append(
-                _TimeGeneration(
-                    SamplerPool(self._instances, self._gen_rng(bucket)),
-                    bucket,
-                    self._instances,
-                    self._make_aux(),
-                )
-            )
+            self._generations.append(self._new_generation(bucket))
             if len(self._generations) > 2:
                 self._generations.pop(0)
 
@@ -319,7 +321,7 @@ class _TimeWindowPoolSampler:
                 gen.wall[idx] = float(seg_ts[pos - old_pos - 1])
 
     def update(self, item: int, timestamp: float) -> None:
-        ts = float(timestamp)
+        ts = as_clock(timestamp)
         if ts < 0:
             raise ValueError(f"timestamps must be non-negative, got {ts}")
         if ts < self._now:
@@ -333,9 +335,7 @@ class _TimeWindowPoolSampler:
             gen.pool.update(item)
             self._aux_ingest_one(gen.aux, item)
             if gen.pool.heap_events != old_events:
-                for idx, pos in enumerate(gen.pool.replacement_positions()):
-                    if pos > old_pos:
-                        gen.wall[idx] = ts
+                self._refresh_wall(gen, old_pos, (ts,))
         self._t += 1
         self._now = ts
         self._last_arrival = ts
@@ -349,46 +349,48 @@ class _TimeWindowPoolSampler:
         self.update_batch(*as_timed_arrays(pairs))
 
     def update_batch(self, items, timestamps) -> None:
-        """Vectorized ingestion of a timestamped chunk.
-
-        The chunk is split at time-bucket boundaries and each
-        single-bucket segment goes through the pools' batched kernel.
-        Bitwise identical to the scalar loop for a fixed seed —
-        generation pools draw from per-bucket RNG streams, so batching
-        reorders no randomness.
-        """
+        """Vectorized ingestion of a timestamped chunk: only the
+        generations the chunk leaves kept are fed, one suffix call each
+        — bitwise identical to the scalar loop (see :meth:`_ingest`)."""
         arr, ts = as_timed_chunk(items, timestamps, self._now)
-        if arr.size == 0:
-            return
-        buckets, cuts = bucket_cuts(ts, self._horizon)
-        for start, end in zip(cuts[:-1], cuts[1:]):
-            if start == end:
-                continue
-            self._ingest_span(
-                arr[start:end], ts[start:end], int(buckets[start])
-            )
-        self._now = float(ts[-1])
-        self._last_arrival = float(ts[-1])
+        if arr.size:
+            self._ingest(arr, ts)
 
-    def _ingest_span(
-        self, seg_items: np.ndarray, seg_ts: np.ndarray, bucket: int
-    ) -> None:
-        """Feed a segment known to lie in one time bucket (the
-        :class:`repro.windows.WindowBank` fast path — the bank splits a
-        chunk once at the finest ladder resolution and hands nested
-        samplers pre-segmented spans)."""
-        self._ensure_generation(bucket)
-        for gen in self._generations:
+    def _ingest(self, arr: np.ndarray, ts: np.ndarray) -> None:
+        """Planned ingestion of a validated, non-empty chunk (also the
+        :class:`repro.windows.WindowBank` entry point).
+
+        The plan replays :meth:`_ensure_generation`'s append/pop-oldest
+        rule over the existing generations (offset 0) and each new
+        bucket's first offset; only the two generations kept at the end
+        get a pool, each fed its whole suffix in one batched call.  A
+        generation born and dropped inside the chunk can never reach a
+        snapshot or a sample, and eliding it is bitwise: a survivor sees
+        exactly the scalar loop's items, its RNG stream is keyed by its
+        bucket (not birth order), and the pool kernel is cut-invariant.
+        """
+        buckets, cuts = bucket_cuts(ts, self._horizon)
+        plan = [(gen.bucket, gen, 0) for gen in self._generations]
+        for start in cuts[:-1]:
+            bucket = int(buckets[start])
+            if not plan or bucket > plan[-1][0]:
+                plan.append((bucket, None, start))
+        kept = []
+        for bucket, gen, start in plan[-2:]:
+            if gen is None:
+                gen = self._new_generation(bucket)
+            seg = arr[start:]
             old_pos = gen.pool.position
             old_events = gen.pool.heap_events
-            gen.pool.update_batch(seg_items)
-            self._aux_ingest(gen.aux, seg_items)
+            gen.pool.update_batch(seg)
+            self._aux_ingest(gen.aux, seg)
             if gen.pool.heap_events != old_events:
-                self._refresh_wall(gen, old_pos, seg_ts)
-        self._t += int(seg_items.size)
-        if seg_ts.size:
-            self._now = float(seg_ts[-1])
-            self._last_arrival = float(seg_ts[-1])
+                self._refresh_wall(gen, old_pos, ts[start:])
+            kept.append(gen)
+        self._generations = kept
+        self._t += int(arr.size)
+        self._now = float(ts[-1])
+        self._last_arrival = float(ts[-1])
 
     # -- sampling -----------------------------------------------------------
     def _covering_generation(self) -> _TimeGeneration | None:
@@ -549,7 +551,7 @@ class _TimeWindowPoolSampler:
         for i in range(len(entries)):
             entry = entries[str(i)]
             gen = _TimeGeneration(
-                SamplerPool.from_snapshot(entry["pool"]),
+                SamplerPool.from_snapshot(entry["pool"], self._registry),
                 int(entry["bucket"]),
                 self._instances,
                 self._make_aux(),
@@ -617,6 +619,7 @@ class _TimeWindowPoolSampler:
             if gen is None:
                 gen = copy.deepcopy(theirs)
                 gen.bucket = bucket
+                gen.pool.bind_metrics(self._registry)
                 merged.append(gen)
                 continue
             if gen_borrowed:

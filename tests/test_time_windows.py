@@ -2,13 +2,19 @@
 batch/scalar identity, statistical exactness (single-node and merged
 across K=8 shards), snapshot/restore, and merge semantics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_matches_distribution
-from repro.core.measures import L1L2Measure, LpMeasure
+from helpers import assert_matches_distribution, gappy_timed_stream, replay_timed
+from repro.core.g_sampler import SamplerPool
+from repro.core.measures import HuberMeasure, L1L2Measure, LpMeasure
 from repro.engine import ShardedSamplerEngine
 from repro.engine.state import save_state, load_state, state_to_bytes
+from repro.obs.metrics import MetricsRegistry, set_default_registry, use_registry
 from repro.stats import f0_target, g_target, lp_target
 from repro.streams import (
     TimestampedStream,
@@ -20,7 +26,9 @@ from repro.windows import (
     TimeWindowF0Sampler,
     TimeWindowGSampler,
     TimeWindowLpSampler,
+    WindowBank,
 )
+from repro.windows.chunking import bucket_cuts
 
 HORIZON = 10.0
 
@@ -411,3 +419,183 @@ class TestTimeWindowF0Sampler:
             b.restore(a.snapshot())
         with pytest.raises(ValueError):
             a.restore({"kind": "garbage"})
+
+
+POOL_MAKERS = {
+    "tw_g": lambda: TimeWindowGSampler(
+        HuberMeasure(1.0), horizon=1.0, instances=12, seed=21
+    ),
+    # p=2 carries a _SuffixLinf aux per generation.
+    "tw_lp": lambda: TimeWindowLpSampler(2.0, horizon=1.0, instances=12, seed=22),
+}
+
+
+def every_k_buckets(ts, horizon, k):
+    """Cut offsets at every ``k``-th bucket crossing of ``horizon``."""
+    __, cuts = bucket_cuts(ts, horizon)
+    return [0, *cuts[1:-1][k - 1::k], len(ts)]
+
+
+def quiet_spell_starts(ts, horizon):
+    """Offsets whose arrival follows a gap longer than ``horizon`` — a
+    compaction there drops every generation."""
+    return (np.flatnonzero(np.diff(ts) > horizon) + 1).tolist()
+
+
+class TestPlannedIngest:
+    """Batched ingest feeds only the generations a chunk leaves kept;
+    every schedule must still give the scalar loop's bytes."""
+
+    @pytest.mark.parametrize("kind", sorted(POOL_MAKERS))
+    @pytest.mark.parametrize("schedule", ["spans_4", "every_bucket", "one_shot"])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_multi_bucket_chunks_match_scalar(self, kind, schedule, compact):
+        items, ts = gappy_timed_stream(2500, 40, 1.0, seed=31)
+        cuts = {
+            "spans_4": every_k_buckets(ts, 1.0, 4),
+            "every_bucket": bucket_cuts(ts, 1.0)[1],
+            "one_shot": [0, len(ts)],
+        }[schedule]
+        if schedule == "spans_4":
+            buckets = (ts // 1.0).astype(np.int64)
+            spans = [buckets[b - 1] - buckets[a] + 1 for a, b in zip(cuts, cuts[1:])]
+            assert max(spans) >= 3
+        marks = []
+        if compact:
+            rng = np.random.default_rng(32)
+            marks = quiet_spell_starts(ts, 1.0) + rng.integers(1, len(ts), 12).tolist()
+        make = POOL_MAKERS[kind]
+        expect = replay_timed(make(), items, ts, compact_at=marks)
+        assert replay_timed(make(), items, ts, cuts, compact_at=marks) == expect
+
+    @pytest.mark.parametrize("kind", sorted(POOL_MAKERS))
+    def test_restart_from_fully_compacted_sampler(self, kind):
+        items, ts = gappy_timed_stream(1200, 40, 1.0, seed=33)
+        later = ts + float(ts[-1]) + 10.0
+        a, b = POOL_MAKERS[kind](), POOL_MAKERS[kind]()
+        for s in (a, b):
+            s.update_batch(items, ts)
+            s.compact(now=float(later[0]))
+            assert s.generation_count == 0
+        replay_timed(a, items, later)
+        cuts = every_k_buckets(later, 1.0, 5)
+        assert replay_timed(b, items, later, cuts) == save_state(a)
+
+    def test_one_chunk_feeds_at_most_two_pools(self, monkeypatch):
+        calls = []
+        real = SamplerPool.update_batch
+
+        def spy(pool, chunk):
+            calls.append(pool)
+            return real(pool, chunk)
+
+        monkeypatch.setattr(SamplerPool, "update_batch", spy)
+        s = POOL_MAKERS["tw_g"]()
+        items, ts = gappy_timed_stream(3000, 40, 1.0, seed=34)
+        __, cuts = bucket_cuts(ts, 1.0)
+        assert len(cuts) > 20  # the chunk spans many buckets
+        s.update_batch(items, ts)
+        assert len(calls) <= 2
+        assert s.generation_count == 2
+
+
+PROPERTY_MAKERS = {
+    "tw_g": lambda: TimeWindowGSampler(
+        HuberMeasure(1.0), horizon=1.0, instances=4, seed=5
+    ),
+    "window_bank": lambda: WindowBank(
+        (1.0, 2.5, 5.0), measure=HuberMeasure(1.0), n=8, instances=4, seed=6
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_MAKERS))
+@settings(max_examples=50, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.7, 3.5]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    compact_every=st.sampled_from([0, 7, 13]),
+)
+def test_any_timestamps_any_cuts_match_scalar(kind, steps, compact_every):
+    """Arbitrary non-decreasing timestamps with gaps, cut into arbitrary
+    calls (with or without compaction between them), give the scalar
+    loop's bytes."""
+    items = np.array([item for item, __, __ in steps], dtype=np.int64)
+    ts = np.cumsum([gap for __, gap, __ in steps])
+    cuts = [0, *(k + 1 for k, (__, __, cut) in enumerate(steps) if cut), len(steps)]
+    marks = list(range(compact_every, len(steps), compact_every)) if compact_every else []
+    make = PROPERTY_MAKERS[kind]
+    expect = replay_timed(make(), items, ts, compact_at=marks)
+    assert replay_timed(make(), items, ts, sorted(set(cuts)), compact_at=marks) == expect
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+TIMED_MAKERS = {
+    **POOL_MAKERS,
+    "tw_f0": lambda: TimeWindowF0Sampler(40, horizon=1.0, seed=23),
+}
+
+
+class TestNonFiniteClock:
+    """NaN / ±inf timestamps are rejected up front; a rejected chunk or
+    clock leaves the state bytes unchanged and a valid retry succeeds."""
+
+    @pytest.mark.parametrize("kind", sorted(TIMED_MAKERS))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejected_without_mutation(self, kind, bad):
+        s = TIMED_MAKERS[kind]()
+        s.update_batch([1, 2, 3], [1.0, 2.0, 2.5])
+        before = save_state(s)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            s.update_batch([4, 5, 6], [3.0, 4.0, bad])
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            s.update_batch([4], [bad])
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            s.update(4, bad)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            s.compact(now=bad)
+        assert save_state(s) == before
+        s.update_batch([4, 5], [3.0, 4.0])
+        s.update(6, 4.5)
+        s.compact(now=5.0)
+        assert s.position == 6 and s.now == 5.0
+
+
+class TestMetricsRegistry:
+    def test_pools_report_to_the_construction_registry(self):
+        """Generation pools are born at ingest, outside the scope that
+        built the sampler; births, restores and merge copies must all
+        report to the sampler's registry, not the global default."""
+        glob = MetricsRegistry()
+        old = set_default_registry(glob)
+        try:
+            reg = MetricsRegistry()
+            with use_registry(reg):
+                a, restored, merged = (POOL_MAKERS["tw_g"]() for __ in range(3))
+            other = TimeWindowGSampler(
+                HuberMeasure(1.0), horizon=1.0, instances=12, seed=24
+            )
+            items, ts = gappy_timed_stream(800, 40, 1.0, seed=35)
+            a.update_batch(items, ts)  # births outside the scope
+            ours = reg.get("repro_ingest_heap_events_total")
+            assert ours.total() == sum(g.pool.heap_events for g in a._generations) > 0
+            other.update_batch(items[:100], ts[:100])
+            theirs = glob.get("repro_ingest_heap_events_total").total()
+            assert theirs > 0
+
+            load_state(restored, save_state(a))
+            merged.merge(other)  # merged holds nothing: copies other's gens
+            before = ours.total()
+            restored.update_batch(items[:300], ts[-1] + 0.001 * np.arange(300))
+            merged.update_batch(items[100:400], ts[100:400])
+            assert ours.total() > before
+            assert glob.get("repro_ingest_heap_events_total").total() == theirs
+        finally:
+            set_default_registry(old)

@@ -1,14 +1,18 @@
-"""WindowBank: ladder construction, shared-boundary batching (bitwise
-identical to scalar), multi-resolution queries, mergeable state, and the
-registry / sharded-engine integration."""
+"""WindowBank: ladder construction, planned batching (bitwise identical
+to scalar), multi-resolution queries, mergeable state, and the registry
+/ sharded-engine integration."""
+
+import math
 
 import numpy as np
 import pytest
 
-from helpers import assert_matches_distribution
+from helpers import assert_matches_distribution, gappy_timed_stream, replay_timed
+from repro.core.g_sampler import SamplerPool
 from repro.core.measures import HuberMeasure, LpMeasure
 from repro.engine import ShardedSamplerEngine, build_sampler
 from repro.engine.state import save_state, load_state, state_to_bytes
+from repro.obs.metrics import MetricsRegistry, set_default_registry, use_registry
 from repro.stats import lp_target
 from repro.streams import with_arrivals, zipf_stream
 from repro.windows import (
@@ -17,6 +21,7 @@ from repro.windows import (
     TimeWindowLpSampler,
     WindowBank,
 )
+from repro.windows.chunking import bucket_cuts
 
 LADDER = (10.0, 30.0, 60.0)
 
@@ -35,10 +40,6 @@ class TestConstruction:
     def test_ladder_is_sorted(self):
         bank = WindowBank([60.0, 10.0, 30.0], p=2.0, seed=0)
         assert bank.resolutions == (10.0, 30.0, 60.0)
-
-    def test_nesting_detection(self):
-        assert WindowBank([10.0, 30.0, 60.0], p=2.0, seed=0).nests
-        assert not WindowBank([10.0, 25.0], p=2.0, seed=0).nests
 
     def test_family_selection(self):
         g = WindowBank([10.0], measure=HuberMeasure(1.0), seed=0)
@@ -94,7 +95,6 @@ class TestIngestion:
         ladder = (10.0, 25.0)
         a = WindowBank(ladder, measure=LpMeasure(1.0), instances=16, seed=2)
         b = WindowBank(ladder, measure=LpMeasure(1.0), instances=16, seed=2)
-        assert not a.nests
         a.update_batch(ts.items, ts.timestamps)
         for item, when in ts:
             b.update(item, when)
@@ -313,8 +313,8 @@ class TestEngineIntegration:
 
     def test_approximately_nesting_ladder_stays_bitwise(self):
         """Float ladders that only approximately nest (0.3 ≠ 3×0.1 in
-        binary) must still batch bitwise-identically to scalar — the
-        fast path detects boundary-straddling spans and falls back."""
+        binary) must still batch bitwise-identically to scalar — every
+        rung plans against its own ``⌊ts/H⌋`` buckets."""
         rng = np.random.RandomState(0)
         items = rng.randint(0, 16, size=600)
         ts = np.sort(rng.uniform(0.0, 3.0, size=600))
@@ -349,3 +349,112 @@ class TestEngineIntegration:
             return engine.sample(horizon=10.0)
 
         assert_matches_distribution(run, target, trials=250, seed_offset=10**5)
+
+
+#: (ladder, extra bank kwargs): nesting with F0 members, non-nesting,
+#: and a float ladder that only approximately nests.
+BANKS = {
+    "nesting": ((1.0, 3.0, 6.0), {"p": 2.0, "n": 40}),
+    "non_nesting": ((1.0, 2.5), {"measure": HuberMeasure(1.0)}),
+    "approx_nesting": ((0.1, 0.3), {"p": 2.0}),
+}
+
+
+def make_bank(name, seed=41):
+    ladder, kwargs = BANKS[name]
+    return WindowBank(ladder, instances=10, seed=seed, **kwargs)
+
+
+class TestPlannedBankIngest:
+    @pytest.mark.parametrize("name", sorted(BANKS))
+    @pytest.mark.parametrize("schedule", ["spans_4", "every_bucket"])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_multi_bucket_chunks_match_scalar(self, name, schedule, compact):
+        finest = BANKS[name][0][0]
+        items, ts = gappy_timed_stream(2000, 40, finest, seed=42)
+        __, cuts = bucket_cuts(ts, finest)
+        if schedule == "spans_4":
+            cuts = [0, *cuts[1:-1][3::4], len(ts)]
+        marks = []
+        if compact:
+            spells = np.flatnonzero(np.diff(ts) > finest) + 1
+            assert spells.size  # some compaction empties the finest rung
+            rng = np.random.default_rng(43)
+            marks = spells.tolist() + rng.integers(1, len(ts), 10).tolist()
+        expect = replay_timed(make_bank(name), items, ts, compact_at=marks)
+        assert replay_timed(make_bank(name), items, ts, cuts, compact_at=marks) == expect
+
+    @pytest.mark.parametrize("name", sorted(BANKS))
+    def test_restart_from_fully_compacted_bank(self, name):
+        coarsest = BANKS[name][0][-1]
+        items, ts = gappy_timed_stream(1000, 40, BANKS[name][0][0], seed=44)
+        later = ts + float(ts[-1]) + 3 * coarsest
+        a, b = make_bank(name), make_bank(name)
+        for bank in (a, b):
+            bank.update_batch(items, ts)
+            bank.compact(now=float(later[0]))
+            assert all(
+                bank.pool_sampler(h).generation_count == 0 for h in bank.resolutions
+            )
+        replay_timed(a, items, later)
+        assert replay_timed(b, items, later, [0, 300, 301, len(later)]) == save_state(a)
+
+    def test_one_chunk_calls_at_most_two_pools_per_rung(self, monkeypatch):
+        calls = []
+        real = SamplerPool.update_batch
+
+        def spy(pool, chunk):
+            calls.append(pool)
+            return real(pool, chunk)
+
+        monkeypatch.setattr(SamplerPool, "update_batch", spy)
+        bank = make_bank("nesting")
+        items, ts = gappy_timed_stream(4000, 40, 1.0, seed=45)
+        for lo, hi in ((0, 2000), (2000, 4000)):
+            calls.clear()
+            buckets = (ts[lo:hi] // 1.0).astype(np.int64)
+            assert buckets[-1] - buckets[0] >= 10
+            bank.update_batch(items[lo:hi], ts[lo:hi])
+            assert len(calls) <= 2 * len(bank.resolutions)
+
+
+class TestNonFiniteClock:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_chunk_leaves_bank_unchanged(self, bad):
+        bank = WindowBank((1.0, 3.0), p=2.0, n=16, instances=8, seed=0)
+        bank.update_batch([1, 2, 3], [1.0, 2.0, 2.5])
+        before = save_state(bank)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            bank.update_batch([4, 5, 6], [3.0, 4.0, bad])
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            bank.update(4, bad)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            bank.compact(now=bad)
+        assert save_state(bank) == before
+        bank.update_batch([4, 5], [3.0, 4.0])
+        bank.compact(now=5.0)
+        assert bank.position == 5 and bank.now == 5.0
+
+
+def test_served_bank_pools_report_to_engine_registry():
+    """A bank engine built under ``use_registry(reg)`` and ingested
+    outside the scope counts every heap event in ``reg``."""
+    glob = MetricsRegistry()
+    old = set_default_registry(glob)
+    try:
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            engine = ShardedSamplerEngine(
+                {"kind": "window_bank", "resolutions": [1.0, 3.0],
+                 "measure": {"name": "huber"}, "instances": 16},
+                shards=2,
+                seed=7,
+                metrics=reg,
+            )
+        items, ts = gappy_timed_stream(3000, 40, 1.0, seed=46)
+        engine.ingest(items, timestamps=ts)
+        assert reg.get("repro_ingest_heap_events_total").total() > 0
+        heap = glob.get("repro_ingest_heap_events_total")
+        assert heap is None or heap.total() == 0
+    finally:
+        set_default_registry(old)

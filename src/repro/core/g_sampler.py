@@ -24,14 +24,16 @@ number of heap events.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from array import array
 
 import numpy as np
 
+from repro.core import ingest_kernel
 from repro.core.measures import Measure
 from repro.core.rejection import rejection_many
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
-from repro.core.timeline import ShardView, shard_views, simulate_events
 from repro.core.types import SampleResult, as_item_array
 from repro.lifecycle.memory import (
     INSTANCE_BYTES,
@@ -104,16 +106,18 @@ class SamplerPool(StaticLifecycleMixin):
     was first adopted by any instance; ``refs[i]`` — how many instances
     hold ``i``.  The final forward count of an instance is
     ``counts[item] − offset`` (≥ 1, includes its sampled occurrence).
+
+    The state lives in one of two forms: Python lists/dicts, which
+    :meth:`update` (the executable spec) works on, or — after a batched
+    ingest — one packed int64 buffer, which the compiled loop works on
+    in place (:func:`repro.core.ingest_kernel.run`).  Back-to-back
+    batches never convert; anything else that reads the state unpacks
+    it first.
     """
 
-    #: :meth:`update_batch` also consumes position views of a shared
-    #: indexed chunk (:class:`~repro.core.timeline.ShardView`) — the
-    #: sharded engine's zero-materialization ingest path.
-    accepts_index = True
-
     __slots__ = ("_r", "_items", "_offsets", "_timestamps", "_heap", "_counts",
-                 "_refs", "_t", "_rng", "_heap_events", "_settle_scans",
-                 "_m_heap_events", "_m_settle_scans")
+                 "_refs", "_t", "_rng", "_heap_events", "_m_heap_events",
+                 "_packed")
 
     def __init__(self, instances: int, seed: int | np.random.Generator | None = None,
                  *, registry: MetricsRegistry | None = None) -> None:
@@ -133,7 +137,7 @@ class SamplerPool(StaticLifecycleMixin):
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         self._heap_events = 0
-        self._settle_scans = 0
+        self._packed: array | None = None
         self.bind_metrics(registry if registry is not None else current_registry())
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
@@ -143,10 +147,7 @@ class SamplerPool(StaticLifecycleMixin):
             "repro_ingest_heap_events_total",
             CATALOG_HELP["repro_ingest_heap_events_total"],
         )
-        self._m_settle_scans = registry.counter(
-            "repro_ingest_settle_scans_total",
-            CATALOG_HELP["repro_ingest_settle_scans_total"],
-        )
+        ingest_kernel.bind_info(registry)
 
     @property
     def instances(self) -> int:
@@ -159,20 +160,13 @@ class SamplerPool(StaticLifecycleMixin):
     @property
     def tracked_items(self) -> int:
         """Number of distinct items currently referenced (space accounting)."""
-        return len(self._counts)
+        packed = self._packed
+        return len(self._counts) if packed is None else packed[0]
 
     @property
     def heap_events(self) -> int:
         """Total replacements processed — O(R log m) in expectation."""
         return self._heap_events
-
-    @property
-    def settle_scans(self) -> int:
-        """Position-index passes taken by the batched kernel — one rank
-        pass per call with heap events, one totals pass per call with
-        tracked items.  Diagnostic, not state: excluded from snapshots so
-        batch- and scalar-built pools stay bitwise comparable."""
-        return self._settle_scans
 
     def approx_size_bytes(self) -> int:
         """Approximate resident bytes: per-instance slots, the heap, and
@@ -181,9 +175,8 @@ class SamplerPool(StaticLifecycleMixin):
             INSTANCE_BYTES
             + RNG_STATE_BYTES
             + 3 * sequence_bytes(self._r)  # items / offsets / timestamps
-            + sequence_bytes(len(self._heap)) + 72 * len(self._heap)  # 2-tuples
-            + mapping_bytes(len(self._counts))
-            + mapping_bytes(len(self._refs))
+            + sequence_bytes(self._r) + 72 * self._r  # heap of 2-tuples
+            + 2 * mapping_bytes(self.tracked_items)  # counts / refs
         )
 
     def replacement_positions(self) -> list[int]:
@@ -191,9 +184,15 @@ class SamplerPool(StaticLifecycleMixin):
         occurrence — the third component of :meth:`finalize`, exposed
         separately so wrappers (the time-window samplers) can map
         positions to wall-clock timestamps right after an ingest step."""
-        return list(self._timestamps)
+        packed = self._packed
+        if packed is None:
+            return list(self._timestamps)
+        r = self._r
+        return packed[3 * r + 1:4 * r + 1].tolist()
 
     def update(self, item: int) -> None:
+        if self._packed is not None:
+            self._unpack()
         self._t += 1
         t = self._t
         heap = self._heap
@@ -224,188 +223,80 @@ class SamplerPool(StaticLifecycleMixin):
         self.update_batch(as_item_array(items))
 
     def update_batch(self, items) -> None:
-        """Timeline-precomputed ingestion of a whole chunk of items.
+        """Ingest a chunk of items through the compiled loop
+        (:mod:`repro.core.ingest_kernel`): :meth:`update`'s rule in C,
+        drawing from this pool's RNG, so for a fixed seed the post-batch
+        state — counter insertion order and RNG included — is *bitwise
+        identical* to the scalar ``update()`` loop.
 
-        The heap-event schedule is *data-independent* — an instance's
-        next replacement time depends only on the stream position and
-        the RNG — so phase 1 (:meth:`plan_batch`) replays the entire pop
-        order for the chunk up front, drawing the skip-ahead jumps in
-        exactly the scalar order.  Phase 2 applies the data through one
-        event loop: the item at every event position comes from one
-        gather, every shared-counter settle is a prefix rank and the
-        end-of-chunk flush a whole-chunk count, both answered by one
-        :class:`~repro.core.timeline.PositionIndex` over the chunk.  For
-        a fixed seed the post-batch state is *bitwise identical* to the
-        scalar ``update()`` loop.
-
-        ``items`` is an array-like chunk — the one-view case, built here
-        by :func:`~repro.core.timeline.shard_views` — or a
-        :class:`~repro.core.timeline.ShardView` the sharded engine
-        planned for this pool's part of a larger chunk.
+        Without the compiled loop (no compiler), or with state that does
+        not fit int64, the chunk runs through :meth:`update` itself.
         """
-        if not isinstance(items, ShardView):
-            arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
-            if arr.ndim != 1:
-                raise ValueError("update_batch expects a 1-d sequence of items")
-            if arr.size == 0:
-                return
-            bounds = np.array([0, arr.size], dtype=np.int64)
-            items = shard_views(arr, None, bounds, [self])[0]
-        self._apply(items)
+        arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
+        if arr.ndim != 1:
+            raise ValueError("update_batch expects a 1-d sequence of items")
+        if arr.size == 0:
+            return
+        before = self._heap_events
+        state = self._packed
+        if state is None and ingest_kernel.kernel_impl() == "c":
+            state = self._pack()
+        if state is None:
+            for item in arr.tolist():
+                self.update(item)
+        else:
+            self._packed = state
+            self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
+            self._t += int(arr.size)
+        events = self._heap_events - before
+        if events:
+            self._m_heap_events.add(events)
 
-    def _apply(self, view: ShardView) -> None:
-        """Phase 2: apply a planned view's data — the one event loop.
+    def _pack(self) -> array | None:
+        """The list/dict state as the compiled loop's packed buffer, or
+        ``None`` when a value does not fit int64."""
+        r = self._r
+        slots = self._items
+        tracked = len(self._counts)
+        pad = [0] * (max(tracked, r) - tracked)
+        if None in slots:
+            live = [0 if x is None else 1 for x in slots]
+            slots = [0 if x is None else x for x in slots]
+        else:
+            live = [1] * r
+        try:
+            return array("q", [
+                tracked, *slots, *live, *self._offsets, *self._timestamps,
+                *itertools.chain.from_iterable(self._heap),
+                *self._counts, *pad, *self._counts.values(), *pad,
+                *self._refs.values(), *pad,
+            ])
+        except OverflowError:
+            return None
 
-        Every occurrence-count question — the settle ranks at event
-        positions and the end-of-chunk flush — is answered by the
-        chunk's position index, so the per-call cost is O(events · log)
-        plus the flush, independent of the view length.
-
-        The trick that makes chunk-wide answers locally correct: the
-        ownership contract (see :class:`~repro.core.timeline.ShardView`)
-        puts *all* occurrences of a tracked item inside the view, so a
-        chunk prefix rank at an owned position is the view-local one,
-        and the settled rank of an item no event touched is 0.
-        """
-        length = view.size
-        t0 = self._t
-        end = t0 + length
-        counts = self._counts
-        refs = self._refs
-        index = view.index
-        ev_times, ev_slots = view.events
-        nev = len(ev_times)
-        scans = 0
-        # ranks[i]: chunk prefix rank of i at the offset up to which
-        # counts[i] is settled (accrued[i]); both start at 0, and an
-        # event-free call needs neither.
-        ranks: dict[int, int] = {}
-
-        if nev:
-            self._heap_events += nev
-            ranks = dict.fromkeys(counts, 0)
-            accrued = dict.fromkeys(counts, 0)
-            ev_offs_np = np.asarray(ev_times, dtype=np.int64)
-            ev_offs_np -= t0 + 1  # view-local offsets of the events
-            gpos = view.chunk_positions(ev_offs_np)
-            ev_items_np = view.base[gpos]
-            ev_items = ev_items_np.tolist()
-            ev_offs = ev_offs_np.tolist()
-            slots = self._items
-            offsets = self._offsets
-            timestamps = self._timestamps
-            # Previous occupant of each event's slot (the item a settle
-            # targets), recovered without running the loop: within a
-            # slot, it is the prior event's item; for a slot's first
-            # event, the pre-chunk occupant.
-            ev_slots_np = np.asarray(ev_slots, dtype=np.int64)
-            sarg = (
-                np.argsort(ev_slots_np.astype(np.uint16), kind="stable")
-                if self._r <= 0xFFFF
-                else np.argsort(ev_slots_np, kind="stable")
-            )
-            ss = ev_slots_np[sarg]
-            sit = ev_items_np[sarg]
-            prev_sorted = np.empty(nev, dtype=np.int64)
-            prev_sorted[1:] = sit[:-1]
-            firsts = np.empty(nev, dtype=bool)
-            firsts[0] = True
-            np.not_equal(ss[1:], ss[:-1], out=firsts[1:])
-            # Empty slots never settle; any stand-in value works.
-            init_vals = np.fromiter(
-                (0 if x is None else x for x in slots),
-                dtype=np.int64,
-                count=self._r,
-            )
-            prev_sorted[firsts] = init_vals[ss[firsts]]
-            old_vals = np.empty(nev, dtype=np.int64)
-            old_vals[sarg] = prev_sorted
-            qrank = index.rank_many(
-                np.concatenate((old_vals, ev_items_np)),
-                np.concatenate((gpos, gpos)),
-            )
-            old_rank = qrank[:nev].tolist()
-            new_rank = qrank[nev:].tolist()
-            scans += 1
-            for j in range(nev):
-                time = ev_times[j]
-                off = ev_offs[j]
-                item = ev_items[j]
-                idx = ev_slots[j]
-                old = slots[idx]
-                if old is not None:
-                    if refs[old] == 1:
-                        # Last holder: the shared counter dies with it.
-                        del refs[old]
-                        del counts[old]
-                        del accrued[old]
-                        del ranks[old]
-                    else:
-                        if accrued[old] < off:
-                            r1 = old_rank[j]
-                            r0 = ranks[old]
-                            if r1 > r0:
-                                counts[old] += r1 - r0
-                            ranks[old] = r1
-                            accrued[old] = off
-                        refs[old] -= 1
-                slots[idx] = item
-                if item in refs:
-                    refs[item] += 1
-                    if accrued[item] < off:
-                        r1 = new_rank[j]
-                        r0 = ranks[item]
-                        if r1 > r0:
-                            counts[item] += r1 - r0
-                        ranks[item] = r1
-                        accrued[item] = off
-                else:
-                    refs[item] = 1
-                    counts[item] = 0
-                    accrued[item] = off  # the occurrence at `off` accrues later
-                    ranks[item] = new_rank[j]
-                offsets[idx] = counts[item]
-                timestamps[idx] = time
-        # Flush: owed occurrences of an item = whole-chunk total (an
-        # owned item's chunk count is its view count) minus its settled
-        # rank — uniform for touched and untouched items alike.
-        if counts:
-            totals = index.totals
-            scans += 1
-            for item in counts:
-                hits = totals.get(item, 0) - ranks.get(item, 0)
-                if hits:
-                    counts[item] += hits
-        self._t = end
-        if scans:
-            self._settle_scans += scans
-            self._m_settle_scans.add(scans)
-        if nev:
-            self._m_heap_events.add(nev)
-
-    def tracked_values(self) -> np.ndarray:
-        """The items this pool currently tracks (shared-counter keys) —
-        the engine's candidate seed for the shared position index."""
-        return np.fromiter(
-            self._counts.keys(), dtype=np.int64, count=len(self._counts)
-        )
-
-    def plan_batch(self, length: int) -> tuple[list[int], list[int]]:
-        """Hoisted phase 1: advance the heap and the RNG through the
-        event schedule of the next ``length`` items and return
-        ``(times, slots)``.
-
-        Engine-internal protocol: a plan MUST be followed by exactly one
-        ``update_batch`` of a :class:`~repro.core.timeline.ShardView` of
-        the same length carrying these events — the heap and RNG have
-        already moved, only the data application is pending.  Chunked
-        and whole-batch simulation are bitwise identical (same pop
-        order, same draws), so hoisting preserves the scalar-parity
-        contract.
-        """
-        return simulate_events(
-            self._heap, self._t + length, self._rng, expect=2 * self._r
-        )
+    def _unpack(self) -> None:
+        """Back to the list/dict form (a no-op when already there)."""
+        packed = self._packed
+        if packed is None:
+            return
+        out = packed.tolist()
+        r = self._r
+        room = (len(out) - 1 - 6 * r) // 3
+        tracked = out[0]
+        items = out[1:r + 1]
+        live = out[r + 1:2 * r + 1]
+        if 0 in live:
+            items = [x if on else None for x, on in zip(items, live)]
+        self._items = items
+        self._offsets = out[2 * r + 1:3 * r + 1]
+        self._timestamps = out[3 * r + 1:4 * r + 1]
+        heap = out[4 * r + 1:6 * r + 1]
+        self._heap = list(zip(heap[0::2], heap[1::2]))
+        keys = out[6 * r + 1:6 * r + 1 + tracked]
+        vals = 6 * r + 1 + room
+        self._counts = dict(zip(keys, out[vals:vals + tracked]))
+        self._refs = dict(zip(keys, out[vals + room:vals + room + tracked]))
+        self._packed = None
 
     def snapshot(self) -> dict:
         """Checkpoint the full pool state as a dict of arrays + scalars.
@@ -415,6 +306,7 @@ class SamplerPool(StaticLifecycleMixin):
         pickling.  Includes the RNG state: a restored pool continues the
         stream bitwise-identically.
         """
+        self._unpack()
         heap = sorted(self._heap)
         n_tracked = len(self._counts)
         return {
@@ -470,12 +362,16 @@ class SamplerPool(StaticLifecycleMixin):
         self._counts = {
             int(k): int(v) for k, v in zip(state["count_keys"], state["count_vals"])
         }
-        self._refs = {
-            int(k): int(v) for k, v in zip(state["ref_keys"], state["ref_vals"])
-        }
+        refs = {int(k): int(v) for k, v in zip(state["ref_keys"], state["ref_vals"])}
+        if refs.keys() != self._counts.keys():
+            raise ValueError("snapshot counter and ref tables track different items")
+        # Both tables share keys and insertion order (the compiled loop
+        # relies on it); a snapshot written by this class already does.
+        self._refs = {k: refs[k] for k in self._counts}
         rng = np.random.default_rng()
         rng.bit_generator.state = state["rng_state"]
         self._rng = rng
+        self._packed = None
 
     @classmethod
     def from_snapshot(
@@ -511,6 +407,8 @@ class SamplerPool(StaticLifecycleMixin):
             raise ValueError(
                 f"instance counts differ: {self._r} vs {other._r}"
             )
+        self._unpack()
+        other._unpack()
         m1, m2 = self._t, other._t
         if m2 == 0:
             return [True] * self._r
@@ -555,6 +453,7 @@ class SamplerPool(StaticLifecycleMixin):
         """
         if self._t == 0:
             return []
+        self._unpack()
         out = []
         for idx in range(self._r):
             item = self._items[idx]
@@ -590,11 +489,6 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
     distributed, with zero additive error — including when ``instances``
     is too small (only the FAIL rate suffers).
     """
-
-    #: :meth:`update_batch` also takes a
-    #: :class:`~repro.core.timeline.ShardView` of a shared indexed chunk
-    #: (forwarded to the pool untouched).
-    accepts_index = True
 
     def __init__(
         self,
@@ -662,14 +556,6 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
     def update_batch(self, items) -> None:
         """Vectorized ingestion — see :meth:`SamplerPool.update_batch`."""
         self._pool.update_batch(items)
-
-    def tracked_values(self) -> np.ndarray:
-        """See :meth:`SamplerPool.tracked_values`."""
-        return self._pool.tracked_values()
-
-    def plan_batch(self, length: int) -> tuple[list[int], list[int]]:
-        """See :meth:`SamplerPool.plan_batch` (engine-internal)."""
-        return self._pool.plan_batch(length)
 
     def snapshot(self) -> dict:
         """Checkpoint pool + RNG state (the measure is construction-time

@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.g_sampler import SamplerPool
 from repro.core.measures import LpMeasure
 from repro.core.rejection import rejection_many
-from repro.core.timeline import ShardView
 from repro.core.types import SampleResult, as_item_array
 from repro.lifecycle.memory import INSTANCE_BYTES
 from repro.lifecycle.protocol import StaticLifecycleMixin
@@ -75,12 +74,6 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
     the construction, which never uses ``p ≤ 2`` anywhere except in the
     constant of the acceptance bound.
     """
-
-    #: :meth:`update_batch` also takes a
-    #: :class:`~repro.core.timeline.ShardView` of a shared indexed
-    #: chunk: the pool consumes the view directly; only the Misra–Gries
-    #: normalizer pass materializes the subchunk values.
-    accepts_index = True
 
     def __init__(
         self,
@@ -151,24 +144,10 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         the target either way (any certified ζ is), only the FAIL rate
         can shift marginally.
         """
-        if isinstance(items, ShardView):
-            self._pool.update_batch(items)
-            if self._mg is not None:
-                self._mg.update_batch(items.values())
-            return
         arr = np.asarray(items, dtype=np.int64)
         self._pool.update_batch(arr)
         if self._mg is not None:
             self._mg.update_batch(arr)
-
-    def tracked_values(self) -> np.ndarray:
-        """See :meth:`repro.core.g_sampler.SamplerPool.tracked_values`."""
-        return self._pool.tracked_values()
-
-    def plan_batch(self, length: int) -> tuple[list[int], list[int]]:
-        """See :meth:`repro.core.g_sampler.SamplerPool.plan_batch`
-        (engine-internal)."""
-        return self._pool.plan_batch(length)
 
     def snapshot(self) -> dict:
         state = {

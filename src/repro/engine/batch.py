@@ -15,9 +15,9 @@ Everything here is generic over the
 probes are structural (does the sampler expose ``update_batch``, does
 the input carry timestamps), never per-kind dispatch.
 
-Chunking matters: the pool kernel's cost per item is dominated by a small
-number of whole-chunk vector passes, so chunks that fit comfortably in
-cache (the 64K default) amortize best.  ``update_batch`` semantics per
+Chunking matters: each pool call pays a fixed Python and ``ctypes``
+cost on top of the compiled per-item loop, so large chunks (the 64K
+default) amortize best.  ``update_batch`` semantics per
 sampler: single-pool and F0 samplers are *bitwise identical* to the
 scalar loop for a fixed seed; sliding-window samplers are exactly
 distribution-preserving but consume RNG draws in a different order.
@@ -34,7 +34,6 @@ from repro.core.types import as_item_array as _as_array
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "supports_batch",
-    "supports_index",
     "ingest",
     "BatchIngestor",
 ]
@@ -45,19 +44,6 @@ DEFAULT_CHUNK_SIZE = 1 << 16
 def supports_batch(sampler) -> bool:
     """Whether the sampler exposes the vectorized ``update_batch`` hook."""
     return callable(getattr(sampler, "update_batch", None))
-
-
-def supports_index(sampler) -> bool:
-    """Whether the sampler speaks the shared-index protocol: declares
-    ``accepts_index`` (its ``update_batch`` takes a
-    :class:`~repro.core.timeline.ShardView`) and exposes the
-    ``plan_batch`` / ``tracked_values`` hooks the engine needs to hoist
-    phase 1 and collect index candidates."""
-    return (
-        bool(getattr(sampler, "accepts_index", False))
-        and callable(getattr(sampler, "plan_batch", None))
-        and callable(getattr(sampler, "tracked_values", None))
-    )
 
 
 def ingest(

@@ -137,16 +137,18 @@ class UniversePartitioner:
 
     def split(self, items) -> list[np.ndarray]:
         """Partition a chunk into per-shard subchunks, preserving the
-        within-shard arrival order (the only order the samplers see)."""
+        within-shard arrival order (the only order the samplers see).
+
+        One grouping pass (:meth:`split_indices`) and one gather, at
+        every shard count.  For served submits (a few thousand items,
+        K ≥ 4) that is about twice as fast as one selection pass per
+        shard.  It also makes a fixed number of NumPy calls instead of
+        about 3K; NumPy may release the GIL inside each call, and every
+        release lets the service's pump and receiver threads cut in on
+        the submitting thread."""
         arr = np.asarray(items, dtype=np.int64)
         if self._shards == 1:
             return [arr]
-        if self._shards <= 16:
-            # At small K a selection pass per shard beats the argsort.
-            ids = self._ids(arr)
-            return [
-                arr[np.flatnonzero(ids == k)] for k in range(self._shards)
-            ]
         order, bounds = self.split_indices(arr)
         grouped = arr[order]
         return [

@@ -61,9 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.timeline import shard_views
+from repro.core import ingest_kernel
 from repro.core.types import SampleResult, as_item_array
-from repro.engine.batch import DEFAULT_CHUNK_SIZE, ingest, supports_index
+from repro.engine.batch import DEFAULT_CHUNK_SIZE, ingest
 from repro.engine.partition import UniversePartitioner
 from repro.engine.registry import build_sampler, kind_spec
 from repro.engine.state import merged
@@ -245,17 +245,14 @@ class ShardedSamplerEngine:
             "repro_engine_compaction_reclaimed_bytes_total",
             CATALOG_HELP["repro_engine_compaction_reclaimed_bytes_total"],
         )
-        # Ingest-kernel counters are incremented inside SamplerPool (the
+        # Ingest-kernel instruments are written inside SamplerPool (the
         # pools built above already bound them via use_registry); register
         # here too so non-pool kinds still expose the catalog entries.
         registry.counter(
             "repro_ingest_heap_events_total",
             CATALOG_HELP["repro_ingest_heap_events_total"],
         )
-        registry.counter(
-            "repro_ingest_settle_scans_total",
-            CATALOG_HELP["repro_ingest_settle_scans_total"],
-        )
+        ingest_kernel.bind_info(registry)
 
     @property
     def metrics(self):
@@ -323,52 +320,41 @@ class ShardedSamplerEngine:
         """Split a batch by shard and feed each sampler its part;
         returns the number of items ingested.
 
-        Untimed input takes one route for every id width and shard
-        count: the batch is cut into ``chunk_size`` slices
-        (``chunk_size=1`` is item at a time), each slice is grouped by
-        shard (``split_indices``), and for pool-backed kinds every
-        shard plans its heap events, one shared
-        :class:`~repro.core.timeline.PositionIndex` is built over the
-        slice, and each shard applies a position view of it
-        (:func:`~repro.core.timeline.shard_views`).  Other kinds get
-        their materialized subchunks.
+        Untimed input is cut into ``chunk_size`` slices (``chunk_size=1``
+        is item at a time); each slice is grouped by shard
+        (``split_indices``) and every shard gets its gathered subchunk.
+        If a shard rejects its part, the epochs of every shard already
+        fed still bump, so the merged-view cache never serves a fold
+        that misses their writes.
 
         Pass a ``TimestampedStream`` (or an explicit ``timestamps``
         array) to feed time-windowed sampler kinds — each shard receives
         its items *with* their arrival times, so every shard's window
-        boundaries line up on the shared wall clock.
+        boundaries line up on the shared wall clock.  Timed ingest is
+        atomic: every shard's part is validated (``validate_batch``)
+        before any shard is fed, so a rejected batch (say, a timestamp
+        older than one shard's clock) leaves every shard untouched.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be ≥ 1, got {chunk_size}")
         if timestamps is None:
             timestamps = getattr(items, "timestamps", None)
+        samplers = self._samplers
+        fed = [False] * len(samplers)
         if timestamps is None:
             arr = as_item_array(items)
-            samplers = self._samplers
-            indexed = supports_index(samplers[0])
-            touched = [False] * len(samplers)
-            for start in range(0, arr.size, chunk_size):
-                piece = arr[start:start + chunk_size]
-                order, bounds = self._partitioner.split_indices(piece)
-                if indexed:
-                    views = shard_views(piece, order, bounds, samplers)
-                for shard, sampler in enumerate(samplers):
-                    lo, hi = int(bounds[shard]), int(bounds[shard + 1])
-                    if hi <= lo:
-                        continue
-                    if indexed:
-                        sampler.update_batch(views[shard])
-                    else:
-                        part = piece if order is None else piece[order[lo:hi]]
-                        ingest(sampler, part, chunk_size=chunk_size)
-                    touched[shard] = True
-            bumps = 0
-            for shard, hit in enumerate(touched):
-                if hit:
-                    self._epochs[shard] += 1
-                    bumps += 1
-            if bumps:
-                self._m_epoch["ingest"].add(bumps)
+            try:
+                for start in range(0, arr.size, chunk_size):
+                    piece = arr[start:start + chunk_size]
+                    order, bounds = self._partitioner.split_indices(piece)
+                    for shard, sampler in enumerate(samplers):
+                        lo, hi = int(bounds[shard]), int(bounds[shard + 1])
+                        if hi > lo:
+                            fed[shard] = True
+                            part = piece if order is None else piece[order[lo:hi]]
+                            ingest(sampler, part, chunk_size=chunk_size)
+            finally:
+                self._bump_fed(fed)
             self._after_ingest(int(arr.size))
             return int(arr.size)
         inner = getattr(items, "items", None)
@@ -382,23 +368,36 @@ class ShardedSamplerEngine:
         if order is not None:
             arr = arr[order]
             ts = ts[order]
-        total = 0
-        bumps = 0
-        for shard in range(len(self._samplers)):
+        parts = []
+        for shard, sampler in enumerate(samplers):
             lo, hi = int(bounds[shard]), int(bounds[shard + 1])
             if hi > lo:
+                part, when = arr[lo:hi], ts[lo:hi]
+                validate = getattr(sampler, "validate_batch", None)
+                if callable(validate):
+                    part, when = validate(part, when)
+                parts.append((shard, part, when))
+        total = 0
+        try:
+            for shard, part, when in parts:
+                fed[shard] = True
                 total += ingest(
-                    self._samplers[shard],
-                    arr[lo:hi],
-                    chunk_size=chunk_size,
-                    timestamps=ts[lo:hi],
+                    samplers[shard], part, chunk_size=chunk_size, timestamps=when
                 )
+        finally:
+            self._bump_fed(fed)
+        self._after_ingest(total)
+        return total
+
+    def _bump_fed(self, fed: list[bool]) -> None:
+        """Bump the mutation epoch of every shard an ingest fed."""
+        bumps = 0
+        for shard, hit in enumerate(fed):
+            if hit:
                 self._epochs[shard] += 1
                 bumps += 1
         if bumps:
             self._m_epoch["ingest"].add(bumps)
-        self._after_ingest(total)
-        return total
 
     def ingest_shard(
         self,

@@ -28,15 +28,15 @@ class CatalogEntry(NamedTuple):
 
 
 METRIC_CATALOG: tuple[CatalogEntry, ...] = (
-    # -- ingest kernel (timeline-precomputed pool batch path) ----------------
+    # -- ingest kernel (the pool's batched ingest loop) ----------------------
     CatalogEntry(
         "repro_ingest_heap_events_total", "counter", (),
-        "Heap replacement events replayed by the batched pool ingest kernel",
+        "Heap replacement events processed by batched pool ingest",
     ),
     CatalogEntry(
-        "repro_ingest_settle_scans_total", "counter", (),
-        "Position-index passes of batched pool ingest: per call, one rank "
-        "pass if it has heap events and one totals pass if it tracks items",
+        "repro_ingest_kernel_info", "gauge", ("impl",),
+        "1 at the implementation running batched pool ingest: impl=\"c\" "
+        "(the compiled loop) or impl=\"python\" (the scalar update() loop)",
     ),
     # -- engine (merged-view cache + lifecycle) ------------------------------
     CatalogEntry(

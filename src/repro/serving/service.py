@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.core.ingest_kernel import kernel_impl
 from repro.engine.registry import kind_spec
 from repro.engine.shard import ShardedSamplerEngine
 from repro.engine.state import save_state
@@ -1191,6 +1192,7 @@ class SamplerService:
             "queue_depths": queues.depths(),
             "queue_capacity": queues.capacity,
             "worker_errors": len(self._worker_errors),
+            "kernel": self._kernel_stats(),
         }
         if self._plane is not None:
             statuses = self._plane.status()
@@ -1222,6 +1224,25 @@ class SamplerService:
             },
             "compaction": compaction,
         }
+
+    def _kernel_stats(self) -> dict:
+        """Which batched ingest loop runs (``"c"`` or ``"python"``): in
+        this process and — process mode with telemetry — in each worker,
+        as its shipped ``repro_ingest_kernel_info`` gauge reports."""
+        out: dict = {"impl": kernel_impl()}
+        family = (
+            self._worker_metrics.get("repro_ingest_kernel_info")
+            if self._worker_metrics is not None
+            else None
+        )
+        if family is not None:
+            workers = {}
+            for key, child in family.children().items():
+                labels = dict(zip(family.label_names, key))
+                if child.value == 1:
+                    workers[labels["worker"]] = labels["impl"]
+            out["workers"] = workers
+        return out
 
     @property
     def position(self) -> int:

@@ -267,12 +267,18 @@ class WindowBank:
         (pool members plan which generations survive it; see the module
         docstring).  Validation precedes any mutation, so a rejected
         chunk leaves the whole bank unchanged and retryable."""
-        arr, ts = as_timed_chunk(items, timestamps, self.now, n=self._n)
+        arr, ts = self.validate_batch(items, timestamps)
         if arr.size == 0:
             return
         for member in self._members():
             member._ingest(arr, ts)
         self._count_ingested(int(arr.size))
+
+    def validate_batch(self, items, timestamps) -> tuple[np.ndarray, np.ndarray]:
+        """The checks :meth:`update_batch` runs before touching any
+        member (see :func:`~repro.windows.chunking.as_timed_chunk`);
+        returns the coerced ``(items, timestamps)`` arrays."""
+        return as_timed_chunk(items, timestamps, self.now, n=self._n)
 
     # -- queries ------------------------------------------------------------
     def sample(self, horizon: float, now: float | None = None) -> SampleResult:

@@ -217,9 +217,15 @@ class TimeWindowF0Sampler:
         random-subset bookkeeping collapses to one last-occurrence write
         per distinct chunk item.
         """
-        arr, ts = as_timed_chunk(items, timestamps, self._now, n=self._n)
+        arr, ts = self.validate_batch(items, timestamps)
         if arr.size:
             self._ingest(arr, ts)
+
+    def validate_batch(self, items, timestamps) -> tuple[np.ndarray, np.ndarray]:
+        """The checks :meth:`update_batch` runs before touching state
+        (see :func:`~repro.windows.chunking.as_timed_chunk`); returns
+        the coerced ``(items, timestamps)`` arrays."""
+        return as_timed_chunk(items, timestamps, self._now, n=self._n)
 
     def _ingest(self, arr: np.ndarray, ts: np.ndarray) -> None:
         """Fold a validated, non-empty chunk (also the

@@ -348,11 +348,17 @@ class _TimeWindowPoolSampler:
         randomness)."""
         self.update_batch(*as_timed_arrays(pairs))
 
+    def validate_batch(self, items, timestamps) -> tuple[np.ndarray, np.ndarray]:
+        """The checks :meth:`update_batch` runs before touching state
+        (see :func:`~repro.windows.chunking.as_timed_chunk`); returns
+        the coerced ``(items, timestamps)`` arrays."""
+        return as_timed_chunk(items, timestamps, self._now)
+
     def update_batch(self, items, timestamps) -> None:
         """Vectorized ingestion of a timestamped chunk: only the
         generations the chunk leaves kept are fed, one suffix call each
         — bitwise identical to the scalar loop (see :meth:`_ingest`)."""
-        arr, ts = as_timed_chunk(items, timestamps, self._now)
+        arr, ts = self.validate_batch(items, timestamps)
         if arr.size:
             self._ingest(arr, ts)
 

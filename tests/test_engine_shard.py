@@ -188,3 +188,67 @@ class TestShardedExactness:
             return engine.sample()
 
         assert_matches_distribution(run, target, trials=350)
+
+
+class TestAtomicIngest:
+    """A batch one shard rejects must not leave the engine half-fed
+    behind the merged-view cache's back."""
+
+    @staticmethod
+    def _items_by_shard(engine: ShardedSamplerEngine, per_shard: int) -> list:
+        picks: list[list[int]] = [[] for _ in range(engine.shards)]
+        item = 0
+        while min(len(p) for p in picks) < per_shard:
+            shard = engine.shard_of(item)
+            if len(picks[shard]) < per_shard:
+                picks[shard].append(item)
+            item += 1
+        return picks
+
+    def test_timed_ingest_validates_every_shard_first(self):
+        engine = ShardedSamplerEngine(
+            {"kind": "tw_g", "measure": {"name": "huber"}, "horizon": 50.0,
+             "instances": 8},
+            shards=4, seed=3,
+        )
+        picks = self._items_by_shard(engine, 5)
+        first = np.concatenate([np.asarray(p) for p in picks])
+        engine.ingest(first, timestamps=np.full(first.size, 10.0))
+        before = [state_to_bytes(s.snapshot()) for s in engine.samplers]
+        epochs = engine.mutation_epochs()
+        # Shards 0-2 get fresh timestamps; shard 3's part is older than
+        # its clock, and shard 3 is fed last.
+        items = np.concatenate([np.asarray(p) for p in picks])
+        ts = np.array(
+            [5.0 if engine.shard_of(int(x)) == 3 else 20.0 for x in items]
+        )
+        with pytest.raises(ValueError, match="non-decreasing"):
+            engine.ingest(items, timestamps=ts)
+        after = [state_to_bytes(s.snapshot()) for s in engine.samplers]
+        assert after == before
+        assert engine.mutation_epochs() == epochs
+
+    def test_untimed_failure_bumps_every_fed_shard(self):
+        engine = ShardedSamplerEngine({"kind": "f0", "n": 256}, shards=4, seed=1)
+        picks = self._items_by_shard(engine, 20)
+        engine.ingest(np.concatenate([np.asarray(p) for p in picks]))
+        engine.sample()  # caches a fold
+        before = [state_to_bytes(s.snapshot()) for s in engine.samplers]
+        epochs = engine.mutation_epochs()
+        # 256 is outside the universe; route it to the last shard so the
+        # earlier shards are fed first.
+        bad = 256
+        while engine.shard_of(bad) != 3:
+            bad += 1
+        batch = np.array([picks[0][0], picks[1][0], picks[2][0], bad] * 3)
+        with pytest.raises(ValueError):
+            engine.ingest(batch)
+        after = [state_to_bytes(s.snapshot()) for s in engine.samplers]
+        bumped = engine.mutation_epochs()
+        changed = [k for k in range(4) if after[k] != before[k]]
+        assert changed, "no shard was fed before the rejection"
+        for k in changed:
+            assert bumped[k] > epochs[k], f"shard {k} changed, epoch did not"
+        # The cache therefore re-folds: the next query equals a fresh fold.
+        fresh = engine.merged_sampler()
+        assert engine.sample() == fresh.sample()

@@ -1,29 +1,37 @@
 """The one pool ingest kernel.
 
-The contract under test: batched ingest — phase-1 heap events planned
-per pool (``plan_batch``), one candidate-limited :class:`PositionIndex`
-over each chunk in chunk-local dense ids, data applied through
-:class:`ShardView` position views by the pool's one event loop — is
-*bitwise identical* to the scalar ``update()`` loop, for every
-pool-backed registry kind, every shard count (K=1 is the one-view case),
-every id width (16-bit, beyond 2^32, negative), every way of cutting the
-stream into ``ingest`` calls, and across the whole lifecycle
-(snapshot/restore, merge, compact).  The perf story in
+The contract under test: batched ingest — ``SamplerPool.update_batch``
+running the compiled loop (:mod:`repro.core.ingest_kernel`), fed each
+shard's gathered subchunk by the engine — is *bitwise identical* to the
+scalar ``update()`` loop, for every pool-backed registry kind, every
+shard count, every id width (beyond 2^32, negative, the int64 bounds),
+every way of cutting the stream into ``ingest`` calls, and across the
+whole lifecycle (snapshot/restore, merge, compact).  Without a compiler
+the same calls run the scalar loop, loudly.  The perf story in
 ``benchmarks/perf_suite.py`` (scenario ``ingest_kernel``) rides entirely
 on this equivalence.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core import ingest_kernel
 from repro.core.g_sampler import SamplerPool
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
-from repro.core.timeline import PositionIndex, ShardView
 from repro.engine import ShardedSamplerEngine
+from repro.engine.state import save_state
 from repro.obs import MetricsRegistry, use_registry
 
 
@@ -69,8 +77,8 @@ def _feed_scalar(engine: ShardedSamplerEngine, items: np.ndarray) -> None:
         engine.update(item)
 
 
-#: Id shapes beyond the Zipf ranks' small non-negative range: past the
-#: 16-bit table, past 32 bits, and negative.
+#: Id shapes beyond the Zipf ranks' small non-negative range: past
+#: 16 bits, past 32 bits, and negative.
 ID_SHAPES = {
     "ge-2^16": lambda z: z + (1 << 17),
     "ge-2^32": lambda z: z * (1 << 33) + (1 << 32),
@@ -134,12 +142,11 @@ def _check_lifecycle_parity(kind, config, shards, shape) -> None:
 
 
 ADVERSARIAL = {
-    # Heap events pile onto a single shard; every settle hits one value.
+    # Heap events pile onto a single shard, all on one tracked item.
     "all-one-item": np.full(4000, 7, dtype=np.int64),
-    # No item repeats: the index's heavy side is all singletons.
+    # No item repeats: every adoption inserts a fresh tracked item.
     "all-distinct": np.arange(4000, dtype=np.int64),
-    # The value span jumps mid-stream: chunks switch between the span
-    # table and the searchsorted value→id map without drifting.
+    # The value span jumps mid-stream.
     "mixed-range": np.concatenate(
         [_zipf(1500, 200, seed=3), _zipf(1500, 200, seed=4) + (1 << 17),
          _zipf(1000, 200, seed=5)]
@@ -157,95 +164,12 @@ def test_adversarial_chunks_match_scalar(name):
     _feed_scalar(scalar, items)
     want = norm(scalar.snapshot())
     # One-item calls put every heap event on a call boundary; larger
-    # calls put many events, settles and the flush inside one index.
+    # calls put many events inside one compiled loop.
     for call in (1, 7, 997, 1 << 16):
         engine = ShardedSamplerEngine(dict(config), shards=4, seed=2)
         for start in range(0, items.size, call):
             engine.ingest(items[start:start + call])
         assert norm(engine.snapshot()) == want, f"{name}: calls of {call}"
-
-
-class TestPositionIndex:
-    def _check(self, base, cand, queries, bounds, prefix=None):
-        index = PositionIndex(base, cand, prefix)
-        got = index.rank_many(queries, bounds)
-        members = set(cand.tolist())
-        for j, (v, g) in enumerate(zip(queries.tolist(), bounds.tolist())):
-            want = int(np.sum(base[:g] == v)) if v in members else 0
-            assert got[j] == want, (v, g)
-        for v in queries.tolist():
-            want = int(np.sum(base == v)) if v in members else 0
-            assert index.totals.get(v, 0) == want, v
-
-    def test_rank_many_heavy_and_light(self):
-        # >255 candidates forces the heavy/light split: the 255 largest
-        # by chunk mass take the uint8 radix side, the rest the second
-        # sort over the group-255 tail.  The value span is narrow, so
-        # values map through the span table.
-        rng = np.random.default_rng(31)
-        base = _zipf(5000, 450, seed=31)
-        cand = np.unique(rng.choice(450, size=320, replace=False)).astype(np.int64)
-        queries = rng.choice(cand, size=600).astype(np.int64)
-        bounds = rng.integers(0, base.size + 1, size=600)
-        self._check(base, cand, queries, bounds)
-
-    def test_rank_many_all_heavy(self):
-        # ≤255 candidates: no light side at all.  Ids ≥ 2^32 spread the
-        # span far past the chunk length, so values map by searchsorted
-        # into the candidates; ranks are kept over the prefix only.
-        rng = np.random.default_rng(32)
-        base = _zipf(2000, 90, seed=32) * (1 << 33) + (1 << 32)
-        cand = np.unique(base)
-        queries = rng.choice(cand, size=300).astype(np.int64)
-        bounds = rng.integers(0, 1501, size=300)
-        self._check(base, cand, queries, bounds, prefix=1500)
-
-    @pytest.mark.parametrize("shape", sorted(ID_SHAPES))
-    def test_rank_many_sorted_candidates(self, shape):
-        # Wide, offset or negative ids with >255 candidates: the
-        # searchsorted value map under the heavy/light split, ranks over
-        # a prefix, and every other distinct value left out.
-        rng = np.random.default_rng(34)
-        base = ID_SHAPES[shape](rng.integers(0, 800, size=6000) * 977)
-        cand = np.unique(base)[::2]
-        queries = rng.choice(cand, size=400).astype(np.int64)
-        bounds = rng.integers(0, 4001, size=400)
-        self._check(base, cand, queries, bounds, prefix=4000)
-
-    def test_out_of_range_and_non_candidate_queries_rank_zero(self):
-        base = _zipf(1000, 100, seed=33) * (1 << 40) - (1 << 45)
-        cand = np.unique(base)[:50]
-        queries = np.array(
-            [int(base.min()) - 1, int(base.max()) + 1, int(cand[-1]) + 1,
-             int(np.unique(base)[60]), int(cand[5]), int(cand[0])],
-            dtype=np.int64,
-        )
-        bounds = np.full(queries.size, base.size, dtype=np.int64)
-        index = PositionIndex(base, cand)
-        got = index.rank_many(queries, bounds)
-        assert got[0] == 0 and got[1] == 0  # outside the chunk's span
-        assert got[2] == 0  # inside the span, absent from the chunk
-        assert got[3] == 0  # in the chunk, not a candidate (contract: 0)
-        assert got[4] == int(np.sum(base == cand[5]))
-        assert got[5] == int(np.sum(base == cand[0]))
-        assert index.totals.get(int(queries[2]), 0) == 0
-        empty = PositionIndex(base, np.empty(0, dtype=np.int64))
-        assert empty.rank_many(queries, bounds).tolist() == [0] * queries.size
-        assert empty.totals == {}
-
-    def test_shard_view_materializes_subchunk(self):
-        base = np.array([5, 9, 5, 3, 9, 9], dtype=np.int64)
-        index = PositionIndex(base, np.unique(base))
-        positions = np.array([0, 2, 3], dtype=np.int64)
-        view = ShardView(base, positions, index, ([], []))
-        assert view.size == 3
-        np.testing.assert_array_equal(view.values(), [5, 5, 3])
-        np.testing.assert_array_equal(view.chunk_positions(np.array([1, 2])), [2, 3])
-        # The identity view (positions None) is the whole chunk.
-        whole = ShardView(base, None, index, ([], []))
-        assert whole.size == base.size
-        assert whole.values() is base
-        np.testing.assert_array_equal(whole.chunk_positions(np.array([4])), [4])
 
 
 class TestScalarKernelContracts:
@@ -263,36 +187,159 @@ class TestScalarKernelContracts:
             assert list(batched) == scalar
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_plan_batch_then_view_matches_scalar_updates(self):
-        # The engine-internal pairing contract: plan_batch pre-simulates
-        # phase 1 (mutating heap + RNG), and the one matching ShardView
-        # application must land the exact scalar end state.
-        items_a = _zipf(500, 60, seed=50)
-        items_b = _zipf(400, 60, seed=51)
-        scalar = SamplerPool(instances=8, seed=13)
-        pool = SamplerPool(instances=8, seed=13)
-        for items in (items_a, items_b):  # second round: tracked ≠ ∅
-            for item in items.tolist():
-                scalar.update(int(item))
-            tracked = pool.tracked_values()
-            t0 = pool.position  # plan_batch leaves the position untouched
-            plan = pool.plan_batch(items.size)
-            parts = [tracked] if tracked.size else []
-            if plan[0]:
-                offs = np.asarray(plan[0], dtype=np.int64)
-                offs -= t0 + 1
-                parts.append(items[offs])
-            cand = (
-                np.unique(np.concatenate(parts))
-                if parts
-                else np.empty(0, dtype=np.int64)
-            )
-            view = ShardView(
-                items, np.arange(items.size, dtype=np.int64),
-                PositionIndex(items, cand), plan,
-            )
-            pool.update_batch(view)
-            assert norm(pool.snapshot()) == norm(scalar.snapshot())
+
+#: Pool-level id shapes: small, wide, negative, and the int64 bounds
+#: themselves (hashing and the heap both see the extremes).
+POOL_ID_SHAPES = {
+    "small": lambda z: z,
+    "wide": lambda z: z * (1 << 40) + 3,
+    "negative": lambda z: -z - 1,
+    "int64-bounds": lambda z: np.select(
+        [z % 3 == 0, z % 3 == 1],
+        [np.iinfo(np.int64).min + z, np.iinfo(np.int64).max - z],
+        z,
+    ),
+}
+
+
+def _assert_pools_bitwise(batched: SamplerPool, scalar: SamplerPool) -> None:
+    """Same snapshot bytes (counter insertion order, sorted heap, RNG
+    state included), asserted piecewise first for readable failures."""
+    a, b = batched.snapshot(), scalar.snapshot()
+    assert a["count_keys"].tolist() == b["count_keys"].tolist()
+    assert a["heap_times"].tolist() == b["heap_times"].tolist()
+    assert a["heap_slots"].tolist() == b["heap_slots"].tolist()
+    assert a["rng_state"] == b["rng_state"]
+    assert save_state(batched) == save_state(scalar)
+
+
+@pytest.mark.skipif(
+    ingest_kernel.kernel_impl() != "c", reason="no compiler for the C loop"
+)
+class TestCompiledLoop:
+    @pytest.mark.parametrize("shape", sorted(POOL_ID_SHAPES))
+    @pytest.mark.parametrize("instances", [1, 3, 64, 1024])
+    def test_matches_scalar_update(self, instances, shape):
+        items = POOL_ID_SHAPES[shape](_zipf(4000, 300, seed=instances))
+        scalar = SamplerPool(instances, seed=11)
+        batched = SamplerPool(instances, seed=11)
+        # Empty slots before the first item, an empty call, 1-item cuts
+        # on both sides of the first events, then long calls.
+        _assert_pools_bitwise(batched, scalar)
+        cuts = [0, 0, 1, 2, 3, 40, 41, 1500, 4000]
+        for lo, hi in zip(cuts, cuts[1:]):
+            batched.update_batch(items[lo:hi])
+            for item in items[lo:hi].tolist():
+                scalar.update(item)
+            _assert_pools_bitwise(batched, scalar)
+        assert batched.heap_events == scalar.heap_events
+        assert batched.finalize() == scalar.finalize()
+
+    def test_scalar_and_batched_calls_interleave(self):
+        # Every state reader sees the packed state as the scalar loop
+        # left it: scalar updates, positions, merges and finalize in
+        # between batched calls.
+        items = _zipf(3000, 200, seed=7)
+        scalar = SamplerPool(32, seed=2)
+        batched = SamplerPool(32, seed=2)
+        for item in items[:1000].tolist():
+            scalar.update(item)
+        batched.update_batch(items[:500])
+        assert batched.replacement_positions() != []
+        assert batched.tracked_items > 0
+        for item in items[500:1000].tolist():
+            batched.update(item)
+        batched.update_batch(items[1000:2000])
+        for item in items[1000:2000].tolist():
+            scalar.update(item)
+        assert batched.replacement_positions() == scalar.replacement_positions()
+        assert batched.tracked_items == scalar.tracked_items
+        assert batched.approx_size_bytes() == scalar.approx_size_bytes()
+        other_b, other_s = SamplerPool(32, seed=3), SamplerPool(32, seed=3)
+        other_b.update_batch(items[2000:] + 10_000)
+        for item in (items[2000:] + 10_000).tolist():
+            other_s.update(item)
+        assert batched.merge(other_b) == scalar.merge(other_s)
+        _assert_pools_bitwise(batched, scalar)
+
+    def test_two_threads_match_sequential_run(self):
+        # The call releases the GIL; two pools ingesting on two threads
+        # must land exactly where a sequential run does.
+        streams = [_zipf(60_000, 2000, seed=s) for s in (81, 82)]
+
+        def feed(pool: SamplerPool, items: np.ndarray) -> None:
+            for start in range(0, items.size, 1500):
+                pool.update_batch(items[start:start + 1500])
+
+        sequential = [SamplerPool(64, seed=s) for s in (1, 2)]
+        for pool, items in zip(sequential, streams):
+            feed(pool, items)
+        threaded = [SamplerPool(64, seed=s) for s in (1, 2)]
+        threads = [
+            threading.Thread(target=feed, args=(pool, items))
+            for pool, items in zip(threaded, streams)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for a, b in zip(threaded, sequential):
+            assert save_state(a) == save_state(b)
+
+
+_FALLBACK_SCRIPT = """
+import json, sys, warnings
+import numpy as np
+from repro.core import ingest_kernel
+
+def no_compiler():
+    raise OSError("no compiler here")
+
+ingest_kernel._build_library = no_compiler
+from repro.core.g_sampler import SamplerPool
+from repro.engine.state import save_state
+from repro.obs import MetricsRegistry
+
+items = np.asarray(json.loads(sys.argv[1]), dtype=np.int64)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    reg = MetricsRegistry()
+    pool = SamplerPool(16, seed=5, registry=reg)
+    for start in range(0, items.size, 700):
+        pool.update_batch(items[start:start + 700])
+    SamplerPool(16, seed=6).update_batch(items[:10])
+print(json.dumps({
+    "impl": ingest_kernel.kernel_impl(),
+    "warnings": [str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)],
+    "exposition": reg.render_prometheus(),
+    "state": save_state(pool).hex(),
+}))
+"""
+
+
+def test_fallback_without_compiler_runs_scalar_loop():
+    """With the build step failing, batched ingest runs the scalar loop:
+    one warning, ``impl="python"`` in the gauge, and snapshot bytes equal
+    to the compiled path's."""
+    items = _zipf(5000, 300, seed=90)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_SCRIPT, json.dumps(items.tolist())],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert out["impl"] == "python"
+    assert len(out["warnings"]) == 1
+    assert "scalar update() loop" in out["warnings"][0]
+    assert 'repro_ingest_kernel_info{impl="python"} 1' in out["exposition"]
+    here = SamplerPool(16, seed=5)
+    for start in range(0, items.size, 700):
+        here.update_batch(items[start:start + 700])
+    assert bytes.fromhex(out["state"]) == save_state(here)
 
 
 def test_ingest_kernel_counters_exposed():
@@ -303,14 +350,13 @@ def test_ingest_kernel_counters_exposed():
         )
     engine.ingest(_zipf(20_000, 500, seed=60))
     text = reg.render_prometheus()
-    events = settles = None
+    events = None
     for line in text.splitlines():
         if line.startswith("repro_ingest_heap_events_total "):
             events = float(line.split()[-1])
-        if line.startswith("repro_ingest_settle_scans_total "):
-            settles = float(line.split()[-1])
     assert events is not None and events > 0
-    assert settles is not None and settles >= 0
+    impl = ingest_kernel.kernel_impl()
+    assert f'repro_ingest_kernel_info{{impl="{impl}"}} 1' in text
 
 
 _ID_POOLS = st.lists(

@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.ingest_kernel import kernel_impl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promcheck import check_text
 from repro.obs.telemetry import (
@@ -237,12 +238,21 @@ class TestProcessExposition:
             svc.flush()
             svc.refresh()
             text = svc.metrics.render_prometheus()
+            kernel_stats = svc.stats()["ingest"]["kernel"]
         heap = _counter_samples(text, "repro_ingest_heap_events_total")
         worker_labeled = {
             k: v for k, v in heap.items() if 'worker="' in k
         }
         assert worker_labeled, "no worker-labeled kernel counters shipped"
         assert sum(worker_labeled.values()) > 0
+        # Each worker ships which ingest loop it runs; stats() reads it.
+        impl = kernel_impl()
+        for worker in ("0", "1"):
+            assert (
+                f'repro_ingest_kernel_info{{impl="{impl}",worker="{worker}"}} 1'
+                in text
+            )
+        assert kernel_stats == {"impl": impl, "workers": {"0": impl, "1": impl}}
         # Worker-side apply-latency histograms: same family, worker label.
         assert 'repro_serving_ingest_apply_seconds_count{shard="0",worker="0"' \
             in text or any(
@@ -314,7 +324,6 @@ class TestProcessExposition:
                 out = {}
                 for name in (
                     "repro_ingest_heap_events_total",
-                    "repro_ingest_settle_scans_total",
                     "repro_serving_ipc_frames_total",
                 ):
                     for k, v in _counter_samples(text, name).items():

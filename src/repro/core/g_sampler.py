@@ -107,17 +107,14 @@ class SamplerPool(StaticLifecycleMixin):
     hold ``i``.  The final forward count of an instance is
     ``counts[item] − offset`` (≥ 1, includes its sampled occurrence).
 
-    The state lives in one of two forms: Python lists/dicts, which
-    :meth:`update` (the executable spec) works on, or — after a batched
-    ingest — one packed int64 buffer, which the compiled loop works on
-    in place (:func:`repro.core.ingest_kernel.run`).  Back-to-back
-    batches never convert; anything else that reads the state unpacks
-    it first.
+    :meth:`update` (the executable spec) works on Python lists and
+    dicts; :meth:`update_batch` packs them into one int64 buffer for the
+    compiled loop (:func:`repro.core.ingest_kernel.run`) and unpacks the
+    result, an O(R) conversion per call.
     """
 
     __slots__ = ("_r", "_items", "_offsets", "_timestamps", "_heap", "_counts",
-                 "_refs", "_t", "_rng", "_heap_events", "_m_heap_events",
-                 "_packed")
+                 "_refs", "_t", "_rng", "_heap_events", "_m_heap_events")
 
     def __init__(self, instances: int, seed: int | np.random.Generator | None = None,
                  *, registry: MetricsRegistry | None = None) -> None:
@@ -137,7 +134,6 @@ class SamplerPool(StaticLifecycleMixin):
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         self._heap_events = 0
-        self._packed: array | None = None
         self.bind_metrics(registry if registry is not None else current_registry())
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
@@ -160,8 +156,7 @@ class SamplerPool(StaticLifecycleMixin):
     @property
     def tracked_items(self) -> int:
         """Number of distinct items currently referenced (space accounting)."""
-        packed = self._packed
-        return len(self._counts) if packed is None else packed[0]
+        return len(self._counts)
 
     @property
     def heap_events(self) -> int:
@@ -184,15 +179,9 @@ class SamplerPool(StaticLifecycleMixin):
         occurrence — the third component of :meth:`finalize`, exposed
         separately so wrappers (the time-window samplers) can map
         positions to wall-clock timestamps right after an ingest step."""
-        packed = self._packed
-        if packed is None:
-            return list(self._timestamps)
-        r = self._r
-        return packed[3 * r + 1:4 * r + 1].tolist()
+        return list(self._timestamps)
 
     def update(self, item: int) -> None:
-        if self._packed is not None:
-            self._unpack()
         self._t += 1
         t = self._t
         heap = self._heap
@@ -238,16 +227,14 @@ class SamplerPool(StaticLifecycleMixin):
         if arr.size == 0:
             return
         before = self._heap_events
-        state = self._packed
-        if state is None and ingest_kernel.kernel_impl() == "c":
-            state = self._pack()
+        state = self._pack() if ingest_kernel.kernel_impl() == "c" else None
         if state is None:
             for item in arr.tolist():
                 self.update(item)
         else:
-            self._packed = state
             self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
             self._t += int(arr.size)
+            self._unpack(state)
         events = self._heap_events - before
         if events:
             self._m_heap_events.add(events)
@@ -274,11 +261,9 @@ class SamplerPool(StaticLifecycleMixin):
         except OverflowError:
             return None
 
-    def _unpack(self) -> None:
-        """Back to the list/dict form (a no-op when already there)."""
-        packed = self._packed
-        if packed is None:
-            return
+    def _unpack(self, packed: array) -> None:
+        """Write the compiled loop's packed buffer back to the lists
+        and dicts."""
         out = packed.tolist()
         r = self._r
         room = (len(out) - 1 - 6 * r) // 3
@@ -296,7 +281,6 @@ class SamplerPool(StaticLifecycleMixin):
         vals = 6 * r + 1 + room
         self._counts = dict(zip(keys, out[vals:vals + tracked]))
         self._refs = dict(zip(keys, out[vals + room:vals + room + tracked]))
-        self._packed = None
 
     def snapshot(self) -> dict:
         """Checkpoint the full pool state as a dict of arrays + scalars.
@@ -306,7 +290,6 @@ class SamplerPool(StaticLifecycleMixin):
         pickling.  Includes the RNG state: a restored pool continues the
         stream bitwise-identically.
         """
-        self._unpack()
         heap = sorted(self._heap)
         n_tracked = len(self._counts)
         return {
@@ -335,43 +318,71 @@ class SamplerPool(StaticLifecycleMixin):
         }
 
     def restore(self, state: dict) -> None:
-        """Overwrite this pool's state from a :meth:`snapshot` dict."""
+        """Overwrite this pool's state from a :meth:`snapshot` dict.
+
+        Snapshots come from outside the process (checkpoint files,
+        worker specs), so the structure is checked before anything is
+        overwritten: per-instance arrays of length ``instances``, heap
+        slots a permutation of the instances, and each tracked item's
+        ref count equal to the number of instances holding it.  A
+        malformed snapshot raises :class:`ValueError` and leaves the
+        pool as it was."""
         if state.get("kind") != "sampler_pool":
             raise ValueError(f"not a sampler_pool snapshot: {state.get('kind')!r}")
-        self._r = int(state["instances"])
-        self._t = int(state["position"])
-        self._heap_events = int(state["heap_events"])
+        r = int(state["instances"])
+        if r < 1:
+            raise ValueError(f"snapshot has {r} instances, need at least one")
+        t = int(state["position"])
+        if not 0 <= t < 1 << 63:
+            raise ValueError(f"snapshot position {t} is outside [0, 2^63)")
+        fields = ["items", "offsets", "timestamps", "heap_times", "heap_slots"]
         live = state.get("items_live")
         if live is not None:
-            self._items = [
-                int(x) if keep else None
-                for x, keep in zip(state["items"], live)
-            ]
+            fields.append("items_live")
+        for name in fields:
+            if len(state[name]) != r:
+                raise ValueError(
+                    f"snapshot {name!r} has {len(state[name])} entries, "
+                    f"not one per instance ({r})"
+                )
+        items = _ints(state["items"])
+        if live is not None:
+            items = [x if keep else None for x, keep in zip(items, _ints(live))]
         else:
             # Legacy snapshots (no liveness mask) used -1 as the only
             # empty marker; negative ids were unrepresentable there.
-            self._items = [None if x < 0 else int(x) for x in state["items"]]
-        self._offsets = [int(x) for x in state["offsets"]]
-        self._timestamps = [int(x) for x in state["timestamps"]]
-        heap = [
-            (int(t), int(i))
-            for t, i in zip(state["heap_times"], state["heap_slots"])
-        ]
+            items = [None if x < 0 else x for x in items]
+        slots = _ints(state["heap_slots"])
+        if sorted(slots) != list(range(r)):
+            raise ValueError("snapshot heap slots are not one entry per instance")
+        heap = list(zip(_ints(state["heap_times"]), slots))
         heapq.heapify(heap)
-        self._heap = heap
-        self._counts = {
-            int(k): int(v) for k, v in zip(state["count_keys"], state["count_vals"])
-        }
-        refs = {int(k): int(v) for k, v in zip(state["ref_keys"], state["ref_vals"])}
-        if refs.keys() != self._counts.keys():
+        counts = dict(zip(_ints(state["count_keys"]), _ints(state["count_vals"])))
+        refs = dict(zip(_ints(state["ref_keys"]), _ints(state["ref_vals"])))
+        if refs.keys() != counts.keys():
             raise ValueError("snapshot counter and ref tables track different items")
-        # Both tables share keys and insertion order (the compiled loop
-        # relies on it); a snapshot written by this class already does.
-        self._refs = {k: refs[k] for k in self._counts}
+        holders: dict[int, int] = {}
+        for item in items:
+            if item is not None:
+                holders[item] = holders.get(item, 0) + 1
+        if holders != refs:
+            raise ValueError(
+                "snapshot ref counts do not match the instances holding each item"
+            )
         rng = np.random.default_rng()
         rng.bit_generator.state = state["rng_state"]
+        self._r = r
+        self._t = t
+        self._heap_events = int(state["heap_events"])
+        self._items = items
+        self._offsets = _ints(state["offsets"])
+        self._timestamps = _ints(state["timestamps"])
+        self._heap = heap
+        self._counts = counts
+        # Both tables share keys and insertion order (the compiled loop
+        # relies on it); a snapshot written by this class already does.
+        self._refs = {k: refs[k] for k in counts}
         self._rng = rng
-        self._packed = None
 
     @classmethod
     def from_snapshot(
@@ -407,8 +418,6 @@ class SamplerPool(StaticLifecycleMixin):
             raise ValueError(
                 f"instance counts differ: {self._r} vs {other._r}"
             )
-        self._unpack()
-        other._unpack()
         m1, m2 = self._t, other._t
         if m2 == 0:
             return [True] * self._r
@@ -453,13 +462,17 @@ class SamplerPool(StaticLifecycleMixin):
         """
         if self._t == 0:
             return []
-        self._unpack()
         out = []
         for idx in range(self._r):
             item = self._items[idx]
             count = self._counts[item] - self._offsets[idx]
             out.append((item, count, self._timestamps[idx]))
         return out
+
+
+def _ints(values) -> list[int]:
+    """A snapshot array (or sequence) as a list of Python ints."""
+    return np.asarray(values, dtype=np.int64).tolist()
 
 
 class TrulyPerfectGSampler(StaticLifecycleMixin):

@@ -149,5 +149,5 @@ def run(items: np.ndarray, t: int, r: int, state: array,
     if events == -2:
         raise MemoryError("no memory for the ingest kernel's item table")
     if events < 0:
-        raise RuntimeError("pool state is inconsistent: a held item is untracked")
+        raise RuntimeError("pool state is inconsistent; nothing was ingested")
     return events

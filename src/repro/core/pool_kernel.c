@@ -17,7 +17,7 @@
 
 typedef double (*next_double_fn)(void *);
 
-enum { ITEM, COUNT, REFS, BORN, ROW };
+enum { ITEM, COUNT, REFS, BORN, HELD, ROW };
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 
@@ -45,6 +45,7 @@ static int64_t insert(int64_t *tab, uint64_t mask, int shift, int64_t item,
     row[COUNT] = count;
     row[REFS] = refs;
     row[BORN] = born;
+    row[HELD] = 0;
     return (int64_t)i;
 }
 
@@ -105,8 +106,12 @@ static int by_born(const void *a, const void *b) {
  *    heap) | keys, counts, refs (room each)]
  * where the first `tracked` rows of keys/counts/refs are the tracked
  * items in insertion order and room >= max(tracked, r).  Returns the
- * number of heap events; -1 if an instance holds an item the rows do
- * not track, -2 if the scratch table cannot be allocated. */
+ * number of heap events.  The structure is checked before anything is
+ * written: -1 if a heap entry names no instance, a tracked item is
+ * listed twice, or a tracked item's refs differ from the number of
+ * live instances holding it (so every held item is tracked and at
+ * most r items ever are); -2 if the scratch table cannot be allocated.
+ * On either error `state` and the generator are untouched. */
 int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
                           int64_t r, int64_t room, int64_t *state,
                           next_double_fn draw, void *bitgen) {
@@ -120,8 +125,21 @@ int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
     int64_t *tab = calloc(ROW * cap, sizeof(int64_t));
     if (!tab) return -2;
     int64_t born = state[0], events = 0;
-    for (int64_t k = 0; k < born; ++k)
+    if (born < 0 || born > room) goto bad;
+    for (int64_t k = 0; k < born; ++k) {
+        if (refs[k] < 1 || find(tab, mask, shift, keys[k]) >= 0) goto bad;
         insert(tab, mask, shift, keys[k], counts[k], refs[k], k);
+    }
+    for (int64_t k = 0; k < r; ++k) {
+        if (heap[2 * k + 1] < 0 || heap[2 * k + 1] >= r) goto bad;
+        if (live[k]) {
+            int64_t e = find(tab, mask, shift, slot[k]);
+            if (e < 0) goto bad;
+            ++tab[ROW * e + HELD];
+        }
+    }
+    for (uint64_t i = 0; i < cap; ++i)
+        if (tab[ROW * i + REFS] != tab[ROW * i + HELD]) goto bad;
     for (int64_t p = 0; p < n; ++p) {
         int64_t item = items[p];
         ++t;
@@ -130,10 +148,6 @@ int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
             ++events;
             if (live[idx]) {
                 int64_t e = find(tab, mask, shift, slot[idx]);
-                if (e < 0) {
-                    free(tab);
-                    return -1;
-                }
                 if (--tab[ROW * e + REFS] == 0) erase(tab, mask, shift, (uint64_t)e);
             }
             slot[idx] = item;
@@ -166,4 +180,7 @@ int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
     state[0] = m;
     free(tab);
     return events;
+bad:
+    free(tab);
+    return -1;
 }

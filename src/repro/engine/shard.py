@@ -333,7 +333,9 @@ class ShardedSamplerEngine:
         boundaries line up on the shared wall clock.  Timed ingest is
         atomic: every shard's part is validated (``validate_batch``)
         before any shard is fed, so a rejected batch (say, a timestamp
-        older than one shard's clock) leaves every shard untouched.
+        older than one shard's clock) leaves every shard untouched; the
+        validated parts then go straight to the samplers' ``_ingest``,
+        so no part is checked twice.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be ≥ 1, got {chunk_size}")
@@ -368,26 +370,26 @@ class ShardedSamplerEngine:
         if order is not None:
             arr = arr[order]
             ts = ts[order]
+        if not callable(getattr(samplers[0], "validate_batch", None)):
+            raise TypeError(
+                f"{type(samplers[0]).__name__} does not take timestamps"
+            )
         parts = []
         for shard, sampler in enumerate(samplers):
             lo, hi = int(bounds[shard]), int(bounds[shard + 1])
             if hi > lo:
-                part, when = arr[lo:hi], ts[lo:hi]
-                validate = getattr(sampler, "validate_batch", None)
-                if callable(validate):
-                    part, when = validate(part, when)
+                part, when = sampler.validate_batch(arr[lo:hi], ts[lo:hi])
                 parts.append((shard, part, when))
-        total = 0
         try:
             for shard, part, when in parts:
                 fed[shard] = True
-                total += ingest(
-                    samplers[shard], part, chunk_size=chunk_size, timestamps=when
-                )
+                for start in range(0, part.size, chunk_size):
+                    stop = start + chunk_size
+                    samplers[shard]._ingest(part[start:stop], when[start:stop])
         finally:
             self._bump_fed(fed)
-        self._after_ingest(total)
-        return total
+        self._after_ingest(int(arr.size))
+        return int(arr.size)
 
     def _bump_fed(self, fed: list[bool]) -> None:
         """Bump the mutation epoch of every shard an ingest fed."""

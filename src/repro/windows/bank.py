@@ -268,8 +268,12 @@ class WindowBank:
         docstring).  Validation precedes any mutation, so a rejected
         chunk leaves the whole bank unchanged and retryable."""
         arr, ts = self.validate_batch(items, timestamps)
-        if arr.size == 0:
-            return
+        if arr.size:
+            self._ingest(arr, ts)
+
+    def _ingest(self, arr: np.ndarray, ts: np.ndarray) -> None:
+        """Feed a validated, non-empty chunk to every member (also the
+        engine's entry point after it validated every shard's part)."""
         for member in self._members():
             member._ingest(arr, ts)
         self._count_ingested(int(arr.size))

@@ -228,8 +228,8 @@ class TimeWindowF0Sampler:
         return as_timed_chunk(items, timestamps, self._now, n=self._n)
 
     def _ingest(self, arr: np.ndarray, ts: np.ndarray) -> None:
-        """Fold a validated, non-empty chunk (also the
-        :class:`repro.windows.WindowBank` entry point)."""
+        """Fold a validated, non-empty chunk (also the entry point of
+        :class:`repro.windows.WindowBank` and the engine's timed ingest)."""
         uniq, last_pos = chunk_last_occurrences(arr)
         self._recent, self._evict_horizon = lru_fold_chunk(
             self._recent,

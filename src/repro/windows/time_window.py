@@ -364,7 +364,8 @@ class _TimeWindowPoolSampler:
 
     def _ingest(self, arr: np.ndarray, ts: np.ndarray) -> None:
         """Planned ingestion of a validated, non-empty chunk (also the
-        :class:`repro.windows.WindowBank` entry point).
+        entry point of :class:`repro.windows.WindowBank` and the
+        engine's timed ingest).
 
         The plan replays :meth:`_ensure_generation`'s append/pop-oldest
         rule over the existing generations (offset 0) and each new

@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 import threading
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +35,7 @@ from repro.core import ingest_kernel
 from repro.core.g_sampler import SamplerPool
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
 from repro.engine import ShardedSamplerEngine
-from repro.engine.state import save_state
+from repro.engine.state import load_state, save_state, state_to_bytes
 from repro.obs import MetricsRegistry, use_registry
 
 
@@ -213,9 +217,18 @@ def _assert_pools_bitwise(batched: SamplerPool, scalar: SamplerPool) -> None:
     assert save_state(batched) == save_state(scalar)
 
 
-@pytest.mark.skipif(
-    ingest_kernel.kernel_impl() != "c", reason="no compiler for the C loop"
-)
+#: The compiler the kernel builds with, when one is on PATH.  Where it
+#: is, the compiled loop must load: a broken build fails here instead
+#: of turning every parity test below into scalar-vs-scalar.
+HAVE_CC = bool(shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0]))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_compiled_loop_loads_where_a_compiler_exists():
+    assert ingest_kernel.kernel_impl() == "c"
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 class TestCompiledLoop:
     @pytest.mark.parametrize("shape", sorted(POOL_ID_SHAPES))
     @pytest.mark.parametrize("instances", [1, 3, 64, 1024])
@@ -236,9 +249,9 @@ class TestCompiledLoop:
         assert batched.finalize() == scalar.finalize()
 
     def test_scalar_and_batched_calls_interleave(self):
-        # Every state reader sees the packed state as the scalar loop
-        # left it: scalar updates, positions, merges and finalize in
-        # between batched calls.
+        # Every state reader sees what the compiled loop wrote back as
+        # the scalar loop would have left it: scalar updates, positions,
+        # merges and finalize in between batched calls.
         items = _zipf(3000, 200, seed=7)
         scalar = SamplerPool(32, seed=2)
         batched = SamplerPool(32, seed=2)
@@ -285,6 +298,105 @@ class TestCompiledLoop:
             thread.join()
         for a, b in zip(threaded, sequential):
             assert save_state(a) == save_state(b)
+
+
+def _fed_pool() -> SamplerPool:
+    pool = SamplerPool(8, seed=4)
+    pool.update_batch(_zipf(500, 30, seed=44))
+    return pool
+
+
+def _broken(state: dict, name: str) -> dict:
+    """``state`` (a pool snapshot) with one structural fault."""
+    state = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in state.items()}
+    if name == "no-instances":
+        state["instances"] = 0
+    elif name == "short-heap":
+        state["heap_times"] = state["heap_times"][:-1]
+        state["heap_slots"] = state["heap_slots"][:-1]
+    elif name == "short-items":
+        state["items"] = state["items"][:-1]
+        state["items_live"] = state["items_live"][:-1]
+    elif name == "slot-out-of-range":
+        state["heap_slots"][0] = state["instances"] + 5
+    elif name == "slot-repeated":
+        state["heap_slots"][0] = state["heap_slots"][1]
+    elif name == "live-item-untracked":
+        state["items"][0] = 1 << 40
+    elif name == "refs-too-low":
+        state["ref_vals"][0] -= 1
+    elif name == "tracked-item-unheld":
+        state["count_keys"] = np.append(state["count_keys"], 1 << 41)
+        state["count_vals"] = np.append(state["count_vals"], 3)
+        state["ref_keys"] = np.append(state["ref_keys"], 1 << 41)
+        state["ref_vals"] = np.append(state["ref_vals"], 1)
+    elif name == "negative-position":
+        state["position"] = -1
+    return state
+
+
+class TestMalformedSnapshots:
+    """A snapshot comes from outside the process; restore checks its
+    structure, so neither the scalar loop nor the compiled one ever
+    sees a heap slot out of range or a held item it does not track."""
+
+    FAULTS = [
+        "no-instances", "short-heap", "short-items", "slot-out-of-range",
+        "slot-repeated", "live-item-untracked", "refs-too-low",
+        "tracked-item-unheld", "negative-position",
+    ]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_restore_rejects_and_leaves_pool_unchanged(self, fault):
+        pool = _fed_pool()
+        before = save_state(pool)
+        with pytest.raises(ValueError):
+            pool.restore(_broken(pool.snapshot(), fault))
+        assert save_state(pool) == before
+        pool.update_batch(_zipf(200, 30, seed=45))
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_load_state_rejects(self, fault):
+        pool = _fed_pool()
+        blob = state_to_bytes(_broken(pool.snapshot(), fault))
+        with pytest.raises(ValueError):
+            load_state(SamplerPool(8), blob)
+
+    def test_well_formed_snapshot_restores(self):
+        pool = _fed_pool()
+        twin = SamplerPool(8)
+        twin.restore(pool.snapshot())
+        assert save_state(twin) == save_state(pool)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("fault", ["slot-out-of-range", "refs-too-low",
+                                   "duplicate-key", "tracked-over-room"])
+def test_compiled_loop_rejects_inconsistent_state_untouched(fault):
+    """The C loop checks the packed state before writing anything: an
+    inconsistent buffer raises and leaves the buffer and RNG as they
+    were."""
+    pool = _fed_pool()
+    state = pool._pack()
+    r = pool.instances
+    heap, keys = 4 * r + 1, 6 * r + 1
+    room = (len(state) - keys) // 3
+    refs = keys + 2 * room
+    if fault == "slot-out-of-range":
+        state[heap + 1] = r
+    elif fault == "refs-too-low":
+        state[refs] -= 1
+    elif fault == "duplicate-key":
+        state[keys + 1] = state[keys]
+    else:
+        state[0] = room + 1
+    copy = array("q", state)
+    rng = np.random.default_rng(3)
+    rng_before = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="nothing was ingested"):
+        ingest_kernel.run(_zipf(300, 30, seed=46), pool.position, r, state, rng)
+    assert state == copy
+    assert rng.bit_generator.state == rng_before
 
 
 _FALLBACK_SCRIPT = """

@@ -40,6 +40,10 @@ Measures, on one process with fixed seeds:
   scalar ``update()`` loop on a prefix, and as item-at-a-time ingest
   (``chunk_size=1``) on the whole preflight stream, and answer the
   identical sample.
+* **fold** — report-only: ``merged()`` of every shard and one
+  ``spawn_query_view`` of the fold, for a G engine at K ∈ {8, 32} and a
+  window bank at K=8, after one fixed ingest; cells interleaved across
+  ``FOLD_REPS`` repetitions, median and quartiles in µs.
 * **telemetry overhead (PR 10)** — the identical process-mode ingest
   workload with the cross-process worker telemetry plane on
   (``worker_telemetry=True``: worker-side registries, span shipping,
@@ -111,7 +115,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import ShardedSamplerEngine  # noqa: E402
+from repro.engine import ShardedSamplerEngine, merged  # noqa: E402
+from repro.lifecycle import spawn_query_view  # noqa: E402
 from repro.serving import SamplerService  # noqa: E402
 from repro.streams.generators import zipf_stream  # noqa: E402
 
@@ -170,6 +175,21 @@ MIN_INGEST_KERNEL_K8_FLOORS = {  # items/s by call size
     1 << 20: 13_900_000,
 }
 MIN_INGEST_KERNEL_K1_FLOOR = 2_000_000  # items/s
+#: Fold cells (report-only): a G engine at K=8 and K=32 and a window
+#: bank (the perfbench ``serve_windows`` rung ladder) at K=8, each timed
+#: after one fixed ingest.
+BANK_CONFIG = {
+    "kind": "window_bank",
+    "measure": {"name": "huber"},
+    "instances": 64,
+    "resolutions": [60.0, 300.0, 3600.0],
+}
+FOLD_CELLS = ((CONFIG, 8), (CONFIG, 32), (BANK_CONFIG, 8))
+FOLD_REPS = 15
+FOLD_ITEMS = 200_000
+#: Event time the bank's ingest spans, in seconds: past the longest rung,
+#: so every rung holds two generations.
+FOLD_BANK_SPAN_S = 7200.0
 
 
 def _percentiles(latencies_ns: list[int]) -> dict:
@@ -307,6 +327,49 @@ def bench_ingest_kernel(items: np.ndarray) -> dict:
         "runs": rows,
         "k8_over_k1": top[8] / top[1],
         "k32_over_k1": top[32] / top[1],
+    }
+
+
+def bench_fold(items: np.ndarray) -> dict:
+    """Fold and query-view cost per cell: ``merged()`` of every shard,
+    then one ``spawn_query_view`` of that fold, after one fixed ingest
+    of ``items`` (the bank's spread evenly over ``FOLD_BANK_SPAN_S``).
+    Cells run in an order that reverses every repetition; each reports
+    the median and quartiles of both times in µs.  Report-only."""
+    engines = []
+    for config, shards in FOLD_CELLS:
+        engine = ShardedSamplerEngine(config, shards=shards, seed=7)
+        if config is BANK_CONFIG:
+            ts = np.linspace(0.0, FOLD_BANK_SPAN_S, items.size)
+            engine.ingest(items, timestamps=ts)
+        else:
+            engine.ingest(items)
+        engines.append(engine)
+    order = list(range(len(FOLD_CELLS)))
+    fold_us: list[list[float]] = [[] for __ in order]
+    view_us: list[list[float]] = [[] for __ in order]
+    for rep in range(FOLD_REPS):
+        for i in order if rep % 2 == 0 else order[::-1]:
+            rng = np.random.default_rng(rep)
+            t0 = time.perf_counter()
+            fold = merged(engines[i].samplers)
+            t1 = time.perf_counter()
+            spawn_query_view(fold, rng)
+            t2 = time.perf_counter()
+            fold_us[i].append(1e6 * (t1 - t0))
+            view_us[i].append(1e6 * (t2 - t1))
+    return {
+        "items": int(items.size),
+        "reps": FOLD_REPS,
+        "runs": [
+            {
+                "kind": config["kind"],
+                "shards": shards,
+                "fold_us": _quartiles(fold_us[i]),
+                "view_us": _quartiles(view_us[i]),
+            }
+            for i, (config, shards) in enumerate(FOLD_CELLS)
+        ],
     }
 
 
@@ -1008,6 +1071,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "ingest": bench_ingest(items, chunk=1 << 16),
         "ingest_kernel": bench_ingest_kernel(kernel_items),
+        "fold": bench_fold(kernel_items[:FOLD_ITEMS]),
         "query_latency": bench_queries(items, queries, write_batch),
         "sample_many": bench_sample_many(items, k_many),
         "served_scenario": bench_served(items, served_work, served_batch),
@@ -1067,6 +1131,15 @@ def main(argv: list[str] | None = None) -> int:
         f"  kernel  K8/K1 {ik['k8_over_k1']:.3f}x  "
         f"K32/K1 {ik['k32_over_k1']:.3f}x"
     )
+    for row in report["fold"]["runs"]:
+        fold, view = row["fold_us"], row["view_us"]
+        print(
+            f"  fold    {row['kind']:<11} K={row['shards']:<3} "
+            f"fold {fold['median']:8.0f}us [q1 {fold['q1']:7.0f}, "
+            f"q3 {fold['q3']:7.0f}]  view {view['median']:7.0f}us "
+            f"[q1 {view['q1']:6.0f}, q3 {view['q3']:6.0f}] "
+            f"({report['fold']['reps']} reps)"
+        )
     for row in report["query_latency"]:
         print(
             f"  query   K={row['shards']:<3} {row['ratio']:>6}  "

@@ -37,6 +37,7 @@ from repro.lifecycle.memory import (
     set_bytes,
 )
 from repro.lifecycle.protocol import StaticLifecycleMixin
+from repro.lifecycle.rng import generator_from_state
 from repro.sketches.hashing import random_oracle_hash
 
 __all__ = [
@@ -191,9 +192,7 @@ class Algorithm5F0Sampler(StaticLifecycleMixin):
         self._counts = {
             int(k): int(v) for k, v in zip(state["count_keys"], state["count_vals"])
         }
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
-        self._rng = rng
+        self._rng = generator_from_state(state["rng_state"])
 
     def merge(self, other: "Algorithm5F0Sampler") -> None:
         """Absorb a copy fed a *disjoint* partition of the universe.
@@ -628,8 +627,7 @@ class BoundedMeasureSampler(StaticLifecycleMixin):
             )
         for i, s in enumerate(self._samplers):
             s.restore(entries[str(i)])
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
+        rng = generator_from_state(state["rng_state"])
         self._rng = rng
         if not self._oracle:
             # Construction shares one generator across the Algorithm 5

@@ -23,6 +23,7 @@ number of heap events.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -42,6 +43,7 @@ from repro.lifecycle.memory import (
     sequence_bytes,
 )
 from repro.lifecycle.protocol import StaticLifecycleMixin
+from repro.lifecycle.rng import generator_from_state
 from repro.obs.catalog import CATALOG_HELP
 from repro.obs.metrics import MetricsRegistry, current_registry
 
@@ -135,6 +137,34 @@ class SamplerPool(StaticLifecycleMixin):
         )
         self._heap_events = 0
         self.bind_metrics(registry if registry is not None else current_registry())
+
+    def __deepcopy__(self, memo: dict) -> "SamplerPool":
+        """Clone at the cost of the state: the lists, heap and dicts are
+        copied shallowly (they hold immutable ints, ``None`` and int
+        tuples), the metrics counter stays shared, and the RNG is
+        rebuilt once from its state.  The RNG goes through ``memo``, so
+        a generator this pool shares (a sampler's ``_rng``, or a
+        sliding window's pools) stays shared in the copy, and a memo
+        entry placed by the caller substitutes for it."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone._r = self._r
+        clone._items = list(self._items)
+        clone._offsets = list(self._offsets)
+        clone._timestamps = list(self._timestamps)
+        clone._heap = list(self._heap)
+        clone._counts = dict(self._counts)
+        clone._refs = dict(self._refs)
+        clone._t = self._t
+        clone._heap_events = self._heap_events
+        clone._m_heap_events = self._m_heap_events
+        rng = memo.get(id(self._rng))
+        if rng is None:
+            rng = memo[id(self._rng)] = generator_from_state(
+                self._rng.bit_generator.state
+            )
+        clone._rng = rng
+        return clone
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Route this pool's ingest counters to ``registry`` (by default
@@ -369,8 +399,7 @@ class SamplerPool(StaticLifecycleMixin):
             raise ValueError(
                 "snapshot ref counts do not match the instances holding each item"
             )
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
+        rng = generator_from_state(state["rng_state"])
         self._r = r
         self._t = t
         self._heap_events = int(state["heap_events"])
@@ -388,7 +417,10 @@ class SamplerPool(StaticLifecycleMixin):
     def from_snapshot(
         cls, state: dict, registry: MetricsRegistry | None = None
     ) -> "SamplerPool":
-        pool = cls(int(state["instances"]), registry=registry)
+        # Skips __init__: restore sets every field, and a throwaway
+        # default_rng() would read OS entropy only to be overwritten.
+        pool = cls.__new__(cls)
+        pool.bind_metrics(registry if registry is not None else current_registry())
         pool.restore(state)
         return pool
 
@@ -419,37 +451,49 @@ class SamplerPool(StaticLifecycleMixin):
                 f"instance counts differ: {self._r} vs {other._r}"
             )
         m1, m2 = self._t, other._t
+        r = self._r
         if m2 == 0:
-            return [True] * self._r
+            return [True] * r
         total = m1 + m2
-        mine = self.finalize()
-        theirs = other.finalize()
-        kept_self: list[bool] = []
-        picks: list[tuple[int, int, int]] = []
-        for k in range(self._r):
-            if m1 > 0 and self._rng.random() < m1 / total:
-                kept_self.append(True)
-                picks.append(mine[k])
-            else:
-                kept_self.append(False)
-                item, count, ts = theirs[k]
-                picks.append((item, count, m1 + ts))
+        # One coin block: the same floats as R scalar draws, in order.
+        if m1 > 0:
+            kept_self = (self._rng.random(r) < m1 / total).tolist()
+        else:
+            kept_self = [False] * r
+        # Indexed by the coin: False adopts other's instance (its
+        # timestamp shifted past this pool's stream), True keeps ours.
+        sides = (
+            (other._items, other._offsets, other._timestamps, other._counts, m1),
+            (self._items, self._offsets, self._timestamps, self._counts, 0),
+        )
+        items: list[int] = []
+        forward: list[int] = []
+        stamps: list[int] = []
         counts: dict[int, int] = {}
         refs: dict[int, int] = {}
-        for item, count, __ in picks:
-            refs[item] = refs.get(item, 0) + 1
-            counts[item] = max(counts.get(item, 0), count)
-        for k, (item, count, ts) in enumerate(picks):
-            self._items[k] = item
-            self._offsets[k] = counts[item] - count
-            self._timestamps[k] = ts
+        for k, keep in enumerate(kept_self):
+            src_items, src_offsets, src_stamps, src_counts, shift = sides[keep]
+            item = src_items[k]
+            count = src_counts[item] - src_offsets[k]
+            items.append(item)
+            forward.append(count)
+            stamps.append(shift + src_stamps[k])
+            if item in refs:
+                refs[item] += 1
+                if count > counts[item]:
+                    counts[item] = count
+            else:
+                refs[item] = 1
+                counts[item] = count
+        self._items = items
+        self._offsets = [counts[item] - count for item, count in zip(items, forward)]
+        self._timestamps = stamps
         self._counts = counts
         self._refs = refs
         self._t = total
         # One batched draw for the redrawn schedule — bitwise identical
         # to R scalar skip_next_replacement calls at the merged length.
-        jumps = skip_next_replacements([total] * self._r, self._rng)
-        self._heap = list(zip(jumps, range(self._r)))
+        self._heap = list(zip(skip_next_replacements([total] * r, self._rng), range(r)))
         heapq.heapify(self._heap)
         self._heap_events += other._heap_events
         return kept_self
@@ -610,6 +654,13 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
                 f"measures differ: {self._measure.name} vs {other._measure.name}"
             )
         self._pool.merge(other._pool)
+
+    def spawn_query_rng(self, rng: np.random.Generator) -> "TrulyPerfectGSampler":
+        """The optional lifecycle query-view hook (see
+        :mod:`repro.lifecycle.rng`): a clone whose query coins and pool
+        draw from ``rng`` — what the generic deep copy plus rebind walk
+        builds, without the walk."""
+        return copy.deepcopy(self, {id(self._rng): rng, id(self._pool._rng): rng})
 
     def _zeta(self) -> float:
         return self._measure.zeta(None)

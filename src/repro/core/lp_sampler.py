@@ -17,6 +17,7 @@ instances suffice (Theorem 3.5) and no normalizer is needed.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -188,6 +189,13 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         self._pool.merge(other._pool)
         if self._mg is not None:
             self._mg.merge(other._mg)
+
+    def spawn_query_rng(self, rng: np.random.Generator) -> "TrulyPerfectLpSampler":
+        """The optional lifecycle query-view hook (see
+        :mod:`repro.lifecycle.rng`): a clone whose query coins and pool
+        draw from ``rng`` — what the generic deep copy plus rebind walk
+        builds, without the walk."""
+        return copy.deepcopy(self, {id(self._rng): rng, id(self._pool._rng): rng})
 
     def normalizer(self) -> float:
         """The certified ζ for the rejection step at the current time."""

@@ -40,6 +40,13 @@ def skip_next_replacement(t: int, rng: np.random.Generator) -> int:
     return max(t + 1, math.ceil(t / u))
 
 
+#: Above these the float path could round where the scalar rule does
+#: not: ``t`` must convert to float64 exactly, and the ceiling must fit
+#: an int64 with room to spare.
+_EXACT_T = 1 << 53
+_EXACT_JUMP = float(1 << 62)
+
+
 def skip_next_replacements(times, rng: np.random.Generator) -> list[int]:
     """Chunk-at-a-time :func:`skip_next_replacement`: one batched uniform
     draw for a whole sequence of positions.
@@ -47,25 +54,37 @@ def skip_next_replacements(times, rng: np.random.Generator) -> list[int]:
     Bitwise identical to calling the scalar helper once per position in
     order — positions ≤ 0 consume no draw (they replace at 1
     unconditionally), and ``rng.random(n)`` hands out exactly the floats
-    ``n`` scalar ``rng.random()`` calls would.  The ceiling stays in
-    Python-int arithmetic so even astronomically small uniforms produce
-    the same (arbitrary-precision) jump targets as the scalar path.
+    ``n`` scalar ``rng.random()`` calls would.  The ceiling ``⌈t/u⌉`` is
+    one float64 division per position, exactly as the scalar
+    ``math.ceil(t / u)`` computes it; when a position reaches 2^53 or a
+    jump reaches 2^62 the same uniforms go through the scalar rule's
+    Python-int arithmetic instead.
     """
-    ts = [int(t) for t in times]
-    drawing = sum(1 for t in ts if t > 0)
-    uniforms = iter(rng.random(drawing).tolist()) if drawing else iter(())
-    out: list[int] = []
-    for t in ts:
-        if t <= 0:
-            out.append(1)
-            continue
-        u = next(uniforms)
-        if u <= 0.0:  # pragma: no cover - measure-zero guard
-            out.append(t + 1)
-            continue
-        nxt = math.ceil(t / u)
-        out.append(nxt if nxt > t else t + 1)
-    return out
+    try:
+        ts = np.asarray(times, dtype=np.int64).reshape(-1)
+    except OverflowError:  # a position beyond int64: Python ints throughout
+        ts = np.array([int(t) for t in times], dtype=object)
+    drawing = ts > 0
+    count = int(np.count_nonzero(drawing))
+    if not count:
+        return [1] * ts.size
+    pos = ts if count == ts.size else ts[drawing]
+    u = rng.random(count)
+    jumps = None
+    if pos.dtype == np.int64 and pos.max() < _EXACT_T and u.min() > 0.0:
+        ceil = np.ceil(pos / u)
+        if ceil.max() < _EXACT_JUMP:
+            jumps = np.maximum(ceil.astype(np.int64), pos + 1)
+    if jumps is None:
+        jumps = np.array([
+            t + 1 if x <= 0.0 else max(t + 1, math.ceil(t / x))
+            for t, x in zip(pos.tolist(), u.tolist())
+        ], dtype=object)
+    if count == ts.size:
+        return jumps.tolist()
+    out = np.ones(ts.size, dtype=jumps.dtype)
+    out[drawing] = jumps
+    return out.tolist()
 
 
 class TimestampedReservoir:

@@ -45,6 +45,7 @@ from repro.lifecycle.protocol import (
 )
 from repro.lifecycle.rng import (
     derive_reader_rng,
+    generator_from_state,
     rebind_query_rngs,
     spawn_query_view,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "missing_hooks",
     "supports_merge",
     "derive_reader_rng",
+    "generator_from_state",
     "rebind_query_rngs",
     "spawn_query_view",
     "state_from_bytes",

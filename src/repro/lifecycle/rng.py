@@ -40,6 +40,7 @@ from repro.lifecycle.protocol import has_query_rng_hook
 
 __all__ = [
     "derive_reader_rng",
+    "generator_from_state",
     "rebind_query_rngs",
     "spawn_query_view",
 ]
@@ -59,6 +60,37 @@ def derive_reader_rng(
     return np.random.default_rng(
         np.random.SeedSequence([root, int(generation), int(reader)])
     )
+
+
+#: The bit generators a saved state may name.
+_BIT_GENERATORS = {
+    cls.__name__: cls
+    for cls in (
+        np.random.PCG64,
+        np.random.PCG64DXSM,
+        np.random.MT19937,
+        np.random.Philox,
+        np.random.SFC64,
+    )
+}
+
+#: Seed material for bit generators whose state is overwritten at once:
+#: a fixed sequence skips ``default_rng()``'s OS-entropy read.
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+
+def generator_from_state(state: dict) -> np.random.Generator:
+    """A ``Generator`` positioned exactly at ``state`` (a
+    ``bit_generator.state`` dict, e.g. from a snapshot): it continues
+    the saved stream bitwise.  Builds one bit generator from fixed seed
+    material instead of seeding from OS entropy and overwriting."""
+    name = state.get("bit_generator") if isinstance(state, dict) else None
+    cls = _BIT_GENERATORS.get(name)
+    if cls is None:
+        raise ValueError(f"unsupported RNG state for bit generator {name!r}")
+    bit_generator = cls(_PLACEHOLDER_SEED)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 #: Values the walker never descends into (bulk data and scalars).

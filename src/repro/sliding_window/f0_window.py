@@ -34,6 +34,7 @@ from repro.lifecycle.memory import (
     set_bytes,
 )
 from repro.lifecycle.protocol import StaticLifecycleMixin
+from repro.lifecycle.rng import generator_from_state
 from repro.sliding_window.window_sampler import _count_window_merge_error
 
 __all__ = ["SlidingWindowF0Sampler"]
@@ -287,9 +288,7 @@ class SlidingWindowF0Sampler(StaticLifecycleMixin):
             }
             copies.append(copy)
         self._copies = copies
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
-        self._rng = rng
+        self._rng = generator_from_state(state["rng_state"])
 
     def _active_recent(self) -> list[int]:
         window_start = self._t - self._window

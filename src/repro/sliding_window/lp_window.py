@@ -26,6 +26,7 @@ from repro.core.rejection import rejection_many
 from repro.core.types import SampleResult, as_item_array
 from repro.lifecycle.memory import INSTANCE_BYTES, RNG_STATE_BYTES
 from repro.lifecycle.protocol import StaticLifecycleMixin
+from repro.lifecycle.rng import generator_from_state
 from repro.sketches.smooth_histogram import SmoothHistogram, ExactSuffixFp, fp_smoothness
 from repro.sliding_window.window_sampler import _count_window_merge_error
 
@@ -210,8 +211,7 @@ class SlidingWindowLpSampler(StaticLifecycleMixin):
         self._alpha = float(state["alpha"])
         self._instances = int(state["instances"])
         self._t = int(state["position"])
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
+        rng = generator_from_state(state["rng_state"])
         self._rng = rng
         generations: list[_Generation] = []
         entries = state["generations"]

@@ -328,16 +328,17 @@ class WindowBank:
         fine but couples the rungs' coin consumption.  This bank's own
         streams are never touched.
         """
-        view = copy.deepcopy(self)
-        members = list(view._pool_samplers.values()) + list(
-            view._f0_samplers.values()
-        )
-        for member, seed in zip(members, rng.integers(2**63, size=len(members))):
-            # Every time-window member draws query coins from its own
-            # `_rng` (generation pools carry ingest-only streams the
-            # query path never touches).
-            member._rng = np.random.default_rng(int(seed))
-        return view
+        members = list(self._members())
+        # Every time-window member draws query coins from its own `_rng`
+        # (generation pools carry ingest-only streams the query path
+        # never touches).  Seeding the copy's memo with the new streams
+        # substitutes them during the copy instead of cloning the old
+        # ones first.
+        memo = {
+            id(member._rng): np.random.default_rng(int(seed))
+            for member, seed in zip(members, rng.integers(2**63, size=len(members)))
+        }
+        return copy.deepcopy(self, memo)
 
     # -- mergeable state ----------------------------------------------------
     def snapshot(self) -> dict:

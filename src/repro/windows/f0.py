@@ -42,6 +42,7 @@ from repro.lifecycle.memory import (
     mapping_bytes,
     set_bytes,
 )
+from repro.lifecycle.rng import generator_from_state
 from repro.sliding_window.f0_window import chunk_last_occurrences, lru_fold_chunk
 from repro.windows.chunking import as_clock, as_timed_chunk
 
@@ -382,9 +383,7 @@ class TimeWindowF0Sampler:
             }
             copies.append(copy)
         self._copies = copies
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
-        self._rng = rng
+        self._rng = generator_from_state(state["rng_state"])
 
     def merge(self, other: "TimeWindowF0Sampler") -> None:
         """Absorb a sampler fed a disjoint universe partition over the

@@ -60,6 +60,7 @@ from repro.lifecycle.memory import (
     mapping_bytes,
     sequence_bytes,
 )
+from repro.lifecycle.rng import generator_from_state
 from repro.obs.metrics import current_registry
 from repro.sliding_window.lp_window import sliding_window_lp_instances
 from repro.windows.chunking import as_clock, as_timed_chunk, bucket_cuts
@@ -97,6 +98,13 @@ class _SuffixLinf:
     def __init__(self) -> None:
         self._counts: dict[int, int] = {}
         self._max = 0
+
+    def __deepcopy__(self, memo: dict) -> "_SuffixLinf":
+        clone = _SuffixLinf()
+        clone._counts = dict(self._counts)  # int keys and values
+        clone._max = self._max
+        memo[id(self)] = clone
+        return clone
 
     def update(self, item: int) -> None:
         c = self._counts.get(item, 0) + 1
@@ -158,6 +166,17 @@ class _TimeGeneration:
         # position 1).
         self.wall: list[float] = [-math.inf] * instances
         self.aux = aux  # per-substream normalizer state (Lp: Misra-Gries)
+
+    def __deepcopy__(self, memo: dict) -> "_TimeGeneration":
+        """Clone at state cost: the pool and aux through their own
+        clones, ``wall`` (floats) by a list copy."""
+        clone = object.__new__(_TimeGeneration)
+        memo[id(self)] = clone
+        clone.pool = copy.deepcopy(self.pool, memo)
+        clone.bucket = self.bucket
+        clone.wall = list(self.wall)
+        clone.aux = copy.deepcopy(self.aux, memo)
+        return clone
 
 
 class _TimeWindowPoolSampler:
@@ -568,9 +587,7 @@ class _TimeWindowPoolSampler:
                 gen.aux.restore(entry["aux"])
             gens.append(gen)
         self._generations = gens
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state["rng_state"]
-        self._rng = rng
+        self._rng = generator_from_state(state["rng_state"])
 
     def _contribution(self, gens: list[_TimeGeneration], bucket: int):
         """A sampler's substream-since-``bucket·H`` generation.
@@ -635,8 +652,8 @@ class _TimeWindowPoolSampler:
             if theirs is not None:
                 picks = gen.pool.merge(theirs.pool)
                 gen.wall = [
-                    gen.wall[k] if kept else theirs.wall[k]
-                    for k, kept in enumerate(picks)
+                    mine if kept else other_wall
+                    for mine, other_wall, kept in zip(gen.wall, theirs.wall, picks)
                 ]
                 if gen.aux is not None:
                     gen.aux.merge(theirs.aux)

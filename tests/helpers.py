@@ -10,12 +10,20 @@ them collides across directories).
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
+from repro.core.reservoir import skip_next_replacement
 from repro.engine.state import save_state
 from repro.stats import assert_matches_distribution
 
-__all__ = ["assert_matches_distribution", "gappy_timed_stream", "replay_timed"]
+__all__ = [
+    "assert_matches_distribution",
+    "gappy_timed_stream",
+    "reference_pool_merge",
+    "replay_timed",
+]
 
 
 def gappy_timed_stream(m: int, n: int, horizon: float, seed: int):
@@ -53,3 +61,49 @@ def replay_timed(sampler, items, ts, cuts=None, compact_at=()) -> bytes:
         else:
             sampler.update_batch(items[a:b], ts[a:b])
     return save_state(sampler)
+
+
+def reference_pool_merge(pool, other) -> list[bool]:
+    """The executable spec of ``SamplerPool.merge``: the pairwise rule
+    written out instance by instance, one scalar coin per instance and
+    one scalar ``skip_next_replacement`` per redrawn replacement time.
+
+    Instance ``k`` keeps ``pool``'s instance with probability
+    ``m₁/(m₁+m₂)`` (no coin when ``m₁ = 0``), else adopts ``other``'s
+    with its timestamp shifted by ``m₁``; counts and refs are built in
+    first-pick order, each count the largest picked forward count of
+    its item.  Mutates ``pool`` and returns the kept mask.
+    """
+    m1, m2 = pool._t, other._t
+    if m2 == 0:
+        return [True] * pool._r
+    total = m1 + m2
+    mine = pool.finalize()
+    theirs = other.finalize()
+    kept_self: list[bool] = []
+    picks: list[tuple[int, int, int]] = []
+    for k in range(pool._r):
+        if m1 > 0 and pool._rng.random() < m1 / total:
+            kept_self.append(True)
+            picks.append(mine[k])
+        else:
+            kept_self.append(False)
+            item, count, ts = theirs[k]
+            picks.append((item, count, m1 + ts))
+    counts: dict[int, int] = {}
+    refs: dict[int, int] = {}
+    for item, count, __ in picks:
+        refs[item] = refs.get(item, 0) + 1
+        counts[item] = max(counts.get(item, 0), count)
+    for k, (item, count, ts) in enumerate(picks):
+        pool._items[k] = item
+        pool._offsets[k] = counts[item] - count
+        pool._timestamps[k] = ts
+    pool._counts = counts
+    pool._refs = refs
+    pool._t = total
+    jumps = [skip_next_replacement(total, pool._rng) for __ in range(pool._r)]
+    pool._heap = list(zip(jumps, range(pool._r)))
+    heapq.heapify(pool._heap)
+    pool._heap_events += other._heap_events
+    return kept_self

@@ -139,10 +139,9 @@ def main() -> None:
     print(
         f"consoles took {sum(live_samples)} live samples "
         f"({sum(live_fails)} FAIL/EMPTY) across {q['refreshes']} fold "
-        f"publications; cache hits/misses/rebases "
+        f"publications; cache hits/misses "
         f"{stats['engine']['cache']['hits']}/"
-        f"{stats['engine']['cache']['misses']}/"
-        f"{stats['engine']['cache']['rebases']}"
+        f"{stats['engine']['cache']['misses']}"
     )
     freed = stats["compaction"]["bytes_reclaimed"]
     print(

@@ -30,21 +30,31 @@ def skip_next_replacement(t: int, rng: np.random.Generator) -> int:
     The replacement indicator at position ``r`` fires with probability
     ``1/r`` independently, so ``P(T > u | T > t) = t/u``; inverting the
     CDF gives ``T = ⌈t/U⌉`` for ``U ~ Uniform(0,1)``.  For ``t = 0`` the
-    first position always replaces.
+    first position always replaces.  For ``t < 2^63 − 1`` the jump is
+    capped at ``2^63 − 1``, so a wake time always fits the int64 a
+    snapshot (and the compiled ingest loop) holds it in.
     """
     if t <= 0:
         return 1
-    u = rng.random()
-    if u <= 0.0:  # pragma: no cover - measure-zero guard
-        return t + 1
-    return max(t + 1, math.ceil(t / u))
+    return _jump(t, rng.random())
 
 
+#: The largest wake time an int64 holds; jumps from positions below it
+#: saturate there.
+_WAKE_CAP = (1 << 63) - 1
 #: Above these the float path could round where the scalar rule does
 #: not: ``t`` must convert to float64 exactly, and the ceiling must fit
 #: an int64 with room to spare.
 _EXACT_T = 1 << 53
 _EXACT_JUMP = float(1 << 62)
+
+
+def _jump(t: int, u: float) -> int:
+    """The scalar jump rule for a position ``t > 0`` and uniform ``u``."""
+    if u <= 0.0:  # pragma: no cover - measure-zero guard
+        return t + 1
+    nxt = max(t + 1, math.ceil(t / u))
+    return min(nxt, _WAKE_CAP) if t < _WAKE_CAP else nxt
 
 
 def skip_next_replacements(times, rng: np.random.Generator) -> list[int]:
@@ -58,7 +68,7 @@ def skip_next_replacements(times, rng: np.random.Generator) -> list[int]:
     one float64 division per position, exactly as the scalar
     ``math.ceil(t / u)`` computes it; when a position reaches 2^53 or a
     jump reaches 2^62 the same uniforms go through the scalar rule's
-    Python-int arithmetic instead.
+    Python-int arithmetic (and its 2^63 − 1 cap) instead.
     """
     try:
         ts = np.asarray(times, dtype=np.int64).reshape(-1)
@@ -76,10 +86,9 @@ def skip_next_replacements(times, rng: np.random.Generator) -> list[int]:
         if ceil.max() < _EXACT_JUMP:
             jumps = np.maximum(ceil.astype(np.int64), pos + 1)
     if jumps is None:
-        jumps = np.array([
-            t + 1 if x <= 0.0 else max(t + 1, math.ceil(t / x))
-            for t, x in zip(pos.tolist(), u.tolist())
-        ], dtype=object)
+        jumps = np.array(
+            [_jump(t, x) for t, x in zip(pos.tolist(), u.tolist())], dtype=object
+        )
     if count == ts.size:
         return jumps.tolist()
     out = np.ones(ts.size, dtype=jumps.dtype)

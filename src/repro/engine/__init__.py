@@ -16,8 +16,8 @@ scales out without giving up the *truly perfect* guarantee:
 * :mod:`repro.engine.shard` — :class:`ShardedSamplerEngine`, K shards
   merged into one exact global sample, with query/cadence expiry
   compaction, merge-time watermark-skew checks, and the query fast
-  path: an epoch-keyed merged-view cache (full hit / prefix rebase /
-  from-scratch fold) plus batched ``sample_many`` queries;
+  path: an epoch-keyed merged-view cache (a hit reuses the fold, any
+  epoch change folds from scratch) plus batched ``sample_many`` queries;
 * :mod:`repro.engine.registry` — :func:`build_sampler` /
   :func:`build_measure`, config-driven construction over a thin
   kind → :class:`KindSpec` table.

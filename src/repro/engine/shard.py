@@ -25,14 +25,11 @@ the engine does not re-fold per query: it keeps one *merged-view cache*
 keyed by per-shard **mutation epochs** — monotonically increasing
 counters bumped whenever a shard's state changes (ingest, restore,
 merge, or a compaction that actually dropped state).  A query whose
-epochs all match the cached fold reuses it outright; when only some
-shards changed, the fold is rebased from the longest clean *prefix fold*
-and only the dirty suffix re-merges; when everything changed (the
-common case after a batched ingest, which hash-scatters across all
-shards) the engine folds from scratch at exactly the old cost.  The
-cached view keeps its own RNG stream — see :meth:`sample` for the
-determinism contract — and ``sample_many(k)`` amortizes one fold and
-one batched coin block across ``k`` draws.
+epochs all match the cached fold reuses it outright (a ``hit``); any
+epoch change folds from scratch with :func:`~repro.engine.state.merged`
+(a ``scratch`` fold).  The cached view keeps its own RNG stream — see
+:meth:`sample` for the determinism contract — and ``sample_many(k)``
+amortizes one fold and one batched coin block across ``k`` draws.
 
 The engine is written purely against the
 :class:`repro.lifecycle.StreamSampler` protocol — it never inspects
@@ -54,7 +51,6 @@ ride on the uniform protocol:
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from typing import NamedTuple
@@ -66,7 +62,7 @@ from repro.core.types import SampleResult, as_item_array
 from repro.engine.batch import DEFAULT_CHUNK_SIZE, ingest
 from repro.engine.partition import UniversePartitioner
 from repro.engine.registry import build_sampler, kind_spec
-from repro.engine.state import merged
+from repro.engine.state import load_state, merged
 from repro.lifecycle import WatermarkSkewError, missing_hooks
 from repro.obs.catalog import CATALOG_HELP
 from repro.obs.metrics import current_registry, use_registry
@@ -120,10 +116,6 @@ class ShardedSamplerEngine:
         many ingested updates (in addition to the always-on query-time
         pass) — the timer leg of expiry compaction for write-heavy,
         query-light deployments.
-    query_cache:
-        Keep the merged-view cache (default).  ``False`` restores the
-        PR 1 fold-per-query behavior: every :meth:`sample` re-folds from
-        scratch and replays the same coins until the next ingest.
     metrics:
         :class:`~repro.obs.MetricsRegistry` the engine's fold/epoch/
         compaction instruments register in; ``None`` (default) resolves
@@ -145,7 +137,6 @@ class ShardedSamplerEngine:
         seed: int | None = None,
         max_watermark_skew: float = math.inf,
         compact_every: int | None = None,
-        query_cache: bool = True,
         metrics=None,
     ) -> None:
         if shards < 1:
@@ -200,16 +191,12 @@ class ShardedSamplerEngine:
                 f"StreamSampler lifecycle protocol (missing hooks: "
                 f"{', '.join(missing)})"
             )
-        # Merged-view cache: per-shard mutation epochs key the cached
-        # fold; the prefix chain enables incremental rebase-on-dirty.
-        self._query_cache = bool(query_cache)
+        # Merged-view cache: per-shard mutation epochs key the cached fold.
         self._epochs = [0] * shards
         self._fold = None
         self._fold_epochs: list[int] | None = None
-        self._prefixes: list | None = None
         self._cache_hits = 0
         self._cache_misses = 0
-        self._cache_partial = 0
         # Pre-resolved instrument children (shared NOOP when the
         # registry is disabled) so the hot paths skip label lookups.
         fold_c = registry.counter(
@@ -217,17 +204,13 @@ class ShardedSamplerEngine:
             CATALOG_HELP["repro_engine_fold_total"],
             labels=("regime",),
         )
-        self._m_fold = {
-            r: fold_c.labels(regime=r) for r in ("hit", "rebase", "scratch")
-        }
-        fold_s = registry.histogram(
+        self._m_fold_hit = fold_c.labels(regime="hit")
+        self._m_fold_scratch = fold_c.labels(regime="scratch")
+        self._m_fold_seconds = registry.histogram(
             "repro_engine_fold_seconds",
             CATALOG_HELP["repro_engine_fold_seconds"],
             labels=("regime",),
-        )
-        self._m_fold_seconds = {
-            r: fold_s.labels(regime=r) for r in ("rebase", "scratch")
-        }
+        ).labels(regime="scratch")
         epoch_c = registry.counter(
             "repro_engine_epoch_bumps_total",
             CATALOG_HELP["repro_engine_epoch_bumps_total"],
@@ -356,7 +339,7 @@ class ShardedSamplerEngine:
                             part = piece if order is None else piece[order[lo:hi]]
                             ingest(sampler, part, chunk_size=chunk_size)
             finally:
-                self._bump_fed(fed)
+                self._bump_written(fed)
             self._after_ingest(int(arr.size))
             return int(arr.size)
         inner = getattr(items, "items", None)
@@ -387,19 +370,20 @@ class ShardedSamplerEngine:
                     stop = start + chunk_size
                     samplers[shard]._ingest(part[start:stop], when[start:stop])
         finally:
-            self._bump_fed(fed)
+            self._bump_written(fed)
         self._after_ingest(int(arr.size))
         return int(arr.size)
 
-    def _bump_fed(self, fed: list[bool]) -> None:
-        """Bump the mutation epoch of every shard an ingest fed."""
+    def _bump_written(self, written: list[bool], reason: str = "ingest") -> None:
+        """Bump the mutation epoch of every shard an ingest (or a
+        restore) wrote to, attributing the bumps to ``reason``."""
         bumps = 0
-        for shard, hit in enumerate(fed):
+        for shard, hit in enumerate(written):
             if hit:
                 self._epochs[shard] += 1
                 bumps += 1
         if bumps:
-            self._m_epoch["ingest"].add(bumps)
+            self._m_epoch[reason].add(bumps)
 
     def ingest_shard(
         self,
@@ -525,8 +509,7 @@ class ShardedSamplerEngine:
         skew first.
 
         This always folds from scratch — it is the cache-bypassing
-        reference path (and what ``query_cache=False`` queries run on);
-        the returned sampler is the caller's to mutate.
+        reference path; the returned sampler is the caller's to mutate.
         """
         self._check_watermark_skew(self._samplers)
         return merged(self._samplers)
@@ -553,30 +536,14 @@ class ShardedSamplerEngine:
         self._bump_all("invalidate")
 
     def cache_info(self) -> dict:
-        """Merged-view cache counters: full ``hits``, from-scratch
-        ``misses``, incremental ``rebases`` (prefix-chain rebuilds), and
-        the number of ``prefix_folds`` currently held (each is one
-        merged-state copy — the memory price of incremental refolds).
-
-        ``partial`` is the pre-PR 5 name for ``rebases`` and is kept as
-        a deprecated alias; it is assigned from the ``rebases`` entry
-        below (one source, no drift) and will go away once downstream
-        dashboards migrate.
-        """
-        info = {
-            "enabled": self._query_cache,
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "rebases": self._cache_partial,
-            "prefix_folds": len(self._prefixes) if self._prefixes else 0,
-        }
-        info["partial"] = info["rebases"]  # deprecated alias, same counter
-        return info
+        """Merged-view cache counters: ``hits`` (queries served by the
+        cached fold) and ``misses`` (folds rebuilt from scratch)."""
+        return {"hits": self._cache_hits, "misses": self._cache_misses}
 
     def acquire_fold(self) -> FoldHandle:
         """Acquire the current merged view for reader-side serving: the
-        cached fold (rebuilt only as far as the mutation epochs demand),
-        its epoch snapshot, and the engine watermark.
+        cached fold (re-folded if any mutation epoch moved), its epoch
+        snapshot, and the engine watermark.
 
         This is the query plane's entry point: the serving layer calls
         it with all shard writers quiesced (it reads every shard's
@@ -584,74 +551,29 @@ class ShardedSamplerEngine:
         see :class:`FoldHandle` for the sharing rules.  Watermark skew
         is checked exactly as :meth:`sample` would; unlike a query, no
         compaction pass runs (the serving ticker owns that cadence).
-        With ``query_cache=False`` every acquisition folds from scratch.
         """
         self._check_watermark_skew(self._samplers)
         epochs = tuple(self._epochs)
-        fold = self._merged_view() if self._query_cache else merged(self._samplers)
-        return FoldHandle(fold, epochs, self.watermark())
+        return FoldHandle(self._merged_view(), epochs, self.watermark())
 
     def _merged_view(self):
-        """The cached fold of all shard states, rebuilt only as far as
-        the mutation epochs demand.
-
-        Three regimes, cheapest first: every epoch matches → return the
-        cached fold as-is (zero copies); the dirty set is a short
-        suffix (at least half the shard prefix is clean) → rebase from
-        the longest clean prefix fold, re-merging only dirty and later
-        shards and keeping the chain for future suffixes; otherwise →
-        fold from scratch exactly like :func:`merged` and drop the
-        prefix chain (a batched ingest hash-scatters across all shards,
-        and maintaining prefixes costs a copy per merge step plus
-        O(K · state) retained memory — it only pays off when most of
-        the chain survives to the next query).
-
-        The chain is built copy-then-merge, so the final fold is bitwise
-        identical to a from-scratch :func:`merged` of the same shard
-        states — cached and fresh folds answer identically.
-        """
+        """The cached fold of all shard states: returned as-is when
+        every mutation epoch matches the one it was built at, otherwise
+        rebuilt from scratch with :func:`merged` — so cached and fresh
+        folds of the same shard states answer identically."""
         epochs = list(self._epochs)
         if self._fold is not None and self._fold_epochs == epochs:
             self._cache_hits += 1
-            self._m_fold["hit"].inc()
+            self._m_fold_hit.inc()
             return self._fold
-        shards = self._samplers
-        k = len(shards)
-        clean = 0
-        if self._fold_epochs is not None:
-            while clean < k and self._fold_epochs[clean] == epochs[clean]:
-                clean += 1
-        usable = min(clean, len(self._prefixes) if self._prefixes else 0)
         t0 = time.perf_counter() if self._metrics_on else 0.0
-        with span("engine.fold", shards=k) as sp:
-            if k == 1 or clean < max(1, k // 2):
-                # Mostly (or fully) dirty: from-scratch fold, no prefix
-                # upkeep — rebuilding a long chain would cost ~2-3x a plain
-                # fold only to be discarded by the next scattered ingest.
-                regime = "scratch"
-                self._cache_misses += 1
-                self._prefixes = None
-                self._fold = merged(shards)
-            else:
-                # The dirty set is a short suffix: rebase from (or invest
-                # in) the prefix chain so it — and future short suffixes —
-                # re-merge incrementally.
-                regime = "rebase"
-                self._cache_partial += 1
-                prefixes = list(self._prefixes[:usable]) if usable else []
-                if not prefixes:
-                    prefixes.append(copy.deepcopy(shards[0]))
-                for i in range(len(prefixes), k):
-                    fold = copy.deepcopy(prefixes[-1])
-                    fold.merge(shards[i])
-                    prefixes.append(fold)
-                self._prefixes = prefixes
-                self._fold = prefixes[-1]
-            sp.set(regime=regime)
+        with span("engine.fold", shards=len(self._samplers), regime="scratch"):
+            self._fold = merged(self._samplers)
         self._fold_epochs = epochs
-        self._m_fold[regime].inc()
+        self._cache_misses += 1
+        self._m_fold_scratch.inc()
         if self._metrics_on:
-            self._m_fold_seconds[regime].observe(time.perf_counter() - t0)
+            self._m_fold_seconds.observe(time.perf_counter() - t0)
         return self._fold
 
     def sample(self, **kwargs) -> SampleResult:
@@ -664,17 +586,14 @@ class ShardedSamplerEngine:
         pass through to the merged sampler's ``sample`` (e.g. ``now=``
         for time-windowed kinds).
 
-        **Determinism contract.**  With the merged-view cache on (the
-        default), the fold's RNG stream is seeded from shard 0's RNG
-        state *at fold time* and then persists across queries: repeated
-        calls draw successive coins from that stream, giving fresh,
-        independent samples, and the whole query sequence is a
-        deterministic function of (engine seed, ingest history, query
-        sequence).  The first query after any (re)fold is bitwise
+        **Determinism contract.**  The fold's RNG stream is seeded from
+        shard 0's RNG state *at fold time* and then persists across
+        queries: repeated calls draw successive coins from that stream,
+        giving fresh, independent samples, and the whole query sequence
+        is a deterministic function of (engine seed, ingest history,
+        query sequence).  The first query after any (re)fold is bitwise
         identical to a fresh :meth:`merged_sampler` query of the same
-        shard states.  With ``query_cache=False`` every call re-folds
-        and re-seeds from shard 0's live RNG, so repeated calls without
-        further ingestion replay the same coins (the legacy behavior).
+        shard states.
         """
         # Skew must be judged on the shards' own clocks: the compaction
         # pass below syncs every watermark to the query's `now`, which
@@ -682,8 +601,6 @@ class ShardedSamplerEngine:
         self._check_watermark_skew(self._samplers)
         self.compact(kwargs.get("now"))
         kwargs = self._pin_query_now(kwargs)
-        if not self._query_cache:
-            return merged(self._samplers).sample(**kwargs)
         return self._merged_view().sample(**kwargs)
 
     def sample_many(self, k: int, **kwargs) -> list[SampleResult]:
@@ -692,13 +609,9 @@ class ShardedSamplerEngine:
         Amortizes the skew check, the compaction pass, the fold (cache
         hit or rebuild), and — for kinds with a vectorized
         ``sample_many`` — one batched coin block across all ``k`` draws.
-        With the merged-view cache on (the default) this is bitwise
-        identical to ``k`` back-to-back :meth:`sample` calls with no
-        ingest in between: both draw successive coins from the retained
-        fold's stream.  With ``query_cache=False`` the two differ by
-        design — sequential :meth:`sample` calls re-fold and *replay*
-        the same coins (the legacy contract), while ``sample_many``
-        folds once and draws ``k`` successive coin rows.
+        This is bitwise identical to ``k`` back-to-back :meth:`sample`
+        calls with no ingest in between: both draw successive coins from
+        the retained fold's stream.
 
         Treat the returned results as immutable values: draws that
         accepted the same pool instance share one frozen
@@ -711,9 +624,7 @@ class ShardedSamplerEngine:
         self._check_watermark_skew(self._samplers)
         self.compact(kwargs.get("now"))
         kwargs = self._pin_query_now(kwargs)
-        fold = (
-            self._merged_view() if self._query_cache else merged(self._samplers)
-        )
+        fold = self._merged_view()
         many = getattr(fold, "sample_many", None)
         if callable(many):
             return many(k, **kwargs)
@@ -776,14 +687,16 @@ class ShardedSamplerEngine:
                 f"snapshot has {len(shard_states)} shards, engine has "
                 f"{len(self._samplers)}"
             )
-        for i, sampler in enumerate(self._samplers):
-            sampler.restore(shard_states[str(i)])
-        # Every shard's state was rewritten wholesale: stale folds (and
-        # their prefix chain) must never serve another query.
-        self._prefixes = None
-        self._fold = None
-        self._fold_epochs = None
-        self._bump_all("restore")
+        # Shards are overwritten one at a time: if one rejects its state,
+        # the ones already (or partly) rewritten must still bump, or the
+        # cached fold would keep answering from the pre-restore universe.
+        tried = [False] * len(self._samplers)
+        try:
+            for i, sampler in enumerate(self._samplers):
+                tried[i] = True
+                sampler.restore(shard_states[str(i)])
+        finally:
+            self._bump_written(tried, "restore")
 
     def restore_shard(self, shard: int, state) -> None:
         """Restore one shard's sampler from a snapshot tree or enveloped
@@ -791,23 +704,22 @@ class ShardedSamplerEngine:
 
         This is the fold collector's write path for process-parallel
         serving: shard-owning worker processes ship per-shard snapshot
-        deltas back to the front door, and each delta lands here —
-        clean shards keep their epochs, so the merged-view cache still
-        gets its prefix-rebase regime when only a suffix moved.  The
-        caller owns concurrency (hold the shard's write lock in a
-        served deployment)."""
+        deltas back to the front door, and each delta lands here.  The
+        epoch bumps even when the restore raises, since a rejected state
+        may have been partly written.  The caller owns concurrency (hold
+        the shard's write lock in a served deployment)."""
         if not 0 <= shard < len(self._samplers):
             raise ValueError(
                 f"shard {shard} out of range for {len(self._samplers)} shards"
             )
-        if isinstance(state, (bytes, bytearray, memoryview)):
-            from repro.engine.state import load_state
-
-            load_state(self._samplers[shard], bytes(state))
-        else:
-            self._samplers[shard].restore(state)
-        self._epochs[shard] += 1
-        self._m_epoch["restore"].inc()
+        try:
+            if isinstance(state, (bytes, bytearray, memoryview)):
+                load_state(self._samplers[shard], bytes(state))
+            else:
+                self._samplers[shard].restore(state)
+        finally:
+            self._epochs[shard] += 1
+            self._m_epoch["restore"].inc()
 
     def merge(self, other: "ShardedSamplerEngine") -> None:
         """Shard-wise merge of two engines with identical layouts (e.g.

@@ -66,10 +66,11 @@ def merged(samplers):
     deterministic draws, while *re-folding* before every query resets
     the stream and replays the same coins until the inputs ingest again.
     :class:`~repro.engine.ShardedSamplerEngine` builds its merged-view
-    cache on the retained-fold behavior: its first query after any
-    (re)fold is bitwise identical to a fresh ``merged(...)`` query of
-    the same shard states, and later cache-hit queries continue the
-    fold's stream.
+    cache on the retained-fold behavior: it keeps one ``merged(...)``
+    fold while no shard's epoch moves and calls ``merged(...)`` afresh
+    when any does, so its first query after any refold is bitwise
+    identical to a fresh ``merged(...)`` query of the same shard states,
+    and later cache-hit queries continue the fold's stream.
     """
     samplers = list(samplers)
     if not samplers:

@@ -41,11 +41,11 @@ METRIC_CATALOG: tuple[CatalogEntry, ...] = (
     # -- engine (merged-view cache + lifecycle) ------------------------------
     CatalogEntry(
         "repro_engine_fold_total", "counter", ("regime",),
-        "Merged-view cache outcomes: full hit / prefix rebase / from-scratch fold",
+        "Merged-view cache outcomes: hit (cached fold reused) / scratch (fold rebuilt)",
     ),
     CatalogEntry(
         "repro_engine_fold_seconds", "histogram", ("regime",),
-        "Fold (re)build duration for the rebase and scratch regimes",
+        "Fold rebuild duration (regime=scratch)",
     ),
     CatalogEntry(
         "repro_engine_epoch_bumps_total", "counter", ("reason",),

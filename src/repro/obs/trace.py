@@ -4,9 +4,9 @@ A span times one named operation and records where it ended up::
 
     from repro.obs import span
 
-    with span("engine.fold", shards=8) as sp:
+    with span("serving.compaction") as sp:
         ...
-        sp.set(regime="rebase")        # attach attrs discovered mid-span
+        sp.set(freed=freed)            # attach attrs discovered mid-span
 
 On exit the span appends one :class:`SpanEvent` — name, start, wall
 duration, outcome (``"ok"`` or the exception type's name; exceptions
@@ -102,8 +102,8 @@ class _Span:
         self.attrs = attrs
 
     def set(self, **attrs) -> None:
-        """Attach attributes discovered mid-span (e.g. the fold regime,
-        bytes reclaimed)."""
+        """Attach attributes discovered mid-span (e.g. bytes
+        reclaimed, the generation published)."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "_Span":

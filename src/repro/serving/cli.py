@@ -525,8 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         cache = summary["cache"]
         print(
             f"fold generations {summary['fold_generation'] + 1}, cache "
-            f"hits/misses/rebases {cache['hits']}/{cache['misses']}/"
-            f"{cache['rebases']}"
+            f"hits/misses {cache['hits']}/{cache['misses']}"
         )
     if stats["ingest"]["applied_items"] != args.items:
         print(

@@ -33,8 +33,8 @@ lock-free.  :class:`QueryExecutor` resolves it with two modes:
 
 **Publication protocol.**  ``refresh()`` quiesces all shard writers
 (taking every shard lock in ascending order), asks the engine for its
-merged view (``acquire_fold`` — the epoch-keyed cache does full-hit /
-prefix-rebase / from-scratch exactly as for direct queries), and
+merged view (``acquire_fold`` — the epoch-keyed cache reuses the fold
+or re-folds from scratch exactly as for direct queries), and
 publishes a new generation only when the epochs actually moved.
 Readers pick up a new generation at their next query by a single
 reference read — the swap is one Python assignment, torn folds cannot

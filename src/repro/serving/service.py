@@ -245,7 +245,6 @@ class SamplerService:
                     shards=shards,
                     seed=seed,
                     max_watermark_skew=max_watermark_skew,
-                    query_cache=True,
                     metrics=self._metrics,
                 )
         k = self._engine.shards
@@ -1104,7 +1103,7 @@ class SamplerService:
     # -- observability ------------------------------------------------------
     def stats(self) -> dict:
         """The service's stats endpoint: queue/ingest counters, query
-        plane state, engine cache hit/miss/rebase counters, compaction
+        plane state, engine cache hit/miss counters, compaction
         totals.
 
         Built on the metrics registry: with metrics enabled the ingest

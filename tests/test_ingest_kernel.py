@@ -248,6 +248,22 @@ class TestCompiledLoop:
         assert batched.heap_events == scalar.heap_events
         assert batched.finalize() == scalar.finalize()
 
+    def test_far_wakes_saturate_alike(self):
+        # Past 2^60 most redrawn wakes overflow an int64: scalar update()
+        # caps them at 2^63 - 1 exactly as the compiled loop does.
+        pool = SamplerPool(64, seed=4)
+        pool.update_batch(_zipf(500, 50, seed=3))
+        state = pool.snapshot()
+        state["position"] = (1 << 60) + 3
+        state["heap_times"] = np.full(64, (1 << 60) + 4, dtype=np.int64)
+        scalar, batched = SamplerPool(64, seed=4), SamplerPool(64, seed=4)
+        scalar.restore(state)
+        batched.restore(state)
+        scalar.update(7)  # every instance wakes here
+        batched.update_batch(np.array([7]))
+        assert max(when for when, __ in scalar._heap) == (1 << 63) - 1
+        _assert_pools_bitwise(batched, scalar)
+
     def test_scalar_and_batched_calls_interleave(self):
         # Every state reader sees what the compiled loop wrote back as
         # the scalar loop would have left it: scalar updates, positions,

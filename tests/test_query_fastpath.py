@@ -3,6 +3,8 @@ bitwise), mutation-epoch bookkeeping, invalidation under every mutating
 lifecycle hook, batched ``sample_many`` parity and distribution, and the
 vectorized windowed-F0 LRU kernel."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -104,16 +106,30 @@ class TestCachedEqualsFresh:
                 kind, lo,
             )
 
-    def test_cache_disabled_replays_legacy_coins(self):
-        """query_cache=False restores the PR 1 behavior: repeated
-        queries without ingestion re-fold and replay the same coins."""
-        engine = ShardedSamplerEngine(
-            ENGINE_CONFIGS["g"], shards=4, seed=3, query_cache=False
-        )
-        engine.ingest(ITEMS)
-        assert engine.sample() == engine.sample()
-        assert engine.cache_info()["enabled"] is False
-        assert engine.cache_info()["hits"] == 0
+    def test_perf_suite_config_k8(self):
+        """The perf suite's query config at K=8, on a 20K-item prefix of
+        its stream fed in four chunks: after every chunk the cached
+        query equals the fold-per-query reference (the query-time
+        compaction pass, then a fresh fold)."""
+        config = {"kind": "g", "measure": {"name": "huber"}, "instances": 64}
+        items = np.asarray(zipf_stream(1 << 14, 20_000, alpha=1.2, seed=1).items)
+        cached = ShardedSamplerEngine(config, shards=8, seed=7)
+        fresh = ShardedSamplerEngine(config, shards=8, seed=7)
+        for chunk in np.array_split(items, 4):
+            cached.ingest(chunk)
+            fresh.ingest(chunk)
+            fresh.compact()
+            assert cached.sample() == fresh.merged_sampler().sample()
+
+    def test_engine_has_no_cache_switch(self):
+        """One query path: the cache is not optional, and it counts only
+        hits and from-scratch misses."""
+        assert list(inspect.signature(ShardedSamplerEngine).parameters) == [
+            "config", "shards", "partitioner", "seed", "max_watermark_skew",
+            "compact_every", "metrics",
+        ]
+        engine, __ = _engines("g")
+        assert engine.cache_info() == {"hits": 0, "misses": 0}
 
     def test_cached_queries_draw_fresh_coins_deterministically(self):
         """With the cache on, the query sequence is deterministic in the
@@ -294,8 +310,8 @@ class TestInvalidation:
         assert engine.sample() == fresh.merged_sampler().sample()
 
     def test_partial_rebuild_matches_fresh(self):
-        """Scalar updates dirty one shard; the prefix-chain rebase must
-        still reproduce the from-scratch fold bitwise."""
+        """Scalar updates dirty one shard; each refold must still
+        reproduce the from-scratch fold bitwise."""
         cached, fresh = _engines("g", shards=4)
         cached.ingest(ITEMS)
         fresh.ingest(ITEMS)
@@ -304,7 +320,39 @@ class TestInvalidation:
             cached.update(item)
             fresh.update(item)
             assert cached.sample() == fresh.merged_sampler().sample(), item
-        assert cached.cache_info()["partial"] >= 1
+        assert cached.cache_info()["misses"] == 6
+
+    def test_failed_restore_invalidates_cache(self):
+        """A restore that fails part-way has already overwritten the
+        earlier shards; the next query must refold them, not answer from
+        the fold cached before the restore."""
+        engine = ShardedSamplerEngine(ENGINE_CONFIGS["g"], shards=4, seed=3)
+        engine.ingest(ITEMS[:500])
+        engine.sample()  # cache the pre-restore fold
+        donor = ShardedSamplerEngine(ENGINE_CONFIGS["g"], shards=4, seed=3)
+        donor.ingest(ITEMS)
+        snap = donor.snapshot()
+        snap["shards"]["3"]["pool"]["instances"] = 0
+        before = engine.mutation_epochs()
+        with pytest.raises(ValueError):
+            engine.restore(snap)
+        after = engine.mutation_epochs()
+        assert all(b > a for a, b in zip(before[:3], after[:3]))
+        assert engine.sample() == engine.merged_sampler().sample()
+
+    def test_failed_restore_shard_invalidates_cache(self):
+        engine = ShardedSamplerEngine(ENGINE_CONFIGS["g"], shards=4, seed=3)
+        engine.ingest(ITEMS[:500])
+        engine.sample()
+        state = engine.samplers[1].snapshot()
+        state["pool"]["instances"] = 0
+        before = engine.mutation_epochs()
+        with pytest.raises(ValueError):
+            engine.restore_shard(1, state)
+        assert engine.mutation_epochs()[1] == before[1] + 1
+        assert engine.cache_info()["misses"] == 1
+        engine.sample()
+        assert engine.cache_info()["misses"] == 2
 
 
 class TestSampleMany:

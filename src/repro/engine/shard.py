@@ -176,7 +176,6 @@ class ShardedSamplerEngine:
             shard_seeds = [int(s.generate_state(1)[0]) for s in root.spawn(shards)]
         registry = current_registry() if metrics is None else metrics
         self._metrics = registry
-        self._metrics_on = registry.enabled
         self._shard_seeds = list(shard_seeds)
         self._samplers = []
         with use_registry(registry):
@@ -566,14 +565,13 @@ class ShardedSamplerEngine:
             self._cache_hits += 1
             self._m_fold_hit.inc()
             return self._fold
-        t0 = time.perf_counter() if self._metrics_on else 0.0
+        t0 = time.perf_counter()
         with span("engine.fold", shards=len(self._samplers), regime="scratch"):
             self._fold = merged(self._samplers)
         self._fold_epochs = epochs
         self._cache_misses += 1
         self._m_fold_scratch.inc()
-        if self._metrics_on:
-            self._m_fold_seconds.observe(time.perf_counter() - t0)
+        self._m_fold_seconds.observe(time.perf_counter() - t0)
         return self._fold
 
     def sample(self, **kwargs) -> SampleResult:

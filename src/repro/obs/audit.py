@@ -630,9 +630,9 @@ class Auditor:
         self._m_verdict = registry.gauge(
             "repro_audit_verdict", CATALOG_HELP["repro_audit_verdict"]
         )
-        self._m_draws = registry.counter(
+        registry.counter(
             "repro_audit_draws_total", CATALOG_HELP["repro_audit_draws_total"]
-        )
+        ).add_function(lambda: self._draws_total)
         self._m_tvd = registry.gauge(
             "repro_audit_tvd_bound", CATALOG_HELP["repro_audit_tvd_bound"]
         )
@@ -745,7 +745,6 @@ class Auditor:
         self._ticks += 1
         draws = len(results)
         self._draws_total += draws
-        self._m_draws.add(draws)
         base = dict(
             tick=self._ticks, draws=draws, generation=generation, watermark=now
         )

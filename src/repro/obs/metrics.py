@@ -14,6 +14,11 @@ Design constraints, in order:
   instrumented code costs a flag check and the bitwise-determinism
   contracts and perf gates are untouched.  Callers that time an
   operation should guard the clock reads on ``instrument.enabled``.
+* **One store per count.**  A count some component already keeps (a
+  queue's applied items, an executor's refreshes) is not written a
+  second time: its counter child reads it through
+  :meth:`Counter.add_function`, so disabling the registry removes the
+  exposition and changes no arithmetic.
 * **Exact under concurrency.**  Increments are never lost: the
   thread-safety test hammers one counter and one histogram from many
   threads and asserts exact totals.
@@ -120,14 +125,16 @@ class _SharedIdentity:
 
 
 class Counter(_SharedIdentity):
-    """A monotonically increasing counter (one labeled child)."""
+    """A monotonically increasing counter (one labeled child): what it
+    counted itself plus what its sources (:meth:`add_function`) report."""
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_lock", "_value", "_fns")
     enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
+        self._fns = ()
 
     def inc(self) -> None:
         with self._lock:
@@ -148,9 +155,26 @@ class Counter(_SharedIdentity):
             if value > self._value:
                 self._value = float(value)
 
+    def add_function(self, fn) -> None:
+        """Also count ``fn()``, evaluated on every read — how the
+        registry reads a count some component already keeps, instead of
+        keeping a second copy.  Sources add up: services sharing one
+        registry sum into one child, and a closed service's final count
+        stays in it (the source keeps its component alive as long as the
+        registry).  A raising source reads as NaN, like a callback
+        gauge."""
+        with self._lock:
+            self._fns = (*self._fns, fn)
+
     @property
     def value(self) -> float:
-        return self._value
+        fns = self._fns
+        if not fns:
+            return self._value
+        try:
+            return self._value + sum(float(fn()) for fn in fns)
+        except Exception:
+            return math.nan
 
 
 class Gauge(_SharedIdentity):
@@ -313,6 +337,9 @@ class _Noop(_SharedIdentity):
     def set_function(self, fn) -> None:
         pass
 
+    def add_function(self, fn) -> None:
+        pass
+
     def observe(self, v: float) -> None:
         pass
 
@@ -426,6 +453,9 @@ class Family(_SharedIdentity):
 
     def set_function(self, fn) -> None:
         self._solo.set_function(fn)
+
+    def add_function(self, fn) -> None:
+        self._solo.add_function(fn)
 
     def observe(self, v: float) -> None:
         self._solo.observe(v)

@@ -115,16 +115,6 @@ class QueryExecutor:
             raise ValueError(
                 f"unknown rng_mode {rng_mode!r}; choose from {RNG_MODES}"
             )
-        registry = current_registry() if metrics is None else metrics
-        refresh_c = registry.counter(
-            "repro_serving_fold_refresh_total",
-            CATALOG_HELP["repro_serving_fold_refresh_total"],
-            labels=("result",),
-        )
-        self._m_refresh = {
-            r: refresh_c.labels(result=r)
-            for r in ("published", "unchanged", "error")
-        }
         self._engine = engine
         self._locks = shard_locks
         self._seed = seed
@@ -134,7 +124,21 @@ class QueryExecutor:
         self._query_lock = threading.Lock()
         self._reader_ids = itertools.count()
         self._slot = _ReaderSlot()
-        self._refreshes = 0
+        # Refresh outcomes, the one store the registry and stats() read.
+        # "unchanged" is counted on the lock-free fast path, so every
+        # count moves under its own small lock.
+        self._refresh_counts = {"published": 0, "unchanged": 0, "error": 0}
+        self._counts_lock = threading.Lock()
+        registry = current_registry() if metrics is None else metrics
+        refresh_c = registry.counter(
+            "repro_serving_fold_refresh_total",
+            CATALOG_HELP["repro_serving_fold_refresh_total"],
+            labels=("result",),
+        )
+        for result in self._refresh_counts:
+            refresh_c.labels(result=result).add_function(
+                lambda result=result: self._refresh_counts[result]
+            )
         # A failed refresh (e.g. WatermarkSkewError) latches here and is
         # re-raised by every lock-free query until a refresh succeeds —
         # mirroring the direct engine, where each query re-checks skew.
@@ -235,7 +239,7 @@ class QueryExecutor:
         return {
             "rng_mode": self._mode,
             "served": served,
-            "refreshes": self._refreshes,
+            "refreshes": self._refresh_counts["published"],
             "generation": self.generation,
             "readers": readers,
             "views_copied": views_copied,
@@ -260,6 +264,10 @@ class QueryExecutor:
         for lock in self._locks:
             lock.release()
 
+    def _count_refresh(self, result: str) -> None:
+        with self._counts_lock:
+            self._refresh_counts[result] += 1
+
     def refresh(self, force: bool = False) -> bool:
         """Re-acquire the merged view and publish a new generation if
         the shard epochs moved (or ``force``); returns whether a new
@@ -275,7 +283,7 @@ class QueryExecutor:
             and not force
             and list(published.epochs) == self._engine.mutation_epochs()
         ):
-            self._m_refresh["unchanged"].inc()
+            self._count_refresh("unchanged")
             return False
         with self._refresh_lock:
             published = self._published
@@ -284,7 +292,7 @@ class QueryExecutor:
                 and not force
                 and list(published.epochs) == self._engine.mutation_epochs()
             ):
-                self._m_refresh["unchanged"].inc()
+                self._count_refresh("unchanged")
                 return False
             with span("serving.refresh") as sp:
                 self._quiesce()
@@ -292,7 +300,7 @@ class QueryExecutor:
                     handle = self._engine.acquire_fold()
                 except Exception as exc:
                     self._refresh_error = exc
-                    self._m_refresh["error"].inc()
+                    self._count_refresh("error")
                     raise
                 finally:
                     self._release()
@@ -302,8 +310,7 @@ class QueryExecutor:
                     generation, handle.fold, handle.epochs, handle.watermark,
                     time.monotonic(),
                 )
-                self._refreshes += 1
-                self._m_refresh["published"].inc()
+                self._count_refresh("published")
                 sp.set(generation=generation)
             return True
 

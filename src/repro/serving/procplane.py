@@ -308,7 +308,6 @@ class WorkerLink:
         self.restarts = 0
         self.acked_epoch = {s: 0 for s in self.owned}
         self.pulled_epoch = {s: 0 for s in self.owned}
-        self.applied_batches = 0
         self.last_ack_at = time.monotonic()
         # -- cross-process telemetry state --------------------------------
         self.telemetry = bool(telemetry)
@@ -338,35 +337,22 @@ class WorkerLink:
 
         registry = current_registry() if metrics is None else metrics
         self._registry = registry
-        self._metrics_on = registry.enabled
-        applied = registry.counter(
-            "repro_serving_applied_items_total",
-            CATALOG_HELP["repro_serving_applied_items_total"],
-            labels=("shard",),
-        )
-        failed = registry.counter(
-            "repro_serving_failed_items_total",
-            CATALOG_HELP["repro_serving_failed_items_total"],
-            labels=("shard",),
-        )
         apply_s = registry.histogram(
             "repro_serving_ingest_apply_seconds",
             CATALOG_HELP["repro_serving_ingest_apply_seconds"],
             labels=("shard",),
         )
-        self._m_applied = {s: applied.labels(shard=str(s)) for s in self.owned}
-        self._m_failed = {s: failed.labels(shard=str(s)) for s in self.owned}
         self._m_apply_s = {s: apply_s.labels(shard=str(s)) for s in self.owned}
         self._m_coalesce = registry.histogram(
             "repro_serving_batch_coalesce_items",
             CATALOG_HELP["repro_serving_batch_coalesce_items"],
             buckets=SIZE_BUCKETS,
         )
-        self._m_restarts = registry.counter(
+        registry.counter(
             "repro_serving_worker_restarts_total",
             CATALOG_HELP["repro_serving_worker_restarts_total"],
             labels=("worker",),
-        ).labels(worker=str(index))
+        ).labels(worker=str(index)).add_function(lambda: self.restarts)
 
     # -- boot ---------------------------------------------------------------
     def _boot_frame(self) -> dict:
@@ -440,10 +426,6 @@ class WorkerLink:
         self._recv_t.start()
 
     # -- pump: owned queue lanes → ingest frames ----------------------------
-    def _fail_batch(self, shard: int, n: int) -> None:
-        self._queues.mark_applied(shard, n, ok=False)
-        self._m_failed[shard].add(n)
-
     def _pump(self) -> None:
         while True:
             got = self._queues.take(self.owned, self._cursor, self._max_batch)
@@ -452,26 +434,11 @@ class WorkerLink:
                     return
                 self._queues.wait_for_work(self.owned, self._halt)
                 continue
-            lane_idx, batches = got
-            self._cursor = lane_idx + 1
-            shard = batches[0].shard
-            n = sum(len(batch) for batch in batches)
+            shard, items, ts, n = got
+            self._cursor = self.owned.index(shard) + 1
             if self.sink:
-                self._fail_batch(shard, n)
+                self._queues.mark_applied(shard, n, ok=False)
                 continue
-            items = (
-                batches[0].items
-                if len(batches) == 1
-                else np.concatenate([b.items for b in batches])
-            )
-            if batches[0].timestamps is None:
-                ts = None
-            else:
-                ts = (
-                    batches[0].timestamps
-                    if len(batches) == 1
-                    else np.concatenate([b.timestamps for b in batches])
-                )
             with self._window:
                 while (
                     len(self._inflight) >= MAX_INFLIGHT_FRAMES
@@ -481,16 +448,14 @@ class WorkerLink:
                 ):
                     self._window.wait(0.05)
                 if self.sink:
-                    self._fail_batch(shard, n)
+                    self._queues.mark_applied(shard, n, ok=False)
                     continue
                 self._inflight.append((shard, n))
             frame = {"type": "ingest", "shard": shard, "items": items}
             if ts is not None:
                 frame["ts"] = ts
             try:
-                with span(
-                    "serving.ipc_send", shard=shard, items=n, batches=len(batches)
-                ) as sp:
+                with span("serving.ipc_send", shard=shard, items=n) as sp:
                     ref = self._trace_ref(sp)
                     if ref is not None:
                         frame["trace"] = ref
@@ -505,7 +470,7 @@ class WorkerLink:
                         self._inflight.remove((shard, n))
                     except ValueError:
                         pass
-                self._fail_batch(shard, n)
+                self._queues.mark_applied(shard, n, ok=False)
                 if self._on_error is not None:
                     self._on_error(
                         WorkerDied(
@@ -548,24 +513,20 @@ class WorkerLink:
                 self._queues.mark_applied(shard, n, ok=ok)
                 if ok:
                     self.acked_epoch[shard] = int(frame["epoch"])
-                    self.applied_batches += 1
-                    self._m_applied[shard].add(n)
                     # With telemetry on, the worker observes its own
                     # apply histogram (shipped back with a worker
                     # label); observing the ack here too would count
                     # every apply twice in the merged view.
-                    if self._metrics_on and not self.telemetry:
+                    if not self.telemetry:
                         self._m_apply_s[shard].observe(float(frame["seconds"]))
-                else:
-                    self._m_failed[shard].add(n)
-                    if self._on_error is not None and shard >= 0:
-                        self._on_error(
-                            RuntimeError(
-                                f"worker {self.index} apply failed: "
-                                f"{frame.get('error')}"
-                            ),
-                            shard,
-                        )
+                elif self._on_error is not None and shard >= 0:
+                    self._on_error(
+                        RuntimeError(
+                            f"worker {self.index} apply failed: "
+                            f"{frame.get('error')}"
+                        ),
+                        shard,
+                    )
             else:  # control reply (state/compacted/pong/bye)
                 self._reply = frame
                 self._reply_evt.set()
@@ -587,7 +548,7 @@ class WorkerLink:
             self.acked_epoch[s] == self.pulled_epoch[s] for s in self.owned
         )
         for shard, n in stranded:
-            self._fail_batch(shard, n)
+            self._queues.mark_applied(shard, n, ok=False)
         if lossless and not self._halt.is_set():
             try:
                 self.spawn()
@@ -595,7 +556,6 @@ class WorkerLink:
                 self._latch_death(exitcode, f"restart failed: {exc!r}")
                 return False
             self.restarts += 1
-            self._m_restarts.inc()
             with self._window:
                 self._window.notify_all()
             return True
@@ -792,8 +752,6 @@ class ProcessPlane:
             CATALOG_HELP["repro_worker_telemetry_clock_offset_seconds"],
             labels=("worker",),
         )
-        self._m_ships = {}
-        self._m_spans = {}
         self._m_merge_errors = {}
         self._m_clock_offset = {}
         for link in self.links:
@@ -804,8 +762,12 @@ class ProcessPlane:
                     sum(d for s, d in enumerate(self._queues.depths()) if s in owned)
                 )
             )
-            self._m_ships[link.index] = ships.labels(worker=w)
-            self._m_spans[link.index] = spans_total.labels(worker=w)
+            ships.labels(worker=w).add_function(
+                lambda link=link: link.telemetry_ships
+            )
+            spans_total.labels(worker=w).add_function(
+                lambda link=link: link.telemetry_spans
+            )
             self._m_merge_errors[link.index] = merge_errors.labels(worker=w)
             self._m_clock_offset[link.index] = clock_offset.labels(worker=w)
             age.labels(worker=w).set_function(
@@ -917,9 +879,6 @@ class ProcessPlane:
         link.telemetry_ships += 1
         link.telemetry_spans += span_count
         link.last_telemetry_at = time.monotonic()
-        self._m_ships[link.index].inc()
-        if span_count:
-            self._m_spans[link.index].add(span_count)
 
     def pull_telemetry(self, timeout: float = 5.0) -> list[int]:
         """Request a telemetry payload from every live worker (dedicated

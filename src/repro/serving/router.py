@@ -102,13 +102,17 @@ class ShardRouter:
                 for shard, sub in enumerate(self._partitioner.split(arr))
                 if sub.size
             ]
-        assignment = self._partitioner.assign(arr)
-        out = []
-        for shard in range(self._partitioner.shards):
-            mask = assignment == shard
-            if mask.any():
-                out.append(RoutedBatch(shard, arr[mask], ts[mask]))
-        return out
+        # The engine's timed grouping: one stable argsort, one gather
+        # for the items and one for the timestamps.
+        order, bounds = self._partitioner.split_indices(arr)
+        if order is not None:
+            arr = arr[order]
+            ts = ts[order]
+        return [
+            RoutedBatch(shard, arr[lo:hi], ts[lo:hi])
+            for shard, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if hi > lo
+        ]
 
 
 class TokenBucket:

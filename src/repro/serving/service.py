@@ -79,9 +79,8 @@ class SamplerService:
         service then owns its concurrency: stop driving it directly).
     shards, seed, max_watermark_skew:
         Engine construction knobs (ignored when ``config`` is an
-        engine).  The service always builds the engine with the query
-        cache on and no ``compact_every`` cadence — the ticker owns
-        compaction here.
+        engine).  The service builds the engine with no
+        ``compact_every`` cadence — the ticker owns compaction here.
     ingest_workers:
         Ingest workers (clamped to the shard count).  Shards are
         assigned round-robin, each owned by exactly one worker.
@@ -129,9 +128,12 @@ class SamplerService:
     metrics:
         The service's :class:`~repro.obs.MetricsRegistry`.  ``None``
         (default) creates one fresh enabled registry per service;
-        ``False`` disables metrics entirely (every instrument is the
-        shared no-op — the zero-overhead configuration); pass a registry
-        instance to aggregate several services into one exposition.  The
+        ``False`` turns exposition off (every instrument is the shared
+        no-op, the render is empty, ``stats()["latency"]`` is ``None``)
+        and changes no count — the components keep their own integers
+        and the registry only reads them.  Pass a registry instance to
+        aggregate several services into one exposition: it sums their
+        counts, while each service's :meth:`stats` stays its own.  The
         registry is installed while the engine is built, so engine fold
         metrics and per-rung window counters land in it too; render it
         with ``service.metrics.render_prometheus()`` or the
@@ -208,7 +210,6 @@ class SamplerService:
             self._metrics = MetricsRegistry(enabled=False)
         else:
             self._metrics = metrics
-        self._metrics_on = self._metrics.enabled
         self._config = (
             None if isinstance(config, ShardedSamplerEngine) else dict(config)
         )
@@ -274,7 +275,7 @@ class SamplerService:
             # The worker-telemetry mirror: worker-shipped families land
             # here (same names, extra ``worker`` label) and render inside
             # this service's exposition as an auxiliary registry.
-            if worker_telemetry and self._metrics_on:
+            if worker_telemetry and self._metrics.enabled:
                 self._worker_metrics = MetricsRegistry()
             self._plane = ProcessPlane(
                 self._engine,
@@ -349,7 +350,7 @@ class SamplerService:
                 "slo_burn": lambda: self._burn.probe("slo_burn"),
             },
             liveness_names=("service_open", "worker_errors"),
-            status_gauge=self._m_health if self._metrics_on else None,
+            status_gauge=self._m_health,
         )
         for worker in self._workers:
             worker.start()
@@ -365,9 +366,28 @@ class SamplerService:
             self._ticker.start()
 
     def _register_metrics(self, k: int) -> None:
-        """Register the front-door instruments and live callback gauges
-        (all shared no-ops when the registry is disabled)."""
+        """Register the front-door instruments, and the callback gauges
+        and counters that read what the components already keep (all
+        shared no-ops when the registry is disabled)."""
         m = self._metrics
+        queues = self._queues
+        applied = m.counter(
+            "repro_serving_applied_items_total",
+            CATALOG_HELP["repro_serving_applied_items_total"],
+            labels=("shard",),
+        )
+        failed = m.counter(
+            "repro_serving_failed_items_total",
+            CATALOG_HELP["repro_serving_failed_items_total"],
+            labels=("shard",),
+        )
+        for shard in range(k):
+            applied.labels(shard=str(shard)).add_function(
+                lambda s=shard: queues.applied_by_shard[s]
+            )
+            failed.labels(shard=str(shard)).add_function(
+                lambda s=shard: queues.failed_by_shard[s]
+            )
         self._m_submitted = m.counter(
             "repro_serving_submitted_items_total",
             CATALOG_HELP["repro_serving_submitted_items_total"],
@@ -397,14 +417,14 @@ class SamplerService:
             for meth in ("sample", "sample_many")
             for out in ("ok", "error")
         }
-        self._m_compact_passes = m.counter(
+        m.counter(
             "repro_serving_compaction_passes_total",
             CATALOG_HELP["repro_serving_compaction_passes_total"],
-        )
-        self._m_compact_bytes = m.counter(
+        ).add_function(lambda: self._compaction_passes)
+        m.counter(
             "repro_serving_compaction_reclaimed_bytes_total",
             CATALOG_HELP["repro_serving_compaction_reclaimed_bytes_total"],
-        )
+        ).add_function(lambda: self._compaction_bytes)
         # Audit/health/trace families are part of the catalog, so they
         # register here unconditionally (the Auditor re-acquires the
         # same families by name when the audit plane is on).
@@ -483,12 +503,12 @@ class SamplerService:
             "repro_trace_dropped_total",
             CATALOG_HELP["repro_trace_dropped_total"],
         )
-        if not self._metrics_on:
-            return
         # Mirror the ambient tracer's ring-buffer drops into this
         # service's registry (last bound service wins — one live tracer,
-        # one serving registry is the supported production shape).
-        current_tracer().bind_dropped_counter(trace_dropped)
+        # one serving registry is the supported production shape; a
+        # service without exposition leaves the binding alone).
+        if trace_dropped.enabled:
+            current_tracer().bind_dropped_counter(trace_dropped)
         # Live gauges evaluate their callbacks at render/read time; each
         # callback reads state the owning component already exposes
         # thread-safely (a raising callback renders NaN, never breaks
@@ -500,12 +520,12 @@ class SamplerService:
         )
         for shard in range(k):
             depth.labels(shard=str(shard)).set_function(
-                lambda s=shard: self._queues.depths()[s]
+                lambda s=shard: queues.depths()[s]
             )
         m.gauge(
             "repro_serving_queue_pending_items",
             CATALOG_HELP["repro_serving_queue_pending_items"],
-        ).set_function(self._queues.pending)
+        ).set_function(queues.pending)
         m.gauge(
             "repro_serving_tenant_buckets",
             CATALOG_HELP["repro_serving_tenant_buckets"],
@@ -557,11 +577,11 @@ class SamplerService:
                     # worker_errors latch / workers probe instead.)
                     pass
                 last_refresh = now
-                # Piggyback the SLO burn-rate cut on the refresh cadence.
-                if self._metrics_on:
-                    self._burn.observe(
-                        self._metrics.get("repro_serving_query_seconds")
-                    )
+                # Piggyback the SLO burn-rate cut on the refresh cadence
+                # (a disabled registry has no family: an empty cut).
+                self._burn.observe(
+                    self._metrics.get("repro_serving_query_seconds")
+                )
             if (
                 self._compact_interval is not None
                 and now - last_compact >= self._compact_interval
@@ -601,9 +621,6 @@ class SamplerService:
             sp.set(freed=freed)
         self._compaction_passes += 1
         self._compaction_bytes += freed
-        self._m_compact_passes.inc()
-        if freed:
-            self._m_compact_bytes.add(freed)
 
     def _record_worker_error(self, exc: Exception, shard: int) -> None:
         self._worker_errors.append((exc, shard))
@@ -663,7 +680,7 @@ class SamplerService:
         ``timestamps`` (required form for time-windowed kinds).
         """
         self._check_open()
-        t0 = time.perf_counter() if self._metrics_on else 0.0
+        t0 = time.perf_counter()
         arr, ts = self._router.normalize(items, timestamps)
         total = int(arr.size)
         if total == 0:
@@ -676,10 +693,9 @@ class SamplerService:
             except RateLimited:
                 # The limiter owns the per-tenant rate_limited counter;
                 # the front door only times the outcome.
-                if self._metrics_on:
-                    self._m_submit_s["rate_limited"].observe(
-                        time.perf_counter() - t0
-                    )
+                self._m_submit_s["rate_limited"].observe(
+                    time.perf_counter() - t0
+                )
                 raise
             parts = self._router.route_normalized(arr, ts)
             try:
@@ -695,10 +711,7 @@ class SamplerService:
                     self._m_bp_shed.labels(
                         tenant=tenant if tenant is not None else "_default"
                     ).inc()
-                    if self._metrics_on:
-                        self._m_submit_s["shed"].observe(
-                            time.perf_counter() - t0
-                        )
+                    self._m_submit_s["shed"].observe(time.perf_counter() - t0)
                 raise
         if self._auditor is not None and self._audit_error is None:
             # Same accepted batch the workers will apply (put() is
@@ -711,8 +724,7 @@ class SamplerService:
         self._m_submitted.labels(
             tenant=tenant if tenant is not None else "_default"
         ).add(accepted)
-        if self._metrics_on:
-            self._m_submit_s["accepted"].observe(time.perf_counter() - t0)
+        self._m_submit_s["accepted"].observe(time.perf_counter() - t0)
         return accepted
 
     def flush(self, timeout: float | None = None) -> None:
@@ -765,8 +777,6 @@ class SamplerService:
         """
         self._check_open()
         self._pre_query(kwargs)
-        if not self._metrics_on:
-            return self._executor.sample(**kwargs)
         t0 = time.perf_counter()
         try:
             result = self._executor.sample(**kwargs)
@@ -783,8 +793,6 @@ class SamplerService:
         contract as :meth:`sample`."""
         self._check_open()
         self._pre_query(kwargs)
-        if not self._metrics_on:
-            return self._executor.sample_many(k, **kwargs)
         t0 = time.perf_counter()
         try:
             result = self._executor.sample_many(k, **kwargs)
@@ -1106,13 +1114,14 @@ class SamplerService:
         plane state, engine cache hit/miss counters, compaction
         totals.
 
-        Built on the metrics registry: with metrics enabled the ingest
-        and compaction tallies are the registry counter totals (the same
-        numbers the Prometheus exposition reports — the two endpoints
-        cannot drift, every count is written exactly once per event at
-        one site); with ``metrics=False`` they fall back to the
-        components' internal integers.  The dict keys are stable across
-        both modes and across the pre-obs releases.
+        Every count is read from the component that keeps it (queues,
+        rate limiter, executor, compaction pass), the same integers the
+        registry's counters read — so the numbers are this service's
+        own even when several services share one registry (whose
+        exposition then sums them), and ``metrics=False`` changes no
+        count.  Only ``latency`` comes from the registry's histograms:
+        it is ``None`` with metrics off.  The dict keys are stable
+        across both modes and across the pre-obs releases.
 
         Advisory, not transactional: the engine fields (position,
         watermark, ``approx_size_bytes`` — the latter an O(state) walk)
@@ -1121,25 +1130,9 @@ class SamplerService:
         """
         self._pull_worker_telemetry()
         queues = self._queues
-        if self._metrics_on:
-            m = self._metrics
-            counts = {
-                "submitted_items": int(self._m_submitted.total()),
-                "applied_items": int(
-                    m.get("repro_serving_applied_items_total").total()
-                ),
-                "failed_items": int(
-                    m.get("repro_serving_failed_items_total").total()
-                ),
-                "backpressure_shed": int(self._m_bp_shed.total()),
-                "rate_limited": int(
-                    m.get("repro_serving_rate_limited_total").total()
-                ),
-            }
-            compaction = {
-                "passes": int(self._m_compact_passes.total()),
-                "bytes_reclaimed": int(self._m_compact_bytes.total()),
-            }
+        m = self._metrics
+        latency = None
+        if m.enabled:
             latency = {
                 "note": (
                     "p50/p90/p99 are bucket-resolution approximations "
@@ -1164,19 +1157,6 @@ class SamplerService:
                     else None
                 ),
             }
-        else:
-            counts = {
-                "submitted_items": queues.submitted_items,
-                "applied_items": queues.applied_items,
-                "failed_items": queues.failed_items,
-                "backpressure_shed": queues.shed_count,
-                "rate_limited": self._limiter.shed_count,
-            }
-            compaction = {
-                "passes": self._compaction_passes,
-                "bytes_reclaimed": self._compaction_bytes,
-            }
-            latency = None
         audit = None
         if self._auditor is not None:
             audit = {
@@ -1186,7 +1166,11 @@ class SamplerService:
                 "e_value": self._auditor.monitor.e_value,
             }
         ingest_stats = {
-            **counts,
+            "submitted_items": queues.submitted_items,
+            "applied_items": queues.applied_items,
+            "failed_items": queues.failed_items,
+            "backpressure_shed": queues.shed_count,
+            "rate_limited": self._limiter.shed_count,
             "pending_items": queues.pending(),
             "queue_depths": queues.depths(),
             "queue_capacity": queues.capacity,
@@ -1210,7 +1194,7 @@ class SamplerService:
                 else len(self._workers)
             ),
             "workers_mode": self._workers_mode,
-            "metrics_enabled": self._metrics_on,
+            "metrics_enabled": m.enabled,
             "ingest": ingest_stats,
             "query": self._executor.stats(),
             "latency": latency,
@@ -1221,7 +1205,10 @@ class SamplerService:
                 "approx_size_bytes": self._engine.approx_size_bytes(),
                 "cache": self._engine.cache_info(),
             },
-            "compaction": compaction,
+            "compaction": {
+                "passes": self._compaction_passes,
+                "bytes_reclaimed": self._compaction_bytes,
+            },
         }
 
     def _kernel_stats(self) -> dict:

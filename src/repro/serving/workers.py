@@ -50,9 +50,19 @@ class ShardQueues:
         self._gate = threading.Condition()
         self._closed = False
         self.submitted_items = 0
-        self.applied_items = 0
-        self.failed_items = 0
         self.shed_count = 0
+        # The one store of applied/failed counts: the service's stats()
+        # sums them and the registry's per-shard counters read them.
+        self.applied_by_shard = [0] * shards
+        self.failed_by_shard = [0] * shards
+
+    @property
+    def applied_items(self) -> int:
+        return sum(self.applied_by_shard)
+
+    @property
+    def failed_items(self) -> int:
+        return sum(self.failed_by_shard)
 
     @property
     def capacity(self) -> int:
@@ -145,47 +155,64 @@ class ShardQueues:
         return total
 
     def take(self, shards: list[int], cursor: int, max_items: int):
-        """Dequeue a coalesced micro-batch from the first non-empty
-        owned lane at/after ``cursor`` (round-robin).
+        """Dequeue one coalesced micro-batch from the first non-empty
+        owned lane at/after ``shards[cursor]`` (round-robin).
 
-        Returns ``(lane_index_in_shards, batches)`` or ``None`` when
-        every owned lane is empty.  The taken items stay counted in
-        occupancy until :meth:`mark_applied` — callers apply the batch,
-        then mark it.
+        Returns ``(shard, items, timestamps, n)`` — the lane's leading
+        like-shaped entries (up to ``max_items``) concatenated outside
+        the gate — or ``None`` when every owned lane is empty.  The
+        taken items stay counted in occupancy until :meth:`mark_applied`:
+        callers apply the batch, then mark it.  A coalescing failure
+        marks the items failed before it propagates, so it cannot wedge
+        a flush.
         """
         with self._gate:
             for step in range(len(shards)):
-                lane_idx = (cursor + step) % len(shards)
-                lane = self._lanes[shards[lane_idx]]
+                shard = shards[(cursor + step) % len(shards)]
+                lane = self._lanes[shard]
                 if not lane:
                     continue
                 batches = [lane.popleft()]
-                taken = len(batches[0])
+                n = len(batches[0])
                 timed = batches[0].timestamps is not None
                 # Coalesce only like-shaped entries: a timed and an
                 # untimed batch cannot concatenate, and mixing them is a
                 # caller error the *sampler* should report per-batch.
                 while (
                     lane
-                    and taken < max_items
+                    and n < max_items
                     and (lane[0].timestamps is not None) == timed
                 ):
-                    taken += len(lane[0])
+                    n += len(lane[0])
                     batches.append(lane.popleft())
-                return lane_idx, batches
-            return None
+                break
+            else:
+                return None
+        if len(batches) == 1:
+            return shard, batches[0].items, batches[0].timestamps, n
+        try:
+            items = np.concatenate([b.items for b in batches])
+            timestamps = (
+                np.concatenate([b.timestamps for b in batches]) if timed else None
+            )
+        except BaseException:
+            self.mark_applied(shard, n, ok=False)
+            raise
+        return shard, items, timestamps, n
 
     def mark_applied(self, shard: int, n: int, ok: bool = True) -> None:
-        """Release ``n`` items of occupancy after their batch finished.
-        Occupancy drains either way (a wedged queue is worse than a lost
-        batch), but only successfully-landed items count as applied —
-        ``applied_items`` must reconcile with the engine's position."""
+        """Release ``n`` items of occupancy after their batch finished,
+        counting them applied or failed — the only place either count
+        moves, for both ingest planes.  Occupancy drains either way (a
+        wedged queue is worse than a lost batch), but only
+        successfully-landed items count as applied — ``applied_items``
+        must reconcile with the engine's position."""
         with self._gate:
             self._occupancy[shard] -= n
             if ok:
-                self.applied_items += n
+                self.applied_by_shard[shard] += n
             else:
-                self.failed_items += n
+                self.failed_by_shard[shard] += n
             self._gate.notify_all()
 
     def wait_empty(self, timeout: float | None = None) -> None:
@@ -259,28 +286,14 @@ class IngestWorker(threading.Thread):
         self._halt = threading.Event()
         self._cursor = 0
         self._on_error = on_error
-        self.applied_batches = 0
         # Children pre-resolved per owned shard (ownership is static),
         # so the apply loop never does a label lookup.
         registry = current_registry() if metrics is None else metrics
-        self._metrics_on = registry.enabled
-        applied = registry.counter(
-            "repro_serving_applied_items_total",
-            CATALOG_HELP["repro_serving_applied_items_total"],
-            labels=("shard",),
-        )
-        failed = registry.counter(
-            "repro_serving_failed_items_total",
-            CATALOG_HELP["repro_serving_failed_items_total"],
-            labels=("shard",),
-        )
         apply_s = registry.histogram(
             "repro_serving_ingest_apply_seconds",
             CATALOG_HELP["repro_serving_ingest_apply_seconds"],
             labels=("shard",),
         )
-        self._m_applied = {s: applied.labels(shard=str(s)) for s in owned_shards}
-        self._m_failed = {s: failed.labels(shard=str(s)) for s in owned_shards}
         self._m_apply_s = {s: apply_s.labels(shard=str(s)) for s in owned_shards}
         self._m_coalesce = registry.histogram(
             "repro_serving_batch_coalesce_items",
@@ -291,59 +304,44 @@ class IngestWorker(threading.Thread):
     def stop(self) -> None:
         self._halt.set()
 
-    def _apply(self, batches: list[RoutedBatch]) -> None:
-        shard = batches[0].shard
-        n = sum(len(batch) for batch in batches)
+    def _report(self, exc: Exception, shard: int) -> None:
+        if self._on_error is None:
+            raise exc
+        self._on_error(exc, shard)
+
+    def _apply(self, shard: int, items, timestamps, n: int) -> None:
         ok = False
-        t0 = time.perf_counter() if self._metrics_on else 0.0
+        t0 = time.perf_counter()
         try:
-            # Everything from coalescing onward sits inside the guard:
-            # a failure anywhere here must still release occupancy and
+            # A failure anywhere here must still release occupancy and
             # reach on_error, or flush()/close(drain=True) would wedge
             # on items that will never land.
-            with span("serving.apply", shard=shard, items=n, batches=len(batches)):
-                items = (
-                    batches[0].items
-                    if len(batches) == 1
-                    else np.concatenate([b.items for b in batches])
-                )
-                if batches[0].timestamps is None:
-                    timestamps = None
-                else:
-                    timestamps = (
-                        batches[0].timestamps
-                        if len(batches) == 1
-                        else np.concatenate([b.timestamps for b in batches])
-                    )
+            with span("serving.apply", shard=shard, items=n):
                 with self._locks[shard]:
                     self._engine.ingest_shard(shard, items, timestamps=timestamps)
-            self.applied_batches += 1
             ok = True
         except Exception as exc:  # surface, don't die silently
-            if self._on_error is not None:
-                self._on_error(exc, shard)
-            else:
-                raise
+            self._report(exc, shard)
         finally:
             self._queues.mark_applied(shard, n, ok=ok)
             if ok:
-                self._m_applied[shard].add(n)
-                if self._metrics_on:
-                    self._m_apply_s[shard].observe(time.perf_counter() - t0)
-                    self._m_coalesce.observe(n)
-            else:
-                self._m_failed[shard].add(n)
+                self._m_apply_s[shard].observe(time.perf_counter() - t0)
+                self._m_coalesce.observe(n)
 
     def run(self) -> None:
         while True:
-            got = self._queues.take(self._owned, self._cursor, self._max_batch)
+            try:
+                got = self._queues.take(self._owned, self._cursor, self._max_batch)
+            except Exception as exc:  # coalescing failed; take() failed the items
+                self._report(exc, self._owned[0])
+                continue
             if got is None:
                 if self._halt.is_set():
                     return
                 self._queues.wait_for_work(self._owned, self._halt)
                 continue
-            lane_idx, batches = got
+            shard, items, timestamps, n = got
             # Resume the scan *after* the drained lane so one hot shard
             # cannot starve its siblings on this worker.
-            self._cursor = lane_idx + 1
-            self._apply(batches)
+            self._cursor = self._owned.index(shard) + 1
+            self._apply(shard, items, timestamps, n)

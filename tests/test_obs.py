@@ -60,6 +60,21 @@ class TestInstruments:
         c.add(4)
         assert c.total() == 5
 
+    def test_counter_sources_add_up(self):
+        reg = MetricsRegistry()
+        counts = {"a": 3, "b": 4}
+        child = reg.counter("t_total", "help", labels=("k",)).labels(k="x")
+        child.add_function(lambda: counts["a"])
+        child.add_function(lambda: counts["b"])
+        child.inc()
+        counts["a"] = 10
+        assert child.value == 15
+        assert 't_total{k="x"} 15' in reg.render_prometheus()
+        child.add_function(lambda: 1 / 0)
+        assert np.isnan(child.value)  # a raising source never breaks a render
+        NOOP.add_function(lambda: 1)
+        assert NOOP.value == 0.0
+
     def test_counter_rejects_negative(self):
         reg = MetricsRegistry()
         c = reg.counter("t_total")
@@ -521,8 +536,9 @@ class TestServingInstrumentation:
             assert sub_s.labels(outcome="rate_limited").snapshot()[2] == 1
             assert sub_s.labels(outcome="accepted").snapshot()[2] == 1
 
-    def test_metrics_false_is_noop_and_stats_keys_survive(self):
-        with self._serve(metrics=False) as svc:
+    @pytest.mark.parametrize("workers_mode", ["thread", "process"])
+    def test_metrics_false_is_noop_and_stats_keys_survive(self, workers_mode):
+        with self._serve(metrics=False, workers_mode=workers_mode) as svc:
             svc.submit(np.arange(4_000))
             svc.flush()
             svc.refresh()
@@ -530,7 +546,9 @@ class TestServingInstrumentation:
             stats = svc.stats()
             assert stats["metrics_enabled"] is False
             assert svc.metrics.render_prometheus() == ""
-            # the pre-obs stats keys survive, fed by the fallback ints
+            assert stats["latency"] is None
+            # the pre-obs stats keys survive: counts come from the
+            # components whether or not anything is exposed
             assert stats["ingest"]["submitted_items"] == 4_000
             assert stats["ingest"]["applied_items"] == 4_000
             assert stats["ingest"]["backpressure_shed"] == 0
@@ -562,25 +580,36 @@ class TestServingInstrumentation:
         assert served(True) == direct
         assert served(False) == direct
 
-    def test_stats_registry_matches_component_ints(self):
-        """Dual-written counters reconcile exactly with the components'
-        internal integers after a concurrent workload."""
+    def test_shared_registry_sums_exposition_keeps_stats_per_service(self):
+        """Two services on one registry: each stats() reports its own
+        counts (its engine position), while the shared exposition sums
+        both — and keeps a closed service's counts."""
+        reg = MetricsRegistry()
         items = make_items(20_000, seed=4, n=1 << 12)
-        with self._serve(ingest_workers=4) as svc:
+        wide = self._serve(metrics=reg, ingest_workers=4)
+        small = self._serve(metrics=reg)
+        try:
             for lo in range(0, items.size, 2_048):
-                svc.submit(items[lo:lo + 2_048])
-            svc.flush()
-            reg = svc.metrics
-            queues = svc._queues
-            assert (
-                int(reg.get("repro_serving_submitted_items_total").total())
-                == queues.submitted_items
-            )
-            assert (
-                int(reg.get("repro_serving_applied_items_total").total())
-                == queues.applied_items
-            )
-            assert int(reg.get("repro_serving_failed_items_total").total()) == 0
+                wide.submit(items[lo:lo + 2_048])
+            small.submit(items[:300])
+            wide.flush()
+            small.flush()
+            for svc, n in ((wide, 20_000), (small, 300)):
+                ingest = svc.stats()["ingest"]
+                assert svc.position == n
+                assert ingest["submitted_items"] == n
+                assert ingest["applied_items"] == n
+                assert ingest["failed_items"] == 0
+            applied = reg.get("repro_serving_applied_items_total")
+            assert applied.total() == 20_300
+            assert reg.get("repro_serving_failed_items_total").total() == 0
+            assert reg.get("repro_serving_submitted_items_total").total() == 20_300
+            wide.close()
+            assert applied.total() == 20_300
+            assert small.stats()["ingest"]["applied_items"] == 300
+        finally:
+            wide.close()
+            small.close()
 
     def _served_window_bank(self):
         return SamplerService(

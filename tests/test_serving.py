@@ -15,6 +15,7 @@ The three contracts the serving layer must keep:
 """
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -42,6 +43,8 @@ from repro.serving import (
     TokenBucket,
 )
 from repro.serving.cli import main as serve_main
+from repro.obs import MetricsRegistry
+from repro.serving import workers as workers_mod
 from repro.serving.router import RoutedBatch
 from repro.streams.generators import zipf_stream
 from repro.streams.timestamped import uniform_arrivals
@@ -75,18 +78,31 @@ class TestShardRouter:
             else:
                 assert shard not in parts
 
-    def test_timed_routing_keeps_pairs_aligned(self):
-        engine = ShardedSamplerEngine(TW_CONFIG, shards=4, seed=5)
+    @pytest.mark.parametrize("shards", [1, 3, 8])
+    def test_timed_routing_keeps_pairs_aligned(self, shards):
+        engine = ShardedSamplerEngine(TW_CONFIG, shards=shards, seed=5)
         router = ShardRouter(engine.partitioner)
         items = make_items(2_000)
         ts = uniform_arrivals(items.size, 500.0)
         parts = router.route(items, ts)
         assert sum(len(p) for p in parts) == items.size
-        for part in parts:
-            # Every (item, timestamp) pair survives routing intact.
-            sel = engine.partitioner.assign(items) == part.shard
+        # The engine's timed grouping: one stable order for both arrays.
+        order, bounds = engine.partitioner.split_indices(items)
+        grouped = items if order is None else items[order]
+        grouped_ts = ts if order is None else ts[order]
+        expected = [
+            (shard, lo, hi)
+            for shard, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if hi > lo
+        ]
+        assert [p.shard for p in parts] == [shard for shard, __, __ in expected]
+        for part, (shard, lo, hi) in zip(parts, expected):
+            # Every (item, timestamp) pair survives routing intact, in
+            # arrival order, bitwise as the engine groups it.
+            sel = engine.partitioner.assign(items) == shard
             np.testing.assert_array_equal(part.items, items[sel])
-            np.testing.assert_array_equal(part.timestamps, ts[sel])
+            assert part.items.tobytes() == grouped[lo:hi].tobytes()
+            assert part.timestamps.tobytes() == grouped_ts[lo:hi].tobytes()
 
     def test_timestamped_stream_autodetected(self):
         engine = ShardedSamplerEngine(TW_CONFIG, shards=4, seed=5)
@@ -197,7 +213,8 @@ class TestShardQueues:
             time.sleep(0.05)
             got = queues.take([0], 0, max_items=100)
             assert got is not None
-            queues.mark_applied(0, sum(len(b) for b in got[1]))
+            shard, __, __, n = got
+            queues.mark_applied(shard, n)
             released.append(True)
 
         thread = threading.Thread(target=consumer)
@@ -205,6 +222,52 @@ class TestShardQueues:
         assert queues.put(_parts({0: 5}), block=True, timeout=5.0) == 5
         thread.join()
         assert released
+
+    def test_take_coalesces_like_shaped_entries(self):
+        queues = ShardQueues(shards=2, capacity=100)
+        queues.put(_parts({1: 3}), block=False)
+        queues.put(_parts({1: 4}), block=False)
+        queues.put(
+            [RoutedBatch(1, np.arange(2, dtype=np.int64), np.zeros(2))],
+            block=False,
+        )
+        shard, items, ts, n = queues.take([0, 1], 0, max_items=100)
+        # The two untimed entries concatenate; the timed one waits.
+        assert (shard, n, ts) == (1, 7, None)
+        np.testing.assert_array_equal(items, [0, 1, 2, 0, 1, 2, 3])
+        queues.mark_applied(shard, n)
+        shard, items, ts, n = queues.take([0, 1], 0, max_items=100)
+        assert (shard, n) == (1, 2) and ts is not None
+        queues.mark_applied(shard, n, ok=False)
+        assert queues.take([0, 1], 0, max_items=100) is None
+        assert queues.applied_by_shard == [0, 7]
+        assert queues.failed_by_shard == [0, 2]
+        assert (queues.applied_items, queues.failed_items) == (7, 2)
+        assert queues.pending() == 0
+
+    def test_coalescing_failure_fails_items_and_reports(self, monkeypatch):
+        """A batch whose coalescing raises is counted failed (so a flush
+        cannot wedge on it) and reaches the worker's on_error."""
+        queues = ShardQueues(shards=1, capacity=100)
+        queues.put(_parts({0: 7}), block=False)
+        queues.put(_parts({0: 5}), block=False)
+
+        def boom(arrays, *args, **kwargs):
+            raise MemoryError("no room to coalesce")
+
+        monkeypatch.setattr(workers_mod.np, "concatenate", boom)
+        errors = []
+        worker = workers_mod.IngestWorker(
+            0, None, queues, [threading.Lock()], [0], max_batch=100,
+            on_error=lambda exc, shard: errors.append((type(exc), shard)),
+            metrics=MetricsRegistry(enabled=False),
+        )
+        worker.start()
+        queues.wait_empty(timeout=5.0)
+        worker.stop()
+        worker.join(timeout=5.0)
+        assert errors == [(MemoryError, 0)]
+        assert (queues.applied_items, queues.failed_items) == (0, 12)
 
     def test_flush_timeout_reports_residue(self):
         queues = ShardQueues(shards=1, capacity=100)
@@ -505,6 +568,45 @@ class TestConcurrentServing:
             assert stats["query"]["readers"] >= 6
             assert stats["query"]["refreshes"] >= 2
         finally:
+            drain_close(svc)
+
+    def test_refresh_counts_exact_under_concurrent_readers(self):
+        """Refresh outcomes have one store, also counted on the
+        lock-free fast path: readers racing through synchronous
+        refreshes lose no count, in stats() or in the exposition."""
+        svc = SamplerService(
+            G_CONFIG, shards=4, seed=0, ingest_workers=2,
+            refresh_interval=0, compact_interval=None,
+        )
+        errors: list[Exception] = []
+
+        def reader():
+            try:
+                for __ in range(200):
+                    svc.sample()
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            svc.submit(make_items(2_000))
+            svc.flush(timeout=30.0)
+            svc.refresh()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            # Every query's refresh found the epochs unchanged.
+            refresh = svc.metrics.get("repro_serving_fold_refresh_total")
+            assert refresh.total(result="unchanged") == 8 * 200
+            assert refresh.total(result="published") == 1
+            assert svc.stats()["query"]["refreshes"] == 1
+        finally:
+            sys.setswitchinterval(interval)
             drain_close(svc)
 
     def test_invalidate_cache_under_concurrent_readers(self):

@@ -24,9 +24,8 @@ number of heap events.
 from __future__ import annotations
 
 import copy
-import heapq
-import itertools
 import math
+import operator
 from array import array
 
 import numpy as np
@@ -36,12 +35,7 @@ from repro.core.measures import Measure
 from repro.core.rejection import rejection_many
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
 from repro.core.types import SampleResult, as_item_array
-from repro.lifecycle.memory import (
-    INSTANCE_BYTES,
-    RNG_STATE_BYTES,
-    mapping_bytes,
-    sequence_bytes,
-)
+from repro.lifecycle.memory import INSTANCE_BYTES, RNG_STATE_BYTES, ndarray_bytes
 from repro.lifecycle.protocol import StaticLifecycleMixin
 from repro.lifecycle.rng import generator_from_state
 from repro.obs.catalog import CATALOG_HELP
@@ -109,55 +103,62 @@ class SamplerPool(StaticLifecycleMixin):
     hold ``i``.  The final forward count of an instance is
     ``counts[item] − offset`` (≥ 1, includes its sampled occurrence).
 
-    :meth:`update` (the executable spec) works on Python lists and
-    dicts; :meth:`update_batch` packs them into one int64 buffer for the
-    compiled loop (:func:`repro.core.ingest_kernel.run`) and unpacks the
-    result, an O(R) conversion per call.
+    The pool is the one owner of its state, which is one int64
+    ``array("q")`` (``_state``) in the layout of the compiled loops
+    (:mod:`repro.core.ingest_kernel`)::
+
+        [tracked | slot, live, offsets, stamps (R each) |
+         heap (2R: interleaved (time, idx) pairs, a min-heap) |
+         keys, counts, refs (R each; the first ``tracked`` rows are the
+         tracked items in insertion order)]
+
+    At most ``R`` items are tracked, since each is held by an instance.
+    :meth:`update` (the executable spec) applies the rule to the buffer
+    in place; :meth:`update_batch` and :meth:`merge` hand it to C
+    without conversion, and every reader slices it.  Two caches derive
+    from it and are dropped by every mutator: the per-instance finals
+    (shared by clones) and :meth:`update`'s row index of the tracked
+    items.
     """
 
-    __slots__ = ("_r", "_items", "_offsets", "_timestamps", "_heap", "_counts",
-                 "_refs", "_t", "_rng", "_heap_events", "_m_heap_events")
+    __slots__ = ("_r", "_state", "_t", "_rng", "_heap_events", "_m_heap_events",
+                 "_finals", "_rows")
 
     def __init__(self, instances: int, seed: int | np.random.Generator | None = None,
                  *, registry: MetricsRegistry | None = None) -> None:
         if instances < 1:
             raise ValueError(f"need at least one instance, got {instances}")
-        self._r = instances
-        self._items: list[int | None] = [None] * instances
-        self._offsets = [0] * instances
-        self._timestamps = [0] * instances
-        # Every instance replaces at position 1.
-        self._heap: list[tuple[int, int]] = [(1, idx) for idx in range(instances)]
-        heapq.heapify(self._heap)
-        self._counts: dict[int, int] = {}
-        self._refs: dict[int, int] = {}
+        r = self._r = instances
+        self._state = array("q", bytes(8 * (1 + 9 * r)))
+        # Every instance replaces at position 1: the heap (1, 0), (1, 1), ...
+        heap = _col(r, _HEAP, 2 * r)
+        self._state[heap.start:heap.stop:2] = array("q", [1]) * r
+        self._state[heap.start + 1:heap.stop:2] = array("q", range(r))
         self._t = 0
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         self._heap_events = 0
+        self._finals = None
+        self._rows = None
         self.bind_metrics(registry if registry is not None else current_registry())
 
     def __deepcopy__(self, memo: dict) -> "SamplerPool":
-        """Clone at the cost of the state: the lists, heap and dicts are
-        copied shallowly (they hold immutable ints, ``None`` and int
-        tuples), the metrics counter stays shared, and the RNG is
-        rebuilt once from its state.  The RNG goes through ``memo``, so
-        a generator this pool shares (a sampler's ``_rng``, or a
-        sliding window's pools) stays shared in the copy, and a memo
-        entry placed by the caller substitutes for it."""
+        """Clone at the cost of the state: one buffer copy; the finals
+        cache (an immutable tuple) and the metrics counter stay shared,
+        and the RNG is rebuilt once from its state.  The RNG goes through
+        ``memo``, so a generator this pool shares (a sampler's ``_rng``,
+        or a sliding window's pools) stays shared in the copy, and a
+        memo entry placed by the caller substitutes for it."""
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         clone._r = self._r
-        clone._items = list(self._items)
-        clone._offsets = list(self._offsets)
-        clone._timestamps = list(self._timestamps)
-        clone._heap = list(self._heap)
-        clone._counts = dict(self._counts)
-        clone._refs = dict(self._refs)
+        clone._state = self._state[:]
         clone._t = self._t
         clone._heap_events = self._heap_events
         clone._m_heap_events = self._m_heap_events
+        clone._finals = self._finals
+        clone._rows = None
         rng = memo.get(id(self._rng))
         if rng is None:
             rng = memo[id(self._rng)] = generator_from_state(
@@ -186,7 +187,7 @@ class SamplerPool(StaticLifecycleMixin):
     @property
     def tracked_items(self) -> int:
         """Number of distinct items currently referenced (space accounting)."""
-        return len(self._counts)
+        return self._state[0]
 
     @property
     def heap_events(self) -> int:
@@ -194,47 +195,82 @@ class SamplerPool(StaticLifecycleMixin):
         return self._heap_events
 
     def approx_size_bytes(self) -> int:
-        """Approximate resident bytes: per-instance slots, the heap, and
-        the shared counter tables (see :mod:`repro.lifecycle.memory`)."""
-        return (
-            INSTANCE_BYTES
-            + RNG_STATE_BYTES
-            + 3 * sequence_bytes(self._r)  # items / offsets / timestamps
-            + sequence_bytes(self._r) + 72 * self._r  # heap of 2-tuples
-            + 2 * mapping_bytes(self.tracked_items)  # counts / refs
-        )
+        """Approximate resident bytes: the state buffer (see
+        :mod:`repro.lifecycle.memory`)."""
+        return INSTANCE_BYTES + RNG_STATE_BYTES + ndarray_bytes(self._view())
 
-    def replacement_positions(self) -> list[int]:
+    def _view(self) -> np.ndarray:
+        return np.frombuffer(self._state, dtype=np.int64)
+
+    def replacement_positions(self) -> np.ndarray:
         """Per-instance position (1-based) of the currently sampled
-        occurrence — the third component of :meth:`finalize`, exposed
-        separately so wrappers (the time-window samplers) can map
-        positions to wall-clock timestamps right after an ingest step."""
-        return list(self._timestamps)
+        occurrence, as an int64 array — the third component of
+        :meth:`finalize`, exposed separately so wrappers (the time-window
+        samplers) can map positions to wall-clock timestamps right after
+        an ingest step."""
+        return self._view()[_col(self._r, _STAMPS)].copy()
 
     def update(self, item: int) -> None:
-        self._t += 1
-        t = self._t
-        heap = self._heap
-        while heap and heap[0][0] == t:
-            __, idx = heapq.heappop(heap)
+        s = self._state
+        t = self._t + 1
+        if s[1 + 4 * self._r] == t:  # the heap top's time (column _HEAP)
+            self._wake(item, t)
+        self._t = t
+        self._finals = None
+        rows = self._rows
+        if rows is None:
+            rows = self._index()
+        row = rows.get(item)
+        if row is not None:
+            s[1 + 7 * self._r + row] += 1  # column _COUNTS
+
+    def _index(self) -> dict[int, int]:
+        """Row of each tracked item (the :meth:`update` lookup)."""
+        s = self._state
+        keys = s[_col(self._r, _KEYS, s[0])]
+        self._rows = {key: row for row, key in enumerate(keys)}
+        return self._rows
+
+    def _wake(self, item: int, t: int) -> None:
+        """The heap events due at position ``t``, which brings ``item``."""
+        item = operator.index(item)
+        if not -(1 << 63) <= item < 1 << 63:
+            raise OverflowError(f"item {item} does not fit an int64")
+        s, r = self._state, self._r
+        rows = self._rows if self._rows is not None else self._index()
+        slot, live, offsets, stamps, heap, keys, counts, refs = (
+            1 + col * r
+            for col in (_SLOT, _LIVE, _OFFSETS, _STAMPS, _HEAP, _KEYS, _COUNTS, _REFS)
+        )
+        while s[heap] == t:
+            idx = s[heap + 1]
             self._heap_events += 1
-            old = self._items[idx]
-            if old is not None:
-                self._refs[old] -= 1
-                if self._refs[old] == 0:
-                    del self._refs[old]
-                    del self._counts[old]
-            self._items[idx] = item
-            if item in self._refs:
-                self._refs[item] += 1
+            if s[live + idx]:
+                old = s[slot + idx]
+                row = rows[old]
+                s[refs + row] -= 1
+                if not s[refs + row]:  # untrack: later rows move up one
+                    n = s[0] - 1
+                    for col in (keys, counts, refs):
+                        s[col + row:col + n] = s[col + row + 1:col + n + 1]
+                    s[0] = n
+                    del rows[old]
+                    for key in s[keys + row:keys + n]:
+                        rows[key] -= 1
+            s[slot + idx] = item
+            s[live + idx] = 1
+            row = rows.get(item)
+            if row is None:
+                row = rows[item] = s[0]
+                s[keys + row] = item
+                s[counts + row] = 0
+                s[refs + row] = 1
+                s[0] = row + 1
             else:
-                self._refs[item] = 1
-                self._counts.setdefault(item, 0)
-            self._offsets[idx] = self._counts[item]
-            self._timestamps[idx] = t
-            heapq.heappush(heap, (skip_next_replacement(t, self._rng), idx))
-        if item in self._counts:
-            self._counts[item] += 1
+                s[refs + row] += 1
+            s[offsets + idx] = s[counts + row]
+            s[stamps + idx] = t
+            _sift_top(s, heap, r, skip_next_replacement(t, self._rng), idx)
 
     def extend(self, items) -> None:
         """Delegates to :meth:`update_batch` (bitwise identical to the
@@ -248,8 +284,10 @@ class SamplerPool(StaticLifecycleMixin):
         state — counter insertion order and RNG included — is *bitwise
         identical* to the scalar ``update()`` loop.
 
-        Without the compiled loop (no compiler), or with state that does
-        not fit int64, the chunk runs through :meth:`update` itself.
+        The loop runs with the GIL released on a copy of the buffer that
+        replaces it whole afterwards, so a reader on another thread sees
+        the state before or after the call, never part-way.  Without the
+        compiled loop (no compiler) the chunk runs through :meth:`update`.
         """
         arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
         if arr.ndim != 1:
@@ -257,60 +295,18 @@ class SamplerPool(StaticLifecycleMixin):
         if arr.size == 0:
             return
         before = self._heap_events
-        state = self._pack() if ingest_kernel.kernel_impl() == "c" else None
-        if state is None:
+        if ingest_kernel.kernel_impl() == "c":
+            state = self._state[:]
+            self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
+            self._state = state
+            self._t += int(arr.size)
+            self._finals = self._rows = None
+        else:
             for item in arr.tolist():
                 self.update(item)
-        else:
-            self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
-            self._t += int(arr.size)
-            self._unpack(state)
         events = self._heap_events - before
         if events:
             self._m_heap_events.add(events)
-
-    def _pack(self) -> array | None:
-        """The list/dict state as the compiled loop's packed buffer, or
-        ``None`` when a value does not fit int64."""
-        r = self._r
-        slots = self._items
-        tracked = len(self._counts)
-        pad = [0] * (max(tracked, r) - tracked)
-        if None in slots:
-            live = [0 if x is None else 1 for x in slots]
-            slots = [0 if x is None else x for x in slots]
-        else:
-            live = [1] * r
-        try:
-            return array("q", [
-                tracked, *slots, *live, *self._offsets, *self._timestamps,
-                *itertools.chain.from_iterable(self._heap),
-                *self._counts, *pad, *self._counts.values(), *pad,
-                *self._refs.values(), *pad,
-            ])
-        except OverflowError:
-            return None
-
-    def _unpack(self, packed: array) -> None:
-        """Write the compiled loop's packed buffer back to the lists
-        and dicts."""
-        out = packed.tolist()
-        r = self._r
-        room = (len(out) - 1 - 6 * r) // 3
-        tracked = out[0]
-        items = out[1:r + 1]
-        live = out[r + 1:2 * r + 1]
-        if 0 in live:
-            items = [x if on else None for x, on in zip(items, live)]
-        self._items = items
-        self._offsets = out[2 * r + 1:3 * r + 1]
-        self._timestamps = out[3 * r + 1:4 * r + 1]
-        heap = out[4 * r + 1:6 * r + 1]
-        self._heap = list(zip(heap[0::2], heap[1::2]))
-        keys = out[6 * r + 1:6 * r + 1 + tracked]
-        vals = 6 * r + 1 + room
-        self._counts = dict(zip(keys, out[vals:vals + tracked]))
-        self._refs = dict(zip(keys, out[vals + room:vals + room + tracked]))
 
     def snapshot(self) -> dict:
         """Checkpoint the full pool state as a dict of arrays + scalars.
@@ -318,32 +314,34 @@ class SamplerPool(StaticLifecycleMixin):
         The layout is plain (NumPy arrays, ints, and the RNG state dict)
         so :mod:`repro.engine.state` can serialize it to bytes without
         pickling.  Includes the RNG state: a restored pool continues the
-        stream bitwise-identically.
+        stream bitwise-identically.  The heap is listed sorted.
         """
-        heap = sorted(self._heap)
-        n_tracked = len(self._counts)
+        r = self._r
+        v = self._view()
+        tracked = int(v[0])
+        live = v[_col(r, _LIVE)].copy()
+        heap = v[_col(r, _HEAP, 2 * r)]
+        times, slots = heap[0::2], heap[1::2]
+        order = np.lexsort((slots, times))
+        keys = v[_col(r, _KEYS, tracked)]
         return {
             "kind": "sampler_pool",
-            "instances": self._r,
+            "instances": r,
             "position": self._t,
             "heap_events": self._heap_events,
-            "items": np.array(
-                [-1 if x is None else x for x in self._items], dtype=np.int64
-            ),
+            "items": np.where(live != 0, v[_col(r, _SLOT)], -1),
             # Empty slots, explicitly: the -1 placeholder in "items" is
             # ambiguous once negative item ids flow (they are legal), so
             # restore consults this mask when present.
-            "items_live": np.array(
-                [0 if x is None else 1 for x in self._items], dtype=np.int64
-            ),
-            "offsets": np.asarray(self._offsets, dtype=np.int64),
-            "timestamps": np.asarray(self._timestamps, dtype=np.int64),
-            "heap_times": np.array([h[0] for h in heap], dtype=np.int64),
-            "heap_slots": np.array([h[1] for h in heap], dtype=np.int64),
-            "count_keys": np.fromiter(self._counts.keys(), dtype=np.int64, count=n_tracked),
-            "count_vals": np.fromiter(self._counts.values(), dtype=np.int64, count=n_tracked),
-            "ref_keys": np.fromiter(self._refs.keys(), dtype=np.int64, count=len(self._refs)),
-            "ref_vals": np.fromiter(self._refs.values(), dtype=np.int64, count=len(self._refs)),
+            "items_live": live,
+            "offsets": v[_col(r, _OFFSETS)].copy(),
+            "timestamps": v[_col(r, _STAMPS)].copy(),
+            "heap_times": times[order],
+            "heap_slots": slots[order],
+            "count_keys": keys.copy(),
+            "count_vals": v[_col(r, _COUNTS, tracked)].copy(),
+            "ref_keys": keys.copy(),
+            "ref_vals": v[_col(r, _REFS, tracked)].copy(),
             "rng_state": self._rng.bit_generator.state,
         }
 
@@ -352,11 +350,12 @@ class SamplerPool(StaticLifecycleMixin):
 
         Snapshots come from outside the process (checkpoint files,
         worker specs), so the structure is checked before anything is
-        overwritten: per-instance arrays of length ``instances``, heap
-        slots a permutation of the instances, and each tracked item's
-        ref count equal to the number of instances holding it.  A
-        malformed snapshot raises :class:`ValueError` and leaves the
-        pool as it was."""
+        overwritten: per-instance arrays of length ``instances``, the
+        position in ``[0, 2^63)``, heap slots a permutation of the
+        instances, tracked items listed once and in the same order in
+        both tables, and each tracked item's ref count equal to the
+        number of instances holding it.  A malformed snapshot raises
+        :class:`ValueError` and leaves the pool (and its RNG) as it was."""
         if state.get("kind") != "sampler_pool":
             raise ValueError(f"not a sampler_pool snapshot: {state.get('kind')!r}")
         r = int(state["instances"])
@@ -375,42 +374,37 @@ class SamplerPool(StaticLifecycleMixin):
                     f"snapshot {name!r} has {len(state[name])} entries, "
                     f"not one per instance ({r})"
                 )
-        items = _ints(state["items"])
-        if live is not None:
-            items = [x if keep else None for x, keep in zip(items, _ints(live))]
-        else:
-            # Legacy snapshots (no liveness mask) used -1 as the only
-            # empty marker; negative ids were unrepresentable there.
-            items = [None if x < 0 else x for x in items]
-        slots = _ints(state["heap_slots"])
-        if sorted(slots) != list(range(r)):
-            raise ValueError("snapshot heap slots are not one entry per instance")
-        heap = list(zip(_ints(state["heap_times"]), slots))
-        heapq.heapify(heap)
-        counts = dict(zip(_ints(state["count_keys"]), _ints(state["count_vals"])))
-        refs = dict(zip(_ints(state["ref_keys"]), _ints(state["ref_vals"])))
-        if refs.keys() != counts.keys():
-            raise ValueError("snapshot counter and ref tables track different items")
-        holders: dict[int, int] = {}
-        for item in items:
-            if item is not None:
-                holders[item] = holders.get(item, 0) + 1
-        if holders != refs:
+        items = _int64(state["items"])
+        # Legacy snapshots (no liveness mask) used -1 as the only empty
+        # marker; negative ids were unrepresentable there.
+        live = items >= 0 if live is None else _int64(live) != 0
+        keys = _int64(state["count_keys"])
+        counts = _int64(state["count_vals"])
+        refs = _int64(state["ref_vals"])
+        if not np.array_equal(keys, _int64(state["ref_keys"])):
+            raise ValueError("snapshot counter and ref tables list different items")
+        if not len(counts) == len(refs) == len(keys):
+            raise ValueError("snapshot counter and ref tables differ in length")
+        if len(keys) > r:
+            raise ValueError(f"snapshot tracks {len(keys)} items, more than {r} instances hold")
+        buf = _build(
+            r, _int64(state["heap_times"]), _int64(state["heap_slots"]),
+            items=np.where(live, items, 0), live=live,
+            offsets=_int64(state["offsets"]), stamps=_int64(state["timestamps"]),
+            keys=keys, counts=counts, refs=refs,
+        )
+        if not _well_formed(r, buf):
             raise ValueError(
-                "snapshot ref counts do not match the instances holding each item"
+                "snapshot is not a consistent pool: heap slots must be one entry "
+                "per instance, tracked items distinct, and each item's ref count "
+                "the number of instances holding it"
             )
         rng = generator_from_state(state["rng_state"])
         self._r = r
         self._t = t
         self._heap_events = int(state["heap_events"])
-        self._items = items
-        self._offsets = _ints(state["offsets"])
-        self._timestamps = _ints(state["timestamps"])
-        self._heap = heap
-        self._counts = counts
-        # Both tables share keys and insertion order (the compiled loop
-        # relies on it); a snapshot written by this class already does.
-        self._refs = {k: refs[k] for k in counts}
+        self._state = buf
+        self._finals = self._rows = None
         self._rng = rng
 
     @classmethod
@@ -455,68 +449,152 @@ class SamplerPool(StaticLifecycleMixin):
         if m2 == 0:
             return [True] * r
         total = m1 + m2
-        # One coin block: the same floats as R scalar draws, in order.
+        if total >= _WAKE_CAP:
+            raise OverflowError(f"merged position {total} does not fit an int64")
+        # One coin block (the same floats as R scalar draws, in order),
+        # then one batched draw for the schedule redrawn at the merged
+        # length — bitwise R scalar skip_next_replacement calls.
         if m1 > 0:
-            kept_self = (self._rng.random(r) < m1 / total).tolist()
+            kept = self._rng.random(r) < m1 / total
         else:
-            kept_self = [False] * r
-        # Indexed by the coin: False adopts other's instance (its
-        # timestamp shifted past this pool's stream), True keeps ours.
-        sides = (
-            (other._items, other._offsets, other._timestamps, other._counts, m1),
-            (self._items, self._offsets, self._timestamps, self._counts, 0),
-        )
-        items: list[int] = []
-        forward: list[int] = []
-        stamps: list[int] = []
+            kept = np.zeros(r, dtype=bool)
+        wakes = array("q", skip_next_replacements([total] * r, self._rng))
+        if ingest_kernel.kernel_impl() == "c":
+            state = ingest_kernel.merge(r, self._state, other._state, kept, wakes, m1)
+        else:
+            state = self._merged(other, kept.tolist(), wakes, m1)
+        self._state = state
+        self._t = total
+        self._heap_events += other._heap_events
+        self._finals = self._rows = None
+        return kept.tolist()
+
+    def _merged(self, other: "SamplerPool", kept: list[bool], wakes: array,
+                shift: int) -> array:
+        """:meth:`merge`'s buffer without the compiled loops: instance
+        ``k`` picks its side's ``(item, forward count, stamp)``; counts
+        (the largest picked forward count) and refs go in first-pick
+        order."""
+        mine = self.finalize()
+        theirs = [(item, count, shift + ts) for item, count, ts in other.finalize()]
+        picks = [mine[k] if keep else theirs[k] for k, keep in enumerate(kept)]
         counts: dict[int, int] = {}
         refs: dict[int, int] = {}
-        for k, keep in enumerate(kept_self):
-            src_items, src_offsets, src_stamps, src_counts, shift = sides[keep]
-            item = src_items[k]
-            count = src_counts[item] - src_offsets[k]
-            items.append(item)
-            forward.append(count)
-            stamps.append(shift + src_stamps[k])
-            if item in refs:
-                refs[item] += 1
-                if count > counts[item]:
-                    counts[item] = count
-            else:
-                refs[item] = 1
-                counts[item] = count
-        self._items = items
-        self._offsets = [counts[item] - count for item, count in zip(items, forward)]
-        self._timestamps = stamps
-        self._counts = counts
-        self._refs = refs
-        self._t = total
-        # One batched draw for the redrawn schedule — bitwise identical
-        # to R scalar skip_next_replacement calls at the merged length.
-        self._heap = list(zip(skip_next_replacements([total] * r, self._rng), range(r)))
-        heapq.heapify(self._heap)
-        self._heap_events += other._heap_events
-        return kept_self
+        for item, count, __ in picks:
+            refs[item] = refs.get(item, 0) + 1
+            counts[item] = max(counts.get(item, 0), count)
+        return _build(
+            self._r, wakes, range(self._r),
+            items=[item for item, __, ___ in picks], live=1,
+            offsets=[counts[item] - count for item, count, __ in picks],
+            stamps=[ts for __, ___, ts in picks],
+            keys=list(counts), counts=list(counts.values()), refs=list(refs.values()),
+        )
 
     def finalize(self) -> list[tuple[int, int, int]]:
         """Per-instance ``(item, count, timestamp)`` triples.
 
         ``count`` includes the sampled occurrence (≥ 1).  Empty when the
-        stream was empty.
+        stream was empty.  Computed once per pool state.
         """
         if self._t == 0:
             return []
-        out = []
-        for idx in range(self._r):
-            item = self._items[idx]
-            count = self._counts[item] - self._offsets[idx]
-            out.append((item, count, self._timestamps[idx]))
-        return out
+        finals = self._finals
+        if finals is None:
+            s, r = self._state, self._r
+            items = s[_col(r, _SLOT)].tolist()
+            if ingest_kernel.kernel_impl() == "c":
+                forward = ingest_kernel.forward_counts(r, s).tolist()
+            else:
+                n = s[0]
+                count_of = dict(zip(s[_col(r, _KEYS, n)], s[_col(r, _COUNTS, n)]))
+                forward = [count_of[item] - off
+                           for item, off in zip(items, s[_col(r, _OFFSETS)])]
+            finals = tuple(zip(items, forward, s[_col(r, _STAMPS)].tolist()))
+            self._finals = finals
+        return list(finals)
 
 
-def _ints(values) -> list[int]:
-    """A snapshot array (or sequence) as a list of Python ints."""
-    return np.asarray(values, dtype=np.int64).tolist()
+#: The largest int64: wake times saturate here, and a position must stay below.
+_WAKE_CAP = (1 << 63) - 1
+
+#: The columns of a pool's state buffer, each ``r`` long after the
+#: leading ``tracked`` count (the heap takes two: interleaved pairs).
+_SLOT, _LIVE, _OFFSETS, _STAMPS, _HEAP, _KEYS, _COUNTS, _REFS = 0, 1, 2, 3, 4, 6, 7, 8
+
+
+def _col(r: int, col: int, n: int | None = None) -> slice:
+    """The first ``n`` (default ``r``) entries of column ``col``."""
+    start = 1 + col * r
+    return slice(start, start + (r if n is None else n))
+
+
+def _build(r: int, heap_times, heap_slots, *, items, live, offsets, stamps,
+           keys, counts, refs) -> array:
+    """A new ``r``-instance state buffer from its columns (a scalar
+    fills its column); the heap pairs go in sorted, which makes them a
+    heap."""
+    state = array("q", bytes(8 * (1 + 9 * r)))
+    v = np.frombuffer(state, dtype=np.int64)
+    v[0] = len(keys)
+    for col, values in ((_SLOT, items), (_LIVE, live), (_OFFSETS, offsets),
+                        (_STAMPS, stamps)):
+        v[_col(r, col)] = values
+    times, slots = np.asarray(heap_times), np.asarray(heap_slots)
+    order = np.lexsort((slots, times))
+    heap = v[_col(r, _HEAP, 2 * r)]
+    heap[0::2], heap[1::2] = times[order], slots[order]
+    for col, values in ((_KEYS, keys), (_COUNTS, counts), (_REFS, refs)):
+        v[_col(r, col, len(keys))] = values
+    return state
+
+
+def _int64(values) -> np.ndarray:
+    """A snapshot array (or sequence) as int64."""
+    return np.asarray(values, dtype=np.int64).reshape(-1)
+
+
+def _well_formed(r: int, s: array) -> bool:
+    """Whether ``s`` is a consistent ``r``-instance buffer — the
+    compiled check, or the same rules in Python without a compiler."""
+    if ingest_kernel.kernel_impl() == "c":
+        return ingest_kernel.check(r, s)
+    tracked = s[0]
+    keys = s[_col(r, _KEYS, tracked)]
+    live = s[_col(r, _LIVE)]
+    holders: dict[int, int] = {}
+    for item, on in zip(s[_col(r, _SLOT)], live):
+        if on:
+            holders[item] = holders.get(item, 0) + 1
+    return (
+        0 <= tracked <= r
+        and set(live) <= {0, 1}
+        and sorted(s[_col(r, _HEAP, 2 * r)][1::2]) == list(range(r))
+        and len(set(keys)) == tracked
+        and holders == dict(zip(keys, s[_col(r, _REFS, tracked)]))
+    )
+
+
+def _sift_top(s: array, heap: int, r: int, time: int, idx: int) -> None:
+    """Replace the top of the ``r``-entry heap of ``(time, idx)`` pairs
+    at ``s[heap:]`` with ``(time, idx)`` and sift it down — the compiled
+    loop's replace-top, so both leave the same heap."""
+    pos = 0
+    while True:
+        c = 2 * pos + 1
+        if c >= r:
+            break
+        child = (s[heap + 2 * c], s[heap + 2 * c + 1])
+        if c + 1 < r:
+            right = (s[heap + 2 * c + 2], s[heap + 2 * c + 3])
+            if right < child:
+                c, child = c + 1, right
+        if child > (time, idx):
+            break
+        s[heap + 2 * pos], s[heap + 2 * pos + 1] = child
+        pos = c
+    s[heap + 2 * pos] = time
+    s[heap + 2 * pos + 1] = idx
 
 
 class TrulyPerfectGSampler(StaticLifecycleMixin):

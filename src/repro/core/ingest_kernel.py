@@ -1,23 +1,40 @@
-"""The compiled pool ingest loop: build, cache, load, call.
+"""The compiled pool loops: build, cache, load, call.
 
-``pool_kernel.c`` (next to this module) is :meth:`SamplerPool.update
-<repro.core.g_sampler.SamplerPool.update>` written in C — the same
-per-item rule, the same heap order, one uniform per heap event drawn
-through the generator's own ``bit_generator.ctypes.next_double`` — so a
-batched ingest leaves the pool, and its RNG, bitwise where the scalar
-loop would.
+``pool_kernel.c`` (next to this module) works on the one int64 buffer a
+:class:`~repro.core.g_sampler.SamplerPool` keeps its state in, an
+``array("q")`` laid out as ``[tracked | slot, live, offsets, stamps (r
+each) | heap (2r, interleaved (time, idx) pairs) | keys, counts, refs
+(room each)]``, the first ``tracked`` key/count/ref rows in insertion
+order.  The pool owns the buffer; this module only passes it to C:
+
+* :func:`run` is :meth:`SamplerPool.update
+  <repro.core.g_sampler.SamplerPool.update>` written in C — the same
+  per-item rule, the same heap order, one uniform per heap event drawn
+  through the generator's own ``bit_generator.ctypes.next_double`` — so
+  a batched ingest leaves the pool, and its RNG, bitwise where the
+  scalar loop would;
+* :func:`merge` builds a merged buffer from two pools, the pick coins
+  and the redrawn wakes (the caller draws both, in the pool's order);
+* :func:`forward_counts` reads each instance's forward count
+  (``counts[item] − offset``, what ``finalize`` reports);
+* :func:`check` validates a buffer's structure (what ``restore``
+  runs on a snapshot; the other calls run it first too).
 
 The library builds on first use, with the compiler Python itself was
 built with (``sysconfig``'s ``CC``), into a per-user cache keyed by a
 hash of the source, the compiler and the platform
 (``$XDG_CACHE_HOME/repro-kernels``, default ``~/.cache/repro-kernels``).
 A finished build lands by atomic rename, so processes racing to build
-it never load a partial file.  ``ctypes.CDLL`` releases the GIL for the
-call: pools ingesting on different threads run their loops in parallel.
+it never load a partial file.  :func:`run` goes through ``ctypes.CDLL``,
+which releases the GIL for the call: pools ingesting on different
+threads run their loops in parallel.  The short O(R) calls
+(:func:`merge`, :func:`forward_counts`, :func:`check`) go through
+``ctypes.PyDLL`` and keep the GIL, so they never wait to take it back.
 
 Without a working compiler, :func:`kernel_impl` reports ``"python"``,
-batched ingest runs the scalar ``update()`` loop (the executable spec,
-not a second kernel), and one :class:`RuntimeWarning` says so.  The
+the pool runs its Python rules on the same buffer (batched ingest runs
+the scalar ``update()`` loop, the executable spec, not a second
+kernel), and one :class:`RuntimeWarning` says so.  The
 ``repro_ingest_kernel_info{impl=...}`` gauge shows which path runs.
 """
 
@@ -41,7 +58,7 @@ import numpy as np
 
 from repro.obs.catalog import CATALOG_HELP
 
-__all__ = ["bind_info", "kernel_impl", "run"]
+__all__ = ["bind_info", "check", "forward_counts", "kernel_impl", "merge", "run"]
 
 #: The C source of the loop (shipped as package data).
 _SOURCE = Path(__file__).with_name("pool_kernel.c")
@@ -50,7 +67,8 @@ _SOURCE = Path(__file__).with_name("pool_kernel.c")
 _NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 _lock = threading.Lock()
 _loaded = False
-_fn = None
+_lib = None  # the CDLL (GIL released): repro_pool_ingest
+_short = None  # the PyDLL (GIL held): the O(R) calls
 
 
 def _build_library() -> Path:
@@ -87,34 +105,41 @@ def _build_library() -> Path:
 
 
 def _load():
-    global _loaded, _fn
+    global _loaded, _lib, _short
     with _lock:
         if _loaded:
-            return _fn
+            return _lib
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
         try:
-            fn = ctypes.CDLL(str(_build_library())).repro_pool_ingest
-            fn.restype = ctypes.c_int64
-            fn.argtypes = [
-                ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64, ctypes.c_void_p, _NEXT_DOUBLE, ctypes.c_void_p,
-            ]
-            _fn = fn
+            path = str(_build_library())
+            lib, short = ctypes.CDLL(path), ctypes.PyDLL(path)
+            for dll, name, args in (
+                (lib, "repro_pool_ingest", [ptr, i64, i64, i64, i64, ptr, _NEXT_DOUBLE, ptr]),
+                (short, "repro_pool_check", [i64, i64, ptr]),
+                (short, "repro_pool_merge", [i64, i64, ptr, ptr, ptr, ptr, i64, ptr]),
+                (short, "repro_pool_forward", [i64, i64, ptr, ptr]),
+            ):
+                fn = getattr(dll, name)
+                fn.restype = i64
+                fn.argtypes = args
+            _lib, _short = lib, short
         except Exception as exc:  # no compiler, no writable cache, ...
             warnings.warn(
                 f"repro: the compiled pool ingest kernel is unavailable "
                 f"({type(exc).__name__}: {exc}); batched ingest runs the "
-                "scalar update() loop",
+                "scalar update() loop, and merge and restore run in Python",
                 RuntimeWarning,
                 stacklevel=3,
             )
         _loaded = True
-        return _fn
+        return _lib
 
 
 def kernel_impl() -> str:
-    """``"c"`` when the compiled loop runs batched ingest, else
-    ``"python"`` (the scalar ``update()`` loop)."""
-    return "python" if (_fn if _loaded else _load()) is None else "c"
+    """``"c"`` when the compiled loops run the pool's batched ingest,
+    merge, finals and structure check, else ``"python"`` (the scalar
+    ``update()`` loop and the pool's Python rules)."""
+    return "python" if (_lib if _loaded else _load()) is None else "c"
 
 
 def bind_info(registry) -> None:
@@ -126,28 +151,78 @@ def bind_info(registry) -> None:
     ).labels(impl=kernel_impl()).set(1)
 
 
+def _room(state: array, r: int) -> int:
+    room = (len(state) - 1 - 6 * r) // 3
+    if r < 1 or room < 0:
+        raise ValueError(f"a buffer of {len(state)} cannot hold {r} instances")
+    return room
+
+
+def _address(state: array) -> int:
+    return state.buffer_info()[0]
+
+
+def _raise_for(code: int, what: str) -> None:
+    if code == -2:
+        raise MemoryError("no memory for the pool kernel's item table")
+    if code < 0:
+        raise RuntimeError(f"pool state is inconsistent; {what}")
+
+
 def run(items: np.ndarray, t: int, r: int, state: array,
         rng: np.random.Generator) -> int:
-    """Feed ``items`` (contiguous int64) to an ``r``-instance pool at
-    position ``t`` through the compiled loop; returns the number of heap
-    events.
-
-    ``state`` is the pool's packed ``array("q")``, read and written in
-    place: ``[tracked | slot, live, offsets, stamps (r each) | heap (2r,
-    interleaved (time, idx) pairs) | keys, counts, refs (room each)]``,
-    the first ``tracked`` key/count/ref rows in insertion order and
-    ``room ≥ max(tracked, r)``.  Only call when :func:`kernel_impl` is
-    ``"c"``."""
-    room = (len(state) - 1 - 6 * r) // 3
+    """Feed ``items`` (contiguous int64) to the ``r``-instance pool
+    buffer ``state`` at position ``t``, in place; returns the number of
+    heap events.  An inconsistent buffer raises :class:`RuntimeError`
+    with ``state`` and ``rng`` untouched.  Only call when
+    :func:`kernel_impl` is ``"c"``."""
     bitgen = rng.bit_generator
     iface = bitgen.ctypes
     with bitgen.lock:
-        events = _fn(
-            items.ctypes.data, items.size, t, r, room, state.buffer_info()[0],
+        events = _lib.repro_pool_ingest(
+            items.ctypes.data, items.size, t, r, _room(state, r), _address(state),
             iface.next_double, iface.state,
         )
-    if events == -2:
-        raise MemoryError("no memory for the ingest kernel's item table")
-    if events < 0:
-        raise RuntimeError("pool state is inconsistent; nothing was ingested")
+    _raise_for(events, "nothing was ingested")
     return events
+
+
+def check(r: int, state: array) -> bool:
+    """Whether ``state`` is a well-formed ``r``-instance pool buffer:
+    tracked rows within room, live flags 0/1, heap slots a permutation
+    of the instances, no key listed twice, and each key's refs equal to
+    the live instances holding it.  Reads only."""
+    code = _short.repro_pool_check(r, _room(state, r), _address(state))
+    if code == -1:
+        return False
+    _raise_for(code, "")
+    return True
+
+
+def forward_counts(r: int, state: array) -> array:
+    """Each instance's forward count, ``counts[item] − offset``, of the
+    ``r``-instance pool buffer ``state`` (every instance must hold an
+    item).  An inconsistent buffer raises :class:`RuntimeError`."""
+    out = array("q", bytes(8 * r))
+    code = _short.repro_pool_forward(r, _room(state, r), _address(state), _address(out))
+    _raise_for(code, "no count was read")
+    return out
+
+
+def merge(r: int, mine: array, theirs: array, kept: np.ndarray,
+          wakes: array, shift: int) -> array:
+    """A new buffer holding the merge of pool buffers ``mine`` and
+    ``theirs``: instance ``k`` is ``mine``'s where ``kept[k]`` (a bool
+    array), else ``theirs``'s with its stamp shifted by ``shift``; the
+    heap is ``(wakes[k], k)``.  Inconsistent inputs (or an empty picked
+    instance) raise :class:`RuntimeError`; the inputs are only read."""
+    kept = np.ascontiguousarray(kept, dtype=np.bool_)
+    if not len(kept) == len(wakes) == r or len(theirs) != len(mine):
+        raise ValueError("merge inputs differ in shape")
+    out = array("q", bytes(8 * len(mine)))
+    code = _short.repro_pool_merge(
+        r, _room(mine, r), _address(mine), _address(theirs), kept.ctypes.data,
+        _address(wakes), shift, _address(out),
+    )
+    _raise_for(code, "nothing was merged")
+    return out

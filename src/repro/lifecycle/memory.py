@@ -16,6 +16,11 @@ The model is deliberately simple and stable —
 * an RNG (Generator + BitGenerator state) ≈ 128 bytes;
 * a Python instance shell ≈ 64 bytes.
 
+A :class:`~repro.core.g_sampler.SamplerPool` holds its whole state in
+one int64 buffer, so it counts as that buffer (an array: 8 bytes per
+slot + the header) plus its shell and RNG — a fixed size per instance
+count, however many items it tracks.
+
 What matters downstream is monotonicity (more entries → more bytes) and
 rough proportionality, both of which the model gives exactly.
 """

@@ -58,7 +58,7 @@ from repro.lifecycle.memory import (
     INSTANCE_BYTES,
     RNG_STATE_BYTES,
     mapping_bytes,
-    sequence_bytes,
+    ndarray_bytes,
 )
 from repro.lifecycle.rng import generator_from_state
 from repro.obs.metrics import current_registry
@@ -161,20 +161,20 @@ class _TimeGeneration:
     def __init__(self, pool: SamplerPool, bucket: int, instances: int, aux) -> None:
         self.pool = pool
         self.bucket = bucket
-        # Wall-clock arrival time of each instance's sampled occurrence;
-        # filled at the first update (every instance replaces at
-        # position 1).
-        self.wall: list[float] = [-math.inf] * instances
+        # Wall-clock arrival time of each instance's sampled occurrence
+        # (float64); filled at the first update (every instance replaces
+        # at position 1).
+        self.wall = np.full(instances, -math.inf)
         self.aux = aux  # per-substream normalizer state (Lp: Misra-Gries)
 
     def __deepcopy__(self, memo: dict) -> "_TimeGeneration":
         """Clone at state cost: the pool and aux through their own
-        clones, ``wall`` (floats) by a list copy."""
+        clones, ``wall`` by an array copy."""
         clone = object.__new__(_TimeGeneration)
         memo[id(self)] = clone
         clone.pool = copy.deepcopy(self.pool, memo)
         clone.bucket = self.bucket
-        clone.wall = list(self.wall)
+        clone.wall = self.wall.copy()
         clone.aux = copy.deepcopy(self.aux, memo)
         return clone
 
@@ -268,7 +268,7 @@ class _TimeWindowPoolSampler:
         return (
             INSTANCE_BYTES
             + gen.pool.approx_size_bytes()
-            + sequence_bytes(len(gen.wall))
+            + ndarray_bytes(gen.wall)
             + aux
         )
 
@@ -335,9 +335,12 @@ class _TimeWindowPoolSampler:
     def _refresh_wall(
         self, gen: _TimeGeneration, old_pos: int, seg_ts: np.ndarray
     ) -> None:
-        for idx, pos in enumerate(gen.pool.replacement_positions()):
-            if pos > old_pos:
-                gen.wall[idx] = float(seg_ts[pos - old_pos - 1])
+        """Stamp the instances that adopted an item past ``old_pos`` with
+        its arrival time, ``seg_ts`` holding the positions from
+        ``old_pos + 1`` on: one gather over the pool's stamps."""
+        stamps = gen.pool.replacement_positions()
+        fresh = stamps > old_pos
+        gen.wall[fresh] = seg_ts[stamps[fresh] - old_pos - 1]
 
     def update(self, item: int, timestamp: float) -> None:
         ts = as_clock(timestamp)
@@ -354,7 +357,7 @@ class _TimeWindowPoolSampler:
             gen.pool.update(item)
             self._aux_ingest_one(gen.aux, item)
             if gen.pool.heap_events != old_events:
-                self._refresh_wall(gen, old_pos, (ts,))
+                self._refresh_wall(gen, old_pos, np.array([ts]))
         self._t += 1
         self._now = ts
         self._last_arrival = ts
@@ -454,8 +457,7 @@ class _TimeWindowPoolSampler:
             return SampleResult.empty()
         zeta = self._zeta(gen)
         coins = self._rng.random(len(finals))
-        for idx, ((item, count, __), coin) in enumerate(zip(finals, coins)):
-            wall = gen.wall[idx]
+        for (item, count, __), coin, wall in zip(finals, coins, gen.wall.tolist()):
             if wall <= window_start:
                 continue  # the sampled position has expired
             weight = self._weight(count)
@@ -494,14 +496,12 @@ class _TimeWindowPoolSampler:
             return [SampleResult.empty() for __ in range(k)]
         zeta = self._zeta(gen)
         weights = [self._weight(c) for __, c, __ in finals]
-        active = np.array(
-            [wall > window_start for wall in gen.wall], dtype=bool
-        )
+        active = gen.wall > window_start
 
         def make(j: int) -> SampleResult:
             item, count, __ = finals[j]
             return SampleResult.of(
-                item, count=count, timestamp=gen.wall[j], zeta=zeta
+                item, count=count, timestamp=float(gen.wall[j]), zeta=zeta
             )
 
         return rejection_many(
@@ -533,7 +533,7 @@ class _TimeWindowPoolSampler:
         for i, gen in enumerate(self._generations):
             entry = {
                 "bucket": gen.bucket,
-                "wall": np.asarray(gen.wall, dtype=np.float64),
+                "wall": gen.wall.copy(),
                 "pool": gen.pool.snapshot(),
             }
             if gen.aux is not None:
@@ -582,7 +582,7 @@ class _TimeWindowPoolSampler:
                 self._instances,
                 self._make_aux(),
             )
-            gen.wall = [float(w) for w in entry["wall"]]
+            gen.wall = np.array(entry["wall"], dtype=np.float64)
             if gen.aux is not None:
                 gen.aux.restore(entry["aux"])
             gens.append(gen)
@@ -651,10 +651,7 @@ class _TimeWindowPoolSampler:
                 gen.bucket = bucket
             if theirs is not None:
                 picks = gen.pool.merge(theirs.pool)
-                gen.wall = [
-                    mine if kept else other_wall
-                    for mine, other_wall, kept in zip(gen.wall, theirs.wall, picks)
-                ]
+                gen.wall = np.where(picks, gen.wall, theirs.wall)
                 if gen.aux is not None:
                     gen.aux.merge(theirs.aux)
             merged.append(gen)

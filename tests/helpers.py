@@ -10,16 +10,17 @@ them collides across directories).
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.core.reservoir import skip_next_replacement
 from repro.engine.state import save_state
+from repro.lifecycle import generator_from_state
 from repro.stats import assert_matches_distribution
 
 __all__ = [
+    "F0_FIELDS",
     "assert_matches_distribution",
+    "f0_state",
     "gappy_timed_stream",
     "reference_pool_merge",
     "replay_timed",
@@ -63,6 +64,21 @@ def replay_timed(sampler, items, ts, cuts=None, compact_at=()) -> bytes:
     return save_state(sampler)
 
 
+#: The snapshot fields of one Algorithm-5 F0 copy that ingest sets: the
+#: first-seen items in order, the counters in insertion order, overflow.
+F0_FIELDS = ("first", "count_keys", "count_vals", "overflowed")
+
+
+def f0_state(copy, *fields: str) -> list:
+    """The named fields of an Algorithm-5 F0 copy's snapshot, as plain
+    values (arrays as lists, in their snapshot order)."""
+    state = copy.snapshot()
+    return [
+        state[name].tolist() if isinstance(state[name], np.ndarray) else state[name]
+        for name in fields
+    ]
+
+
 def reference_pool_merge(pool, other) -> list[bool]:
     """The executable spec of ``SamplerPool.merge``: the pairwise rule
     written out instance by instance, one scalar coin per instance and
@@ -72,18 +88,24 @@ def reference_pool_merge(pool, other) -> list[bool]:
     ``m₁/(m₁+m₂)`` (no coin when ``m₁ = 0``), else adopts ``other``'s
     with its timestamp shifted by ``m₁``; counts and refs are built in
     first-pick order, each count the largest picked forward count of
-    its item.  Mutates ``pool`` and returns the kept mask.
+    its item.  Reads both pools through ``finalize`` / ``snapshot`` and
+    writes the result back through ``restore`` (so ``pool``'s generator
+    is replaced by one continuing the same stream); returns the kept
+    mask.
     """
-    m1, m2 = pool._t, other._t
+    r = pool.instances
+    m1, m2 = pool.position, other.position
     if m2 == 0:
-        return [True] * pool._r
+        return [True] * r
     total = m1 + m2
     mine = pool.finalize()
     theirs = other.finalize()
+    state = pool.snapshot()
+    rng = generator_from_state(state["rng_state"])
     kept_self: list[bool] = []
     picks: list[tuple[int, int, int]] = []
-    for k in range(pool._r):
-        if m1 > 0 and pool._rng.random() < m1 / total:
+    for k in range(r):
+        if m1 > 0 and rng.random() < m1 / total:
             kept_self.append(True)
             picks.append(mine[k])
         else:
@@ -95,15 +117,26 @@ def reference_pool_merge(pool, other) -> list[bool]:
     for item, count, __ in picks:
         refs[item] = refs.get(item, 0) + 1
         counts[item] = max(counts.get(item, 0), count)
-    for k, (item, count, ts) in enumerate(picks):
-        pool._items[k] = item
-        pool._offsets[k] = counts[item] - count
-        pool._timestamps[k] = ts
-    pool._counts = counts
-    pool._refs = refs
-    pool._t = total
-    jumps = [skip_next_replacement(total, pool._rng) for __ in range(pool._r)]
-    pool._heap = list(zip(jumps, range(pool._r)))
-    heapq.heapify(pool._heap)
-    pool._heap_events += other._heap_events
+    jumps = [skip_next_replacement(total, rng) for __ in range(r)]
+    heap = sorted(zip(jumps, range(r)))
+
+    def col(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.int64)
+
+    state.update(
+        position=total,
+        heap_events=pool.heap_events + other.heap_events,
+        items=col(item for item, __, ___ in picks),
+        items_live=np.ones(r, dtype=np.int64),
+        offsets=col(counts[item] - count for item, count, __ in picks),
+        timestamps=col(ts for __, ___, ts in picks),
+        heap_times=col(when for when, __ in heap),
+        heap_slots=col(idx for __, idx in heap),
+        count_keys=col(counts),
+        count_vals=col(counts.values()),
+        ref_keys=col(refs),
+        ref_vals=col(refs.values()),
+        rng_state=rng.bit_generator.state,
+    )
+    pool.restore(state)
     return kept_self

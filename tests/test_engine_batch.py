@@ -6,7 +6,7 @@ in a state whose (conditional) output distribution matches the scalar
 import numpy as np
 import pytest
 
-from helpers import assert_matches_distribution
+from helpers import F0_FIELDS, assert_matches_distribution, f0_state
 from repro.core.f0_sampler import RandomOracleF0Sampler, TrulyPerfectF0Sampler
 from repro.core.g_sampler import SamplerPool, SingleGSampler, TrulyPerfectGSampler
 from repro.core.lp_sampler import TrulyPerfectLpSampler
@@ -122,9 +122,7 @@ class TestSamplerBatchEquivalence:
         batched.update_batch(stream[:1000])
         batched.update_batch(stream[1000:])
         for cs, cb in zip(scalar._copies, batched._copies):
-            assert list(cs._first) == list(cb._first)
-            assert cs._counts == cb._counts
-            assert cs._overflowed == cb._overflowed
+            assert f0_state(cs, *F0_FIELDS) == f0_state(cb, *F0_FIELDS)
 
     def test_oracle_f0_batch_bitwise(self):
         stream = np.asarray(uniform_stream(300, 4000, seed=2).items)

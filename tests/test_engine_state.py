@@ -6,7 +6,7 @@ universe partition."""
 import numpy as np
 import pytest
 
-from helpers import assert_matches_distribution
+from helpers import F0_FIELDS, assert_matches_distribution, f0_state
 from repro.core.f0_sampler import RandomOracleF0Sampler, TrulyPerfectF0Sampler
 from repro.core.g_sampler import SamplerPool, TrulyPerfectGSampler
 from repro.core.lp_sampler import TrulyPerfectLpSampler
@@ -63,8 +63,10 @@ class TestSnapshotRestore:
         clone = TrulyPerfectF0Sampler(200, seed=123)
         load_state(clone, save_state(sampler))
         for cs, cc in zip(sampler._copies, clone._copies):
-            assert cs._s_set == cc._s_set
-            assert cs._counts == cc._counts
+            assert f0_state(cs, "s_set") == f0_state(cc, "s_set")
+            assert f0_state(cs, "count_keys", "count_vals") == f0_state(
+                cc, "count_keys", "count_vals"
+            )
         assert clone.sample().item == sampler.sample().item
 
     def test_g_restore_rejects_measure_mismatch(self):
@@ -254,8 +256,12 @@ class TestPoolMergeExactness:
             assert count >= 1
             assert 1 <= ts <= 2000
         # Shared counters stay consistent: counts[i] ≥ every holder's need.
+        state = a.snapshot()
+        counts = dict(zip(state["count_keys"].tolist(), state["count_vals"].tolist()))
+        offsets = state["offsets"].tolist()
+        assert state["items"].tolist() == [item for item, __, ___ in finals]
         for idx, (item, count, __) in enumerate(finals):
-            assert a._counts[item] - a._offsets[idx] == count
+            assert counts[item] - offsets[idx] == count
 
     def test_merge_empty_other_is_noop(self):
         a = SamplerPool(4, seed=1)
@@ -321,9 +327,7 @@ class TestLpAndF0Merge:
         b.update_batch(part_b)
         a.merge(b)
         for cs, cm in zip(single._copies, a._copies):
-            assert list(cs._first) == list(cm._first)
-            assert cs._counts == cm._counts
-            assert cs._overflowed == cm._overflowed
+            assert f0_state(cs, *F0_FIELDS) == f0_state(cm, *F0_FIELDS)
 
     def test_f0_merge_distribution(self):
         stream = zipf_stream(100, 1200, alpha=1.1, seed=17)

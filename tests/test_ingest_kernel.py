@@ -261,7 +261,7 @@ class TestCompiledLoop:
         batched.restore(state)
         scalar.update(7)  # every instance wakes here
         batched.update_batch(np.array([7]))
-        assert max(when for when, __ in scalar._heap) == (1 << 63) - 1
+        assert scalar.snapshot()["heap_times"].max() == (1 << 63) - 1
         _assert_pools_bitwise(batched, scalar)
 
     def test_scalar_and_batched_calls_interleave(self):
@@ -274,15 +274,21 @@ class TestCompiledLoop:
         for item in items[:1000].tolist():
             scalar.update(item)
         batched.update_batch(items[:500])
-        assert batched.replacement_positions() != []
+        assert batched.replacement_positions().min() >= 1
         assert batched.tracked_items > 0
+        assert batched.finalize()
         for item in items[500:1000].tolist():
             batched.update(item)
+        _assert_pools_bitwise(batched, scalar)
         batched.update_batch(items[1000:2000])
         for item in items[1000:2000].tolist():
             scalar.update(item)
-        assert batched.replacement_positions() == scalar.replacement_positions()
+        _assert_pools_bitwise(batched, scalar)
+        assert (batched.replacement_positions().tolist()
+                == scalar.replacement_positions().tolist()
+                == scalar.snapshot()["timestamps"].tolist())
         assert batched.tracked_items == scalar.tracked_items
+        assert batched.finalize() == scalar.finalize()
         assert batched.approx_size_bytes() == scalar.approx_size_bytes()
         other_b, other_s = SamplerPool(32, seed=3), SamplerPool(32, seed=3)
         other_b.update_batch(items[2000:] + 10_000)
@@ -314,6 +320,46 @@ class TestCompiledLoop:
             thread.join()
         for a, b in zip(threaded, sequential):
             assert save_state(a) == save_state(b)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_readers_never_see_a_part_written_buffer():
+    """The compiled loop runs without the GIL on a copy of the buffer
+    that replaces it whole: threads reading the pool while another
+    ingests (more threads than cores, 1 µs switch interval) always read
+    a consistent buffer, one that a restore's structure check accepts."""
+    pool = SamplerPool(64, seed=1)
+    items = _zipf(60_000, 3000, seed=5)
+    pool.update_batch(items[:300])  # every instance holds an item
+    stop = threading.Event()
+    reads: list[int] = []
+    errors: list[Exception] = []
+
+    def read() -> None:
+        while not stop.is_set():
+            try:
+                SamplerPool.from_snapshot(pool.snapshot()).finalize()
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+                return
+            reads.append(1)
+
+    readers = [threading.Thread(target=read) for __ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers:
+            thread.start()
+        for start in range(300, items.size, 300):
+            pool.update_batch(items[start:start + 300])
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert errors == []
+    assert reads
 
 
 def _fed_pool() -> SamplerPool:
@@ -348,6 +394,18 @@ def _broken(state: dict, name: str) -> dict:
         state["ref_vals"] = np.append(state["ref_vals"], 1)
     elif name == "negative-position":
         state["position"] = -1
+    elif name == "ref-keys-differ":
+        state["ref_keys"] = state["ref_keys"][::-1].copy()
+    elif name == "short-counts":
+        state["count_vals"] = state["count_vals"][:-1]
+    elif name == "duplicate-key":
+        state["count_keys"][1] = state["count_keys"][0]
+        state["ref_keys"][1] = state["ref_keys"][0]
+    elif name == "tracked-over-room":
+        extra = np.arange(state["instances"] + 1 - len(state["count_keys"])) + (1 << 41)
+        for keys, vals in (("count_keys", "count_vals"), ("ref_keys", "ref_vals")):
+            state[keys] = np.append(state[keys], extra)
+            state[vals] = np.append(state[vals], np.ones_like(extra))
     return state
 
 
@@ -359,17 +417,26 @@ class TestMalformedSnapshots:
     FAULTS = [
         "no-instances", "short-heap", "short-items", "slot-out-of-range",
         "slot-repeated", "live-item-untracked", "refs-too-low",
-        "tracked-item-unheld", "negative-position",
+        "tracked-item-unheld", "negative-position", "ref-keys-differ",
+        "short-counts", "duplicate-key", "tracked-over-room",
     ]
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_restore_rejects_and_leaves_pool_unchanged(self, fault):
-        pool = _fed_pool()
-        before = save_state(pool)
+        pool, twin = _fed_pool(), _fed_pool()
+        finals = pool.finalize()
         with pytest.raises(ValueError):
             pool.restore(_broken(pool.snapshot(), fault))
-        assert save_state(pool) == before
-        pool.update_batch(_zipf(200, 30, seed=45))
+        assert save_state(pool) == save_state(twin)
+        assert pool.finalize() == finals
+        # The pool and its RNG go on exactly as a twin that never saw it.
+        more = _zipf(200, 30, seed=45)
+        pool.update_batch(more[:100])
+        twin.update_batch(more[:100])
+        for item in more[100:].tolist():
+            pool.update(item)
+            twin.update(item)
+        assert save_state(pool) == save_state(twin)
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_load_state_rejects(self, fault):
@@ -393,7 +460,7 @@ def test_compiled_loop_rejects_inconsistent_state_untouched(fault):
     inconsistent buffer raises and leaves the buffer and RNG as they
     were."""
     pool = _fed_pool()
-    state = pool._pack()
+    state = pool._state[:]  # the pool's buffer, copied
     r = pool.instances
     heap, keys = 4 * r + 1, 6 * r + 1
     room = (len(state) - keys) // 3
@@ -415,8 +482,31 @@ def test_compiled_loop_rejects_inconsistent_state_untouched(fault):
     assert rng.bit_generator.state == rng_before
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("fault", ["refs-too-low", "empty-pick"])
+def test_compiled_merge_rejects_inconsistent_input_untouched(fault):
+    """The C merge checks both buffers, and that every picked instance
+    holds an item, before writing: a bad input raises and both buffers
+    stay as they were."""
+    mine, theirs = _fed_pool(), SamplerPool(8, seed=5)
+    theirs.update_batch(_zipf(300, 30, seed=47) + 1000)
+    a, b = mine._state[:], theirs._state[:]
+    r = mine.instances
+    kept = np.zeros(r, dtype=bool)
+    wakes = array("q", range(900, 900 + r))
+    if fault == "refs-too-low":
+        b[1 + 8 * r] -= 1  # the first tracked item's refs
+    else:
+        a = SamplerPool(r, seed=6)._state[:]  # no instance holds an item
+        kept[0] = True
+    copies = a[:], b[:]
+    with pytest.raises(RuntimeError, match="nothing was merged"):
+        ingest_kernel.merge(r, a, b, kept, wakes, mine.position)
+    assert (a, b) == copies
+
+
 _FALLBACK_SCRIPT = """
-import json, sys, warnings
+import copy, json, sys, warnings
 import numpy as np
 from repro.core import ingest_kernel
 
@@ -436,20 +526,47 @@ with warnings.catch_warnings(record=True) as caught:
     for start in range(0, items.size, 700):
         pool.update_batch(items[start:start + 700])
     SamplerPool(16, seed=6).update_batch(items[:10])
+    other = SamplerPool(16, seed=7)
+    other.update_batch(items[:3000] + 10**6)
+    merged = copy.deepcopy(pool)
+    kept = merged.merge(other)
+    restored = SamplerPool.from_snapshot(merged.snapshot())
+    restored.update_batch(items[:500])
+rejected = 0
+for fault in ("refs", "slot", "duplicate", "untracked"):
+    state = restored.snapshot()
+    if fault == "refs":
+        state["ref_vals"][0] -= 1
+    elif fault == "slot":
+        state["heap_slots"][0] = state["heap_slots"][1]
+    elif fault == "duplicate":
+        state["count_keys"][1] = state["ref_keys"][1] = state["count_keys"][0]
+    else:
+        state["items"][0] = 1 << 40
+    try:
+        restored.restore(state)
+    except ValueError:
+        rejected += 1
 print(json.dumps({
     "impl": ingest_kernel.kernel_impl(),
     "warnings": [str(w.message) for w in caught
                  if issubclass(w.category, RuntimeWarning)],
     "exposition": reg.render_prometheus(),
     "state": save_state(pool).hex(),
+    "kept": kept,
+    "merged": save_state(merged).hex(),
+    "finals": merged.finalize(),
+    "restored": save_state(restored).hex(),
+    "rejected": rejected,
 }))
 """
 
 
 def test_fallback_without_compiler_runs_scalar_loop():
-    """With the build step failing, batched ingest runs the scalar loop:
-    one warning, ``impl="python"`` in the gauge, and snapshot bytes equal
-    to the compiled path's."""
+    """With the build step failing, batched ingest runs the scalar loop
+    and merge, restore and finalize run their Python rules on the same
+    buffer: one warning, ``impl="python"`` in the gauge, snapshot bytes
+    equal to the compiled path's, and malformed snapshots rejected."""
     items = _zipf(5000, 300, seed=90)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -464,10 +581,47 @@ def test_fallback_without_compiler_runs_scalar_loop():
     assert len(out["warnings"]) == 1
     assert "scalar update() loop" in out["warnings"][0]
     assert 'repro_ingest_kernel_info{impl="python"} 1' in out["exposition"]
+    assert out["rejected"] == 4
     here = SamplerPool(16, seed=5)
     for start in range(0, items.size, 700):
         here.update_batch(items[start:start + 700])
     assert bytes.fromhex(out["state"]) == save_state(here)
+    other = SamplerPool(16, seed=7)
+    other.update_batch(items[:3000] + 10**6)
+    assert here.merge(other) == out["kept"]
+    assert bytes.fromhex(out["merged"]) == save_state(here)
+    assert [list(final) for final in here.finalize()] == out["finals"]
+    restored = SamplerPool.from_snapshot(here.snapshot())
+    restored.update_batch(items[:500])
+    assert bytes.fromhex(out["restored"]) == save_state(restored)
+
+
+@pytest.mark.parametrize("instances", [1, 5, 64])
+def test_python_rules_match_compiled_ones(monkeypatch, instances):
+    """In one process: merge, restore and batched ingest with the pool
+    on its Python rules (as without a compiler) leave the bytes, finals
+    and pick masks the compiled path leaves, and a malformed snapshot is
+    rejected by both checks."""
+    items = _zipf(3000, 200, seed=instances)
+
+    def run() -> tuple:
+        a, b = SamplerPool(instances, seed=1), SamplerPool(instances, seed=2)
+        a.update_batch(items[:1700])
+        b.update_batch(items[1700:] + 5000)
+        empty = SamplerPool(instances, seed=3)
+        picks = [empty.merge(b), a.merge(b)]
+        restored = SamplerPool.from_snapshot(a.snapshot())
+        restored.update_batch(items[:300])
+        broken = a.snapshot()
+        broken["ref_vals"][0] += 1
+        with pytest.raises(ValueError):
+            restored.restore(broken)
+        return (picks, a.finalize(), empty.finalize(),
+                [save_state(p) for p in (a, empty, restored)])
+
+    compiled = run()
+    monkeypatch.setattr(ingest_kernel, "kernel_impl", lambda: "python")
+    assert run() == compiled
 
 
 def test_ingest_kernel_counters_exposed():

@@ -27,6 +27,7 @@ from repro.lifecycle import (
     rebind_query_rngs,
     spawn_query_view,
 )
+from repro.obs import MetricsRegistry
 from repro.sliding_window import SlidingWindowGSampler
 from repro.streams import zipf_stream
 
@@ -116,26 +117,77 @@ def _pools(sampler) -> list[SamplerPool]:
     return []  # the F0 members hold no pool
 
 
-def test_pool_clone_covers_every_slot():
-    """A slot added to ``SamplerPool`` must be cloned explicitly: present
-    in the copy, equal, and (unless an immutable scalar or the shared
-    metrics counter) a different object from the original's."""
-    pool = SamplerPool(8, seed=5)
+def _heap_events_total(registry: MetricsRegistry) -> float:
+    for line in registry.render_prometheus().splitlines():
+        if line.startswith("repro_ingest_heap_events_total "):
+            return float(line.split()[-1])
+    return 0.0
+
+
+def test_pool_clone_is_the_original_and_shares_nothing_mutable():
+    """A clone's snapshot bytes and finals are the original's; every
+    mutator (scalar and batched ingest, merge, restore) run on one side
+    leaves the other side's bytes and finals as they were; only the
+    metrics counter is shared, so both sides' heap events add up in it."""
+    registry = MetricsRegistry()
+    pool = SamplerPool(8, seed=5, registry=registry)
     pool.update_batch(np.arange(200) % 13)
-    clone = copy.deepcopy(pool)
-    shared = {"_m_heap_events"}
-    for name in SamplerPool.__slots__:
-        mine, theirs = getattr(clone, name), getattr(pool, name)
-        if name in shared:
-            assert mine is theirs, name
-        elif isinstance(theirs, (int, float)):
-            assert mine == theirs, name
-        else:
-            assert mine is not theirs, name
-            if isinstance(theirs, np.random.Generator):
-                assert mine.bit_generator.state == theirs.bit_generator.state
-            else:
-                assert mine == theirs, name
+    other = SamplerPool(8, seed=6)
+    other.update_batch(np.arange(100) + 1000)
+    snap = SamplerPool(8, seed=7)
+    snap.update_batch(np.arange(50) % 3)
+    for mutate_clone in (True, False):
+        clone = copy.deepcopy(pool)
+        assert save_state(clone) == save_state(pool)
+        assert clone.finalize() == pool.finalize()
+        fixed, moved = (pool, clone) if mutate_clone else (clone, pool)
+        before, finals = save_state(fixed), fixed.finalize()
+        counted = _heap_events_total(registry)
+        events = moved.heap_events
+        moved.update_batch(np.arange(300) % 17)
+        for item in range(40):
+            moved.update(item % 7)
+        assert _heap_events_total(registry) == counted + moved.heap_events - events
+        moved.merge(other)
+        assert save_state(fixed) == before
+        assert fixed.finalize() == finals
+        moved.restore(snap.snapshot())
+        assert save_state(fixed) == before
+        assert fixed.finalize() == finals
+
+
+def test_finals_follow_every_mutator_and_clones():
+    """``finalize`` is computed once per pool state: after each mutator
+    (``update``, ``update_batch``, ``merge``, ``restore``) it equals a
+    freshly restored pool's answer, and mutating a clone (which starts
+    from the original's answer) leaves the original's unchanged."""
+    items = np.asarray(zipf_stream(100, 2000, alpha=1.2, seed=8).items)
+    pool = SamplerPool(16, seed=1)
+    other = SamplerPool(16, seed=2)
+    other.update_batch(items + 10_000)
+    donor = SamplerPool(16, seed=3)
+    donor.update_batch(items[:700])
+
+    def fresh(p: SamplerPool) -> list:
+        return SamplerPool.from_snapshot(p.snapshot()).finalize()
+
+    steps = [
+        lambda p: p.update_batch(items[:500]),
+        lambda p: p.update(int(items[500])),
+        lambda p: [p.update(item) for item in items[501:900].tolist()],
+        lambda p: p.merge(other),
+        lambda p: p.restore(donor.snapshot()),
+        lambda p: p.update_batch(items[900:]),
+    ]
+    for step in steps:
+        answer = pool.finalize()
+        clone = copy.deepcopy(pool)
+        assert clone.finalize() == answer
+        step(clone)
+        assert clone.finalize() == fresh(clone)
+        assert pool.finalize() == answer
+        step(pool)
+        assert pool.finalize() == fresh(pool) == clone.finalize()
 
 
 def test_clone_keeps_a_sliding_window_shared_stream():
@@ -224,8 +276,9 @@ def _assert_same_merge(a: SamplerPool, b: SamplerPool) -> None:
     want, want_mask, got, got_mask = _merged_both_ways(a, b)
     assert got_mask == want_mask
     assert save_state(got) == save_state(want)
-    assert got._rng.bit_generator.state == want._rng.bit_generator.state
-    assert list(got._refs) == list(want._refs)  # first-pick order
+    assert got.snapshot()["rng_state"] == want.snapshot()["rng_state"]
+    # First-pick order of the tracked items.
+    assert got.snapshot()["ref_keys"].tolist() == want.snapshot()["ref_keys"].tolist()
     assert save_state(b) == b_before
 
 
@@ -262,8 +315,8 @@ def test_merge_exact_jump_fallback():
     state["position"] = (1 << 60) + 3
     a.restore(state)
     __, ___, got, ____ = _merged_both_ways(a, b)
-    assert got._t > 1 << 53
-    assert max(when for when, __ in got._heap) == (1 << 63) - 1
+    assert got.position > 1 << 53
+    assert got.snapshot()["heap_times"].max() == (1 << 63) - 1
     _assert_same_merge(a, b)
 
 

@@ -26,6 +26,26 @@ class TestSamplerPoolInvariants:
         pool.extend(zipf_stream(50, 300, seed=3))
         assert pool.tracked_items <= 10
 
+    def test_ids_beyond_int64_are_refused_untouched(self):
+        """The state is an int64 buffer: adopting an id that does not fit
+        raises before anything changes; merging past 2^63 − 1 positions
+        raises before any coin is drawn."""
+        from repro.engine.state import save_state
+
+        pool = SamplerPool(4, seed=0)
+        before = save_state(pool)
+        with pytest.raises(OverflowError):
+            pool.update(1 << 63)  # position 1: every instance adopts it
+        assert save_state(pool) == before
+        pool.update(-(1 << 63))
+        far = pool.snapshot()
+        far["position"] = (1 << 63) - 2
+        other = SamplerPool.from_snapshot(far)
+        before = save_state(pool)
+        with pytest.raises(OverflowError):
+            pool.merge(other)
+        assert save_state(pool) == before
+
     def test_finalize_empty_stream(self):
         pool = SamplerPool(4, seed=0)
         assert pool.finalize() == []

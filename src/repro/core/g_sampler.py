@@ -33,7 +33,7 @@ import numpy as np
 from repro.core import ingest_kernel
 from repro.core.measures import Measure
 from repro.core.rejection import rejection_many
-from repro.core.reservoir import skip_next_replacement, skip_next_replacements
+from repro.core.reservoir import _WAKE_CAP, skip_next_replacement, skip_next_replacements
 from repro.core.types import SampleResult, as_item_array
 from repro.lifecycle.memory import INSTANCE_BYTES, RNG_STATE_BYTES, ndarray_bytes
 from repro.lifecycle.protocol import StaticLifecycleMixin
@@ -514,9 +514,6 @@ class SamplerPool(StaticLifecycleMixin):
             self._finals = finals
         return list(finals)
 
-
-#: The largest int64: wake times saturate here, and a position must stay below.
-_WAKE_CAP = (1 << 63) - 1
 
 #: The columns of a pool's state buffer, each ``r`` long after the
 #: leading ``tracked`` count (the heap takes two: interleaved pairs).

@@ -116,9 +116,11 @@ class SamplerPool(StaticLifecycleMixin):
     :meth:`update` (the executable spec) applies the rule to the buffer
     in place; :meth:`update_batch` and :meth:`merge` hand it to C
     without conversion, and every reader slices it.  Two caches derive
-    from it and are dropped by every mutator: the per-instance finals
-    (shared by clones) and :meth:`update`'s row index of the tracked
-    items.
+    from it: the per-instance finals, kept with the buffer they were
+    read from and valid only while that buffer is the pool's (shared by
+    clones), and :meth:`update`'s index of where each tracked item's
+    count sits, which :meth:`update` keeps current and the other
+    mutators drop.
     """
 
     __slots__ = ("_r", "_state", "_t", "_rng", "_heap_events", "_m_heap_events",
@@ -149,21 +151,28 @@ class SamplerPool(StaticLifecycleMixin):
         and the RNG is rebuilt once from its state.  The RNG goes through
         ``memo``, so a generator this pool shares (a sampler's ``_rng``,
         or a sliding window's pools) stays shared in the copy, and a
-        memo entry placed by the caller substitutes for it."""
+        memo entry placed by the caller substitutes for it.  Read under
+        the RNG's lock, like :meth:`snapshot`, so a clone taken while
+        another thread runs :meth:`update_batch` is the pool before or
+        after that call."""
         clone = object.__new__(type(self))
         memo[id(self)] = clone
-        clone._r = self._r
-        clone._state = self._state[:]
-        clone._t = self._t
-        clone._heap_events = self._heap_events
-        clone._m_heap_events = self._m_heap_events
-        clone._finals = self._finals
-        clone._rows = None
         rng = memo.get(id(self._rng))
-        if rng is None:
-            rng = memo[id(self._rng)] = generator_from_state(
-                self._rng.bit_generator.state
-            )
+        with self._rng.bit_generator.lock:
+            state, finals = self._state, self._finals
+            clone._t = self._t
+            clone._heap_events = self._heap_events
+            if rng is None:
+                rng = memo[id(self._rng)] = generator_from_state(
+                    self._rng.bit_generator.state
+                )
+        clone._r = self._r
+        clone._state = state[:]
+        clone._m_heap_events = self._m_heap_events
+        clone._finals = (
+            (clone._state, finals[1]) if finals is not None and finals[0] is state else None
+        )
+        clone._rows = None
         clone._rng = rng
         return clone
 
@@ -211,64 +220,108 @@ class SamplerPool(StaticLifecycleMixin):
         return self._view()[_col(self._r, _STAMPS)].copy()
 
     def update(self, item: int) -> None:
+        """The rule on the buffer in place (the executable spec the
+        compiled loop matches): advance the position, run the heap
+        events due there, then count the item if it is tracked."""
         s = self._state
         t = self._t + 1
+        at = self._rows if self._rows is not None else self._index()
         if s[1 + 4 * self._r] == t:  # the heap top's time (column _HEAP)
             self._wake(item, t)
+            at = self._rows
+            if s[0] != len(at):
+                self._squeeze()
+                at = self._rows
         self._t = t
         self._finals = None
-        rows = self._rows
-        if rows is None:
-            rows = self._index()
-        row = rows.get(item)
-        if row is not None:
-            s[1 + 7 * self._r + row] += 1  # column _COUNTS
+        count = at.get(item)
+        if count is not None:
+            s[count] += 1
+
+    def _feed(self, items) -> None:
+        """:meth:`update` over a chunk, closing the holes once: an item
+        untracked by :meth:`_wake` leaves a hole in the key/count/ref
+        rows, closed when the rows run out and before returning, so
+        other methods always see the rows packed."""
+        s = self._state
+        top = 1 + 4 * self._r  # the heap top's time (column _HEAP)
+        due = s[top]
+        at = (self._rows if self._rows is not None else self._index()).get
+        t = self._t
+        self._finals = None
+        for item in items:
+            t += 1
+            if t == due:
+                self._wake(item, t)
+                due, at = s[top], self._rows.get
+            count = at(item)
+            if count is not None:
+                s[count] += 1
+        self._t = t
+        if s[0] != len(self._rows):
+            self._squeeze()
 
     def _index(self) -> dict[int, int]:
-        """Row of each tracked item (the :meth:`update` lookup)."""
-        s = self._state
-        keys = s[_col(self._r, _KEYS, s[0])]
-        self._rows = {key: row for row, key in enumerate(keys)}
+        """Where each tracked item's count is in the buffer (the
+        :meth:`_feed` lookup; its refs are ``r`` further on); only built
+        on packed rows."""
+        s, r = self._state, self._r
+        counts = 1 + _COUNTS * r
+        self._rows = {key: counts + row for row, key in enumerate(s[_col(r, _KEYS, s[0])])}
         return self._rows
 
+    def _squeeze(self) -> None:
+        """Close the holes (rows with no refs) in the key/count/ref rows,
+        keeping the other rows in order, and reindex the rows that moved."""
+        v, r = self._view(), self._r
+        n = int(v[0])
+        held = v[_col(r, _REFS, n)] != 0
+        first = int(held.argmin())  # the first hole
+        for col in (_KEYS, _COUNTS, _REFS):
+            rows = v[_col(r, col, n)]
+            kept = rows[first:][held[first:]]
+            rows[first:first + kept.size] = kept
+        n = v[0] = first + kept.size
+        counts = 1 + _COUNTS * r
+        self._rows.update(zip(v[_col(r, _KEYS, n)][first:].tolist(),
+                              range(counts + first, counts + n)))
+
     def _wake(self, item: int, t: int) -> None:
-        """The heap events due at position ``t``, which brings ``item``."""
+        """The heap events due at position ``t``, which brings ``item``.
+        An item untracked here leaves a hole (see :meth:`_feed`)."""
         item = operator.index(item)
         if not -(1 << 63) <= item < 1 << 63:
             raise OverflowError(f"item {item} does not fit an int64")
         s, r = self._state, self._r
-        rows = self._rows if self._rows is not None else self._index()
-        slot, live, offsets, stamps, heap, keys, counts, refs = (
-            1 + col * r
-            for col in (_SLOT, _LIVE, _OFFSETS, _STAMPS, _HEAP, _KEYS, _COUNTS, _REFS)
+        at = self._rows
+        slot, live, offsets, stamps, heap, keys = (
+            1 + col * r for col in (_SLOT, _LIVE, _OFFSETS, _STAMPS, _HEAP, _KEYS)
         )
         while s[heap] == t:
             idx = s[heap + 1]
             self._heap_events += 1
             if s[live + idx]:
                 old = s[slot + idx]
-                row = rows[old]
-                s[refs + row] -= 1
-                if not s[refs + row]:  # untrack: later rows move up one
-                    n = s[0] - 1
-                    for col in (keys, counts, refs):
-                        s[col + row:col + n] = s[col + row + 1:col + n + 1]
-                    s[0] = n
-                    del rows[old]
-                    for key in s[keys + row:keys + n]:
-                        rows[key] -= 1
+                count = at[old]
+                s[count + r] -= 1  # its refs
+                if not s[count + r]:
+                    del at[old]
             s[slot + idx] = item
             s[live + idx] = 1
-            row = rows.get(item)
-            if row is None:
-                row = rows[item] = s[0]
-                s[keys + row] = item
-                s[counts + row] = 0
-                s[refs + row] = 1
+            count = at.get(item)
+            if count is None:
+                if s[0] == r:  # no free row: at least one is a hole
+                    self._squeeze()
+                    at = self._rows
+                row = s[0]
                 s[0] = row + 1
+                s[keys + row] = item
+                count = at[item] = keys + r + row
+                s[count] = 0
+                s[count + r] = 1
             else:
-                s[refs + row] += 1
-            s[offsets + idx] = s[counts + row]
+                s[count + r] += 1
+            s[offsets + idx] = s[count]
             s[stamps + idx] = t
             _sift_top(s, heap, r, skip_next_replacement(t, self._rng), idx)
 
@@ -284,10 +337,13 @@ class SamplerPool(StaticLifecycleMixin):
         state — counter insertion order and RNG included — is *bitwise
         identical* to the scalar ``update()`` loop.
 
-        The loop runs with the GIL released on a copy of the buffer that
-        replaces it whole afterwards, so a reader on another thread sees
-        the state before or after the call, never part-way.  Without the
-        compiled loop (no compiler) the chunk runs through :meth:`update`.
+        The loop runs with the GIL released, on a copy of the buffer
+        that replaces it whole afterwards, all under the RNG's lock
+        (which the loop's draws need anyway).  :meth:`snapshot` and
+        clones read under that lock and :meth:`finalize` reads one
+        buffer, so a reader on another thread sees the pool, RNG
+        included, before or after the call, never part-way.  Without the
+        compiled loop (no compiler) the chunk runs :meth:`update`'s rule.
         """
         arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
         if arr.ndim != 1:
@@ -296,14 +352,17 @@ class SamplerPool(StaticLifecycleMixin):
             return
         before = self._heap_events
         if ingest_kernel.kernel_impl() == "c":
-            state = self._state[:]
-            self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
-            self._state = state
-            self._t += int(arr.size)
-            self._finals = self._rows = None
+            with self._rng.bit_generator.lock:
+                state = self._state[:]
+                self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
+                # The buffer goes in before the position: finalize reads
+                # the position first, and a nonzero one means every
+                # instance of the buffer it then reads holds an item.
+                self._state = state
+                self._t += int(arr.size)
+                self._finals = self._rows = None
         else:
-            for item in arr.tolist():
-                self.update(item)
+            self._feed(arr.tolist())
         events = self._heap_events - before
         if events:
             self._m_heap_events.add(events)
@@ -317,7 +376,10 @@ class SamplerPool(StaticLifecycleMixin):
         stream bitwise-identically.  The heap is listed sorted.
         """
         r = self._r
-        v = self._view()
+        with self._rng.bit_generator.lock:  # see update_batch
+            s, t, events = self._state, self._t, self._heap_events
+            rng_state = self._rng.bit_generator.state
+        v = np.frombuffer(s, dtype=np.int64)
         tracked = int(v[0])
         live = v[_col(r, _LIVE)].copy()
         heap = v[_col(r, _HEAP, 2 * r)]
@@ -327,8 +389,8 @@ class SamplerPool(StaticLifecycleMixin):
         return {
             "kind": "sampler_pool",
             "instances": r,
-            "position": self._t,
-            "heap_events": self._heap_events,
+            "position": t,
+            "heap_events": events,
             "items": np.where(live != 0, v[_col(r, _SLOT)], -1),
             # Empty slots, explicitly: the -1 placeholder in "items" is
             # ambiguous once negative item ids flow (they are legal), so
@@ -342,7 +404,7 @@ class SamplerPool(StaticLifecycleMixin):
             "count_vals": v[_col(r, _COUNTS, tracked)].copy(),
             "ref_keys": keys.copy(),
             "ref_vals": v[_col(r, _REFS, tracked)].copy(),
-            "rng_state": self._rng.bit_generator.state,
+            "rng_state": rng_state,
         }
 
     def restore(self, state: dict) -> None:
@@ -495,13 +557,17 @@ class SamplerPool(StaticLifecycleMixin):
         """Per-instance ``(item, count, timestamp)`` triples.
 
         ``count`` includes the sampled occurrence (≥ 1).  Empty when the
-        stream was empty.  Computed once per pool state.
+        stream was empty.  Computed once per pool state: the answer is
+        kept with the buffer it was read from and reused only while that
+        buffer is the pool's, so an answer finished after another
+        thread's :meth:`update_batch` swapped the buffer is never reused.
         """
         if self._t == 0:
             return []
-        finals = self._finals
-        if finals is None:
-            s, r = self._state, self._r
+        s = self._state
+        memo = self._finals
+        if memo is None or memo[0] is not s:
+            r = self._r
             items = s[_col(r, _SLOT)].tolist()
             if ingest_kernel.kernel_impl() == "c":
                 forward = ingest_kernel.forward_counts(r, s).tolist()
@@ -510,9 +576,8 @@ class SamplerPool(StaticLifecycleMixin):
                 count_of = dict(zip(s[_col(r, _KEYS, n)], s[_col(r, _COUNTS, n)]))
                 forward = [count_of[item] - off
                            for item, off in zip(items, s[_col(r, _OFFSETS)])]
-            finals = tuple(zip(items, forward, s[_col(r, _STAMPS)].tolist()))
-            self._finals = finals
-        return list(finals)
+            memo = self._finals = (s, tuple(zip(items, forward, s[_col(r, _STAMPS)].tolist())))
+        return list(memo[1])
 
 
 #: The columns of a pool's state buffer, each ``r`` long after the
@@ -576,20 +641,19 @@ def _sift_top(s: array, heap: int, r: int, time: int, idx: int) -> None:
     """Replace the top of the ``r``-entry heap of ``(time, idx)`` pairs
     at ``s[heap:]`` with ``(time, idx)`` and sift it down — the compiled
     loop's replace-top, so both leave the same heap."""
-    pos = 0
-    while True:
-        c = 2 * pos + 1
-        if c >= r:
-            break
-        child = (s[heap + 2 * c], s[heap + 2 * c + 1])
+    pos, c = 0, 1
+    while c < r:
+        at = heap + 2 * c
+        ct, ci = s[at], s[at + 1]
         if c + 1 < r:
-            right = (s[heap + 2 * c + 2], s[heap + 2 * c + 3])
-            if right < child:
-                c, child = c + 1, right
-        if child > (time, idx):
+            rt = s[at + 2]
+            if rt < ct or (rt == ct and s[at + 3] < ci):
+                c, ct, ci = c + 1, rt, s[at + 3]
+        if ct > time or (ct == time and ci > idx):
             break
-        s[heap + 2 * pos], s[heap + 2 * pos + 1] = child
-        pos = c
+        s[heap + 2 * pos] = ct
+        s[heap + 2 * pos + 1] = ci
+        pos, c = c, 2 * c + 1
     s[heap + 2 * pos] = time
     s[heap + 2 * pos + 1] = idx
 

@@ -174,15 +174,14 @@ def run(items: np.ndarray, t: int, r: int, state: array,
     """Feed ``items`` (contiguous int64) to the ``r``-instance pool
     buffer ``state`` at position ``t``, in place; returns the number of
     heap events.  An inconsistent buffer raises :class:`RuntimeError`
-    with ``state`` and ``rng`` untouched.  Only call when
-    :func:`kernel_impl` is ``"c"``."""
-    bitgen = rng.bit_generator
-    iface = bitgen.ctypes
-    with bitgen.lock:
-        events = _lib.repro_pool_ingest(
-            items.ctypes.data, items.size, t, r, _room(state, r), _address(state),
-            iface.next_double, iface.state,
-        )
+    with ``state`` and ``rng`` untouched.  The caller holds
+    ``rng.bit_generator.lock`` when another thread may use ``rng``.
+    Only call when :func:`kernel_impl` is ``"c"``."""
+    iface = rng.bit_generator.ctypes
+    events = _lib.repro_pool_ingest(
+        items.ctypes.data, items.size, t, r, _room(state, r), _address(state),
+        iface.next_double, iface.state,
+    )
     _raise_for(events, "nothing was ingested")
     return events
 

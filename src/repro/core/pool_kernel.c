@@ -20,8 +20,11 @@
  * (item, count, refs, born) rows; `born` numbers insertions so the
  * rows go back to the buffer in insertion order.
  *
- * Built and loaded by repro.core.ingest_kernel; no Python API is used,
- * so every call runs with the GIL released.
+ * Built and loaded by repro.core.ingest_kernel.  No Python API is used.
+ * Only repro_pool_ingest is called with the GIL released (through
+ * ctypes.CDLL); the O(R) entry points, repro_pool_check,
+ * repro_pool_merge and repro_pool_forward, are loaded through
+ * ctypes.PyDLL and keep it.
  */
 #include <math.h>
 #include <stdint.h>

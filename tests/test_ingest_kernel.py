@@ -14,6 +14,7 @@ on this equivalence.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import shlex
@@ -323,28 +324,38 @@ class TestCompiledLoop:
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-def test_readers_never_see_a_part_written_buffer():
+def test_readers_never_see_a_part_written_pool():
     """The compiled loop runs without the GIL on a copy of the buffer
-    that replaces it whole: threads reading the pool while another
-    ingests (more threads than cores, 1 µs switch interval) always read
-    a consistent buffer, one that a restore's structure check accepts."""
+    that replaces it whole, under the RNG's lock: threads reading the
+    pool while another ingests (more threads than cores, 1 µs switch
+    interval) only ever snapshot the pool as it stood between two calls,
+    RNG included, and after every call the live pool's finals and a
+    clone's are those of its current state, never a reader's answer
+    for the buffer just replaced."""
     pool = SamplerPool(64, seed=1)
     items = _zipf(60_000, 3000, seed=5)
     pool.update_batch(items[:300])  # every instance holds an item
+    between = {state_to_bytes(pool.snapshot())}
+    seen: set[bytes] = set()
     stop = threading.Event()
-    reads: list[int] = []
     errors: list[Exception] = []
 
-    def read() -> None:
+    def snapshots() -> None:
+        seen.add(state_to_bytes(pool.snapshot()))
+        copy.deepcopy(pool).finalize()
+
+    def read(step) -> None:
         while not stop.is_set():
             try:
-                SamplerPool.from_snapshot(pool.snapshot()).finalize()
+                step()
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
                 return
-            reads.append(1)
 
-    readers = [threading.Thread(target=read) for __ in range(3)]
+    # Two readers only finalize (no lock), so one is often part-way
+    # through when the ingest swaps the buffer.
+    readers = [threading.Thread(target=read, args=(step,))
+               for step in (snapshots, pool.finalize, pool.finalize)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -352,6 +363,11 @@ def test_readers_never_see_a_part_written_buffer():
             thread.start()
         for start in range(300, items.size, 300):
             pool.update_batch(items[start:start + 300])
+            snap = pool.snapshot()
+            between.add(state_to_bytes(snap))
+            fresh = SamplerPool.from_snapshot(snap).finalize()
+            assert pool.finalize() == fresh
+            assert copy.deepcopy(pool).finalize() == fresh
     finally:
         stop.set()
         for thread in readers:
@@ -359,7 +375,41 @@ def test_readers_never_see_a_part_written_buffer():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in readers)
     assert errors == []
-    assert reads
+    assert seen and seen <= between
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_finals_overtaken_by_an_ingest_are_not_reused(monkeypatch):
+    """A finalize on one thread that reads the buffer, then finishes
+    after another thread's update_batch has replaced it, answers for the
+    old buffer; neither the live pool nor a clone reuses that answer."""
+    pool = SamplerPool(16, seed=2)
+    items = _zipf(3000, 200, seed=6)
+    pool.update_batch(items[:1000])
+    counts = ingest_kernel.forward_counts
+    reading, overtaken = threading.Event(), threading.Event()
+
+    def stalled(r, state):
+        out = counts(r, state)
+        reading.set()
+        overtaken.wait(timeout=30)
+        return out
+
+    monkeypatch.setattr(ingest_kernel, "forward_counts", stalled)
+    late: list = []
+    reader = threading.Thread(target=lambda: late.append(pool.finalize()))
+    reader.start()
+    assert reading.wait(timeout=30)
+    monkeypatch.setattr(ingest_kernel, "forward_counts", counts)
+    before = SamplerPool.from_snapshot(pool.snapshot()).finalize()
+    pool.update_batch(items[1000:])
+    overtaken.set()
+    reader.join(timeout=30)
+    assert late == [before]
+    fresh = SamplerPool.from_snapshot(pool.snapshot()).finalize()
+    assert fresh != before
+    assert copy.deepcopy(pool).finalize() == fresh
+    assert pool.finalize() == fresh
 
 
 def _fed_pool() -> SamplerPool:
@@ -597,12 +647,17 @@ def test_fallback_without_compiler_runs_scalar_loop():
 
 
 @pytest.mark.parametrize("instances", [1, 5, 64])
-def test_python_rules_match_compiled_ones(monkeypatch, instances):
+@pytest.mark.parametrize("stream", ["zipf", "distinct"])
+def test_python_rules_match_compiled_ones(monkeypatch, instances, stream):
     """In one process: merge, restore and batched ingest with the pool
     on its Python rules (as without a compiler) leave the bytes, finals
     and pick masks the compiled path leaves, and a malformed snapshot is
-    rejected by both checks."""
-    items = _zipf(3000, 200, seed=instances)
+    rejected by both checks.  On distinct ids every heap event untracks
+    an item, so the Python rule's counter rows fill with holes."""
+    if stream == "zipf":
+        items = _zipf(3000, 200, seed=instances)
+    else:
+        items = np.random.default_rng(instances).permutation(3000) * 3 - 4000
 
     def run() -> tuple:
         a, b = SamplerPool(instances, seed=1), SamplerPool(instances, seed=2)

@@ -45,6 +45,12 @@ Measures, on one process with fixed seeds:
   ``spawn_query_view`` of the fold, for a G engine at K ∈ {8, 32} and a
   window bank at K=8, after one fixed ingest; cells interleaved across
   ``FOLD_REPS`` repetitions, median and quartiles in µs.
+* **state** — report-only: ``save_state`` and ``load_state`` of one G
+  pool (R=64) per shard of an 8-shard engine, and one process-plane
+  ``collect`` (8 shards, 2 worker processes, every shard dirtied by a
+  2048-item submit and flushed before the clock starts), the
+  perfbench ``serve_proc_wide`` shape; the three cells interleave
+  across ``STATE_REPS`` repetitions, median and quartiles in µs.
 * **telemetry overhead (PR 10)** — the identical process-mode ingest
   workload with the cross-process worker telemetry plane on
   (``worker_telemetry=True``: worker-side registries, span shipping,
@@ -116,6 +122,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.engine import ShardedSamplerEngine, merged  # noqa: E402
+from repro.engine.state import load_state, save_state  # noqa: E402
 from repro.lifecycle import spawn_query_view  # noqa: E402
 from repro.serving import SamplerService  # noqa: E402
 from repro.streams.generators import zipf_stream  # noqa: E402
@@ -190,6 +197,11 @@ FOLD_ITEMS = 200_000
 #: Event time the bank's ingest spans, in seconds: past the longest rung,
 #: so every rung holds two generations.
 FOLD_BANK_SPAN_S = 7200.0
+#: State cells (report-only): the perfbench ``serve_proc_wide`` shape.
+STATE_SHARDS = 8
+STATE_WORKERS = 2
+STATE_SUBMIT = 2048
+STATE_REPS = 15
 
 
 def _percentiles(latencies_ns: list[int]) -> dict:
@@ -362,6 +374,51 @@ def bench_fold(items: np.ndarray) -> dict:
             }
             for i, (config, shards) in enumerate(FOLD_CELLS)
         ],
+    }
+
+
+def bench_state(items: np.ndarray) -> dict:
+    """What shipping shard state costs: ``save_state`` and ``load_state``
+    per pool, averaged over the shards of an engine fed ``items``, and
+    one ``ProcessPlane.collect`` of a process-mode service after a
+    ``STATE_SUBMIT``-item submit and a flush.  The three cells run in an
+    order that reverses every repetition; each reports the median and
+    quartiles in µs.  Report-only."""
+    engine = ShardedSamplerEngine(CONFIG, shards=STATE_SHARDS, seed=7)
+    engine.ingest(items)
+    blobs = [save_state(sampler) for sampler in engine.samplers]
+    twin = ShardedSamplerEngine(CONFIG, shards=STATE_SHARDS, seed=8)
+    cells = ("save", "load", "collect")
+    us: dict[str, list[float]] = {cell: [] for cell in cells}
+    with SamplerService(
+        CONFIG, shards=STATE_SHARDS, seed=7, workers_mode="process",
+        ingest_workers=STATE_WORKERS, compact_interval=None,
+        refresh_interval=1e9,
+    ) as svc:
+        for rep in range(STATE_REPS):
+            lo = (rep * STATE_SUBMIT) % max(1, items.size - STATE_SUBMIT)
+            svc.submit(items[lo:lo + STATE_SUBMIT])
+            svc.flush(timeout=60.0)
+            for cell in cells if rep % 2 == 0 else cells[::-1]:
+                t0 = time.perf_counter()
+                if cell == "save":
+                    for sampler in engine.samplers:
+                        save_state(sampler)
+                elif cell == "load":
+                    for sampler, blob in zip(twin.samplers, blobs):
+                        load_state(sampler, blob)
+                else:
+                    svc._plane.collect()
+                per = 1 if cell == "collect" else STATE_SHARDS
+                us[cell].append(1e6 * (time.perf_counter() - t0) / per)
+    return {
+        "items": int(items.size),
+        "shards": STATE_SHARDS,
+        "workers": STATE_WORKERS,
+        "reps": STATE_REPS,
+        "save_us_per_pool": _quartiles(us["save"]),
+        "load_us_per_pool": _quartiles(us["load"]),
+        "collect_us": _quartiles(us["collect"]),
     }
 
 
@@ -1066,6 +1123,7 @@ def main(argv: list[str] | None = None) -> int:
         "ingest": bench_ingest(items, chunk=1 << 16),
         "ingest_kernel": bench_ingest_kernel(kernel_items),
         "fold": bench_fold(kernel_items[:FOLD_ITEMS]),
+        "state": bench_state(kernel_items[:FOLD_ITEMS]),
         "query_latency": bench_queries(items, queries, write_batch),
         "sample_many": bench_sample_many(items, k_many),
         "served_scenario": bench_served(items, served_work, served_batch),
@@ -1134,6 +1192,20 @@ def main(argv: list[str] | None = None) -> int:
             f"[q1 {view['q1']:6.0f}, q3 {view['q3']:6.0f}] "
             f"({report['fold']['reps']} reps)"
         )
+    st = report["state"]
+    print(
+        "  state   "
+        + "  ".join(
+            f"{name} {st[key]['median']:7.0f}us "
+            f"[q1 {st[key]['q1']:6.0f}, q3 {st[key]['q3']:6.0f}]"
+            for name, key in (
+                ("save/pool", "save_us_per_pool"),
+                ("load/pool", "load_us_per_pool"),
+                ("collect", "collect_us"),
+            )
+        )
+        + f" (K={st['shards']}, {st['workers']}w, {st['reps']} reps)"
+    )
     for row in report["query_latency"]:
         print(
             f"  query   K={row['shards']:<3} {row['ratio']:>6}  "

@@ -368,42 +368,28 @@ class SamplerPool(StaticLifecycleMixin):
             self._m_heap_events.add(events)
 
     def snapshot(self) -> dict:
-        """Checkpoint the full pool state as a dict of arrays + scalars.
+        """Checkpoint the full pool state: the state buffer as one int64
+        array, plus the position, the event count and the RNG state.
 
-        The layout is plain (NumPy arrays, ints, and the RNG state dict)
-        so :mod:`repro.engine.state` can serialize it to bytes without
-        pickling.  Includes the RNG state: a restored pool continues the
-        stream bitwise-identically.  The heap is listed sorted.
+        The layout is plain (one NumPy array, ints, and the RNG state
+        dict) so :mod:`repro.engine.state` can serialize it to bytes
+        without pickling, and a restored pool continues the stream
+        bitwise-identically.  The buffer is canonical, so equal pools
+        give equal bytes: the heap pairs are listed sorted, and the
+        key/count/ref rows past ``tracked`` (which the ingest loops
+        leave stale) are zeroed.
         """
-        r = self._r
         with self._rng.bit_generator.lock:  # see update_batch
             s, t, events = self._state, self._t, self._heap_events
             rng_state = self._rng.bit_generator.state
-        v = np.frombuffer(s, dtype=np.int64)
-        tracked = int(v[0])
-        live = v[_col(r, _LIVE)].copy()
-        heap = v[_col(r, _HEAP, 2 * r)]
-        times, slots = heap[0::2], heap[1::2]
-        order = np.lexsort((slots, times))
-        keys = v[_col(r, _KEYS, tracked)]
+        v = np.frombuffer(s, dtype=np.int64).copy()
+        _canonicalize(self._r, v)
         return {
             "kind": "sampler_pool",
-            "instances": r,
+            "instances": self._r,
             "position": t,
             "heap_events": events,
-            "items": np.where(live != 0, v[_col(r, _SLOT)], -1),
-            # Empty slots, explicitly: the -1 placeholder in "items" is
-            # ambiguous once negative item ids flow (they are legal), so
-            # restore consults this mask when present.
-            "items_live": live,
-            "offsets": v[_col(r, _OFFSETS)].copy(),
-            "timestamps": v[_col(r, _STAMPS)].copy(),
-            "heap_times": times[order],
-            "heap_slots": slots[order],
-            "count_keys": keys.copy(),
-            "count_vals": v[_col(r, _COUNTS, tracked)].copy(),
-            "ref_keys": keys.copy(),
-            "ref_vals": v[_col(r, _REFS, tracked)].copy(),
+            "state": v,
             "rng_state": rng_state,
         }
 
@@ -412,12 +398,16 @@ class SamplerPool(StaticLifecycleMixin):
 
         Snapshots come from outside the process (checkpoint files,
         worker specs), so the structure is checked before anything is
-        overwritten: per-instance arrays of length ``instances``, the
-        position in ``[0, 2^63)``, heap slots a permutation of the
-        instances, tracked items listed once and in the same order in
-        both tables, and each tracked item's ref count equal to the
-        number of instances holding it.  A malformed snapshot raises
-        :class:`ValueError` and leaves the pool (and its RNG) as it was."""
+        overwritten: a buffer of ``1 + 9·instances`` words, the position
+        in ``[0, 2^63)``, at most ``instances`` tracked items, each
+        listed once, live flags 0 or 1, heap slots a permutation of the
+        instances, and each tracked item's ref count equal to the number
+        of instances holding it.  The buffer is copied and put in the
+        canonical form :meth:`snapshot` writes.  A snapshot in the older
+        ten-column form (``items``, ``offsets``, ``heap_times``, ...,
+        ``ref_vals``) loads through the same checks.  A malformed
+        snapshot raises :class:`ValueError` and leaves the pool (and its
+        RNG) as it was."""
         if state.get("kind") != "sampler_pool":
             raise ValueError(f"not a sampler_pool snapshot: {state.get('kind')!r}")
         r = int(state["instances"])
@@ -426,40 +416,13 @@ class SamplerPool(StaticLifecycleMixin):
         t = int(state["position"])
         if not 0 <= t < 1 << 63:
             raise ValueError(f"snapshot position {t} is outside [0, 2^63)")
-        fields = ["items", "offsets", "timestamps", "heap_times", "heap_slots"]
-        live = state.get("items_live")
-        if live is not None:
-            fields.append("items_live")
-        for name in fields:
-            if len(state[name]) != r:
-                raise ValueError(
-                    f"snapshot {name!r} has {len(state[name])} entries, "
-                    f"not one per instance ({r})"
-                )
-        items = _int64(state["items"])
-        # Legacy snapshots (no liveness mask) used -1 as the only empty
-        # marker; negative ids were unrepresentable there.
-        live = items >= 0 if live is None else _int64(live) != 0
-        keys = _int64(state["count_keys"])
-        counts = _int64(state["count_vals"])
-        refs = _int64(state["ref_vals"])
-        if not np.array_equal(keys, _int64(state["ref_keys"])):
-            raise ValueError("snapshot counter and ref tables list different items")
-        if not len(counts) == len(refs) == len(keys):
-            raise ValueError("snapshot counter and ref tables differ in length")
-        if len(keys) > r:
-            raise ValueError(f"snapshot tracks {len(keys)} items, more than {r} instances hold")
-        buf = _build(
-            r, _int64(state["heap_times"]), _int64(state["heap_slots"]),
-            items=np.where(live, items, 0), live=live,
-            offsets=_int64(state["offsets"]), stamps=_int64(state["timestamps"]),
-            keys=keys, counts=counts, refs=refs,
-        )
+        buf = _from_buffer(r, state["state"]) if "state" in state else _from_columns(r, state)
         if not _well_formed(r, buf):
             raise ValueError(
                 "snapshot is not a consistent pool: heap slots must be one entry "
-                "per instance, tracked items distinct, and each item's ref count "
-                "the number of instances holding it"
+                "per instance, live flags 0 or 1, tracked items distinct and no "
+                "more than the instances, and each item's ref count the number "
+                "of instances holding it"
             )
         rng = generator_from_state(state["rng_state"])
         self._r = r
@@ -580,6 +543,23 @@ class SamplerPool(StaticLifecycleMixin):
         return list(memo[1])
 
 
+def clone_pool_first(sampler, memo: dict):
+    """``copy.deepcopy`` of a pool-backed sampler that copies its
+    ``_pool`` before its other fields.  The pool's clone rebuilds the RNG
+    the two share from its state (under the pool's lock) and registers it
+    in ``memo``, so the sampler's ``_rng`` is found there instead of
+    going through NumPy's pickle path; the copy, RNG state included, is
+    the generic one."""
+    clone = object.__new__(type(sampler))
+    memo[id(sampler)] = clone
+    fields = clone.__dict__
+    fields["_pool"] = copy.deepcopy(sampler._pool, memo)
+    for name, value in sampler.__dict__.items():
+        if name != "_pool":
+            fields[name] = copy.deepcopy(value, memo)
+    return clone
+
+
 #: The columns of a pool's state buffer, each ``r`` long after the
 #: leading ``tracked`` count (the heap takes two: interleaved pairs).
 _SLOT, _LIVE, _OFFSETS, _STAMPS, _HEAP, _KEYS, _COUNTS, _REFS = 0, 1, 2, 3, 4, 6, 7, 8
@@ -609,6 +589,69 @@ def _build(r: int, heap_times, heap_slots, *, items, live, offsets, stamps,
     for col, values in ((_KEYS, keys), (_COUNTS, counts), (_REFS, refs)):
         v[_col(r, col, len(keys))] = values
     return state
+
+
+def _canonicalize(r: int, v: np.ndarray) -> None:
+    """Put the ``r``-instance buffer ``v`` in canonical form, in place:
+    heap pairs sorted (a sorted array is a heap), dead instances' slots
+    and the key/count/ref rows past ``tracked`` zeroed."""
+    heap = v[_col(r, _HEAP, 2 * r)].reshape(r, 2)
+    heap[:] = heap[np.lexsort((heap[:, 1], heap[:, 0]))]
+    v[_col(r, _SLOT)][v[_col(r, _LIVE)] == 0] = 0
+    tracked = int(v[0])
+    if 0 <= tracked <= r:
+        v[1 + _KEYS * r:].reshape(3, r)[:, tracked:] = 0
+
+
+def _from_buffer(r: int, values) -> array:
+    """A canonical copy of a snapshot's ``state`` buffer (not yet
+    checked for consistency)."""
+    v = np.asarray(values)
+    if v.dtype.kind != "i" or v.shape != (1 + 9 * r,):
+        raise ValueError(
+            f"snapshot state buffer is {v.dtype} of shape {v.shape}, "
+            f"not 1 + 9 * {r} integer words"
+        )
+    v = v.astype(np.int64)  # a copy, never the caller's array
+    _canonicalize(r, v)
+    buf = array("q")
+    buf.frombytes(memoryview(v).cast("B"))
+    return buf
+
+
+def _from_columns(r: int, state: dict) -> array:
+    """The buffer of a snapshot in the older ten-column form (arrays of
+    items, liveness, offsets, timestamps, sorted heap times and slots,
+    and the counter and ref tables)."""
+    fields = ["items", "offsets", "timestamps", "heap_times", "heap_slots"]
+    live = state.get("items_live")
+    if live is not None:
+        fields.append("items_live")
+    for name in fields:
+        if len(state[name]) != r:
+            raise ValueError(
+                f"snapshot {name!r} has {len(state[name])} entries, "
+                f"not one per instance ({r})"
+            )
+    items = _int64(state["items"])
+    # The oldest snapshots (no liveness mask) used -1 as the only empty
+    # marker; negative ids were unrepresentable there.
+    live = items >= 0 if live is None else _int64(live) != 0
+    keys = _int64(state["count_keys"])
+    counts = _int64(state["count_vals"])
+    refs = _int64(state["ref_vals"])
+    if not np.array_equal(keys, _int64(state["ref_keys"])):
+        raise ValueError("snapshot counter and ref tables list different items")
+    if not len(counts) == len(refs) == len(keys):
+        raise ValueError("snapshot counter and ref tables differ in length")
+    if len(keys) > r:
+        raise ValueError(f"snapshot tracks {len(keys)} items, more than {r} instances hold")
+    return _build(
+        r, _int64(state["heap_times"]), _int64(state["heap_slots"]),
+        items=np.where(live, items, 0), live=live,
+        offsets=_int64(state["offsets"]), stamps=_int64(state["timestamps"]),
+        keys=keys, counts=counts, refs=refs,
+    )
 
 
 def _int64(values) -> np.ndarray:
@@ -793,6 +836,9 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
                 f"measures differ: {self._measure.name} vs {other._measure.name}"
             )
         self._pool.merge(other._pool)
+
+    def __deepcopy__(self, memo: dict) -> "TrulyPerfectGSampler":
+        return clone_pool_first(self, memo)
 
     def spawn_query_rng(self, rng: np.random.Generator) -> "TrulyPerfectGSampler":
         """The optional lifecycle query-view hook (see

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from repro.core.g_sampler import SamplerPool
+from repro.core.g_sampler import SamplerPool, clone_pool_first
 from repro.core.measures import LpMeasure
 from repro.core.rejection import rejection_many
 from repro.core.types import SampleResult, as_item_array
@@ -189,6 +189,9 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         self._pool.merge(other._pool)
         if self._mg is not None:
             self._mg.merge(other._mg)
+
+    def __deepcopy__(self, memo: dict) -> "TrulyPerfectLpSampler":
+        return clone_pool_first(self, memo)
 
     def spawn_query_rng(self, rng: np.random.Generator) -> "TrulyPerfectLpSampler":
         """The optional lifecycle query-view hook (see

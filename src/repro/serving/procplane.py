@@ -327,10 +327,13 @@ class WorkerLink:
         # In-flight window: (shard, n) per unacked ingest frame, FIFO.
         self._inflight: deque[tuple[int, int]] = deque()
         self._window = threading.Condition()
-        # One outstanding control request at a time; the receiver thread
-        # posts the reply and sets the event.
+        # One outstanding control request at a time, held from
+        # send_control to wait_control; the receiver thread posts the
+        # reply, stamps its arrival and sets the event.
         self._control_lock = threading.Lock()
+        self._control_type = None
         self._reply = None
+        self._reply_at_ns = 0
         self._reply_evt = threading.Event()
         self._pump_t: threading.Thread | None = None
         self._recv_t: threading.Thread | None = None
@@ -529,6 +532,7 @@ class WorkerLink:
                     )
             else:  # control reply (state/compacted/pong/bye)
                 self._reply = frame
+                self._reply_at_ns = time.perf_counter_ns()
                 self._reply_evt.set()
 
     def _on_death(self) -> bool:
@@ -585,26 +589,51 @@ class WorkerLink:
     def control(self, frame: dict, timeout: float = CONTROL_TIMEOUT) -> dict:
         """Send one control frame and wait for its reply (the worker
         answers in order, after any queued ingest frames)."""
+        self.send_control(frame, timeout)
+        return self.wait_control(timeout)
+
+    def send_control(self, frame: dict, timeout: float = CONTROL_TIMEOUT) -> None:
+        """Send one control frame without waiting for the reply.  The
+        link has one control slot, taken here (waiting up to ``timeout``
+        for another caller's request to finish) and held until
+        :meth:`wait_control` takes the reply, so every send must be
+        followed by exactly one wait."""
         if self.dead and not self.sink:
             # Between death detection and restart; give the receiver a
             # beat rather than failing a probably-recoverable call.
             time.sleep(0.05)
         if self.sink or self.conn is None:
             raise WorkerDied(f"shard worker {self.index} is down")
-        with self._control_lock:
+        if not self._control_lock.acquire(timeout=timeout):
+            raise WorkerDied(
+                f"shard worker {self.index}: another control request held "
+                f"the link for {timeout:g}s"
+            )
+        try:
+            self._control_type = frame.get("type")
             self._reply = None
             self._reply_evt.clear()
             self.conn.send(frame)
+        except BaseException:
+            self._control_lock.release()
+            raise
+
+    def wait_control(self, timeout: float = CONTROL_TIMEOUT) -> dict:
+        """The reply to the frame :meth:`send_control` sent; frees the
+        control slot whether or not a reply came."""
+        try:
             if not self._reply_evt.wait(timeout):
                 raise WorkerDied(
                     f"shard worker {self.index} unresponsive to "
-                    f"{frame.get('type')!r} for {timeout:g}s"
+                    f"{self._control_type!r} for {timeout:g}s"
                 )
             reply = self._reply
+        finally:
+            self._control_lock.release()
         if reply.get("type") == "worker_died":
             raise WorkerDied(
                 f"shard worker {self.index} died mid-"
-                f"{frame.get('type')} (exitcode {reply.get('exitcode')})"
+                f"{self._control_type} (exitcode {reply.get('exitcode')})"
             )
         return reply
 
@@ -797,27 +826,60 @@ class ProcessPlane:
         the number of shards that moved.  The worker answers a ``pull``
         after every ingest frame queued before it, so a flush + collect
         mirrors everything acked so far.  Telemetry piggybacks on the
-        reply, so the collector cadence is also the shipping cadence."""
-        moved = 0
+        reply, so the collector cadence is also the shipping cadence.
+
+        Every link's ``pull`` is sent before any reply is awaited, so the
+        workers encode their states at the same time.  Every sent pull
+        is awaited even when another link fails, so no late ``state``
+        reply can answer a link's next control frame; the deltas that
+        did arrive land, and then the first failure is raised."""
+        sent = []
+        error = None
         for link in self.links:
             frame = {"type": "pull", "epochs": _epochs_tree(link.pulled_epoch)}
-            with span("serving.collect", worker=link.index) as sp:
-                ref = link._trace_ref(sp)
-                if ref is not None:
-                    frame["trace"] = ref
-                t0 = time.perf_counter_ns()
-                reply = link.control(frame, timeout)
-                t1 = time.perf_counter_ns()
-            self._ingest_telemetry(link, reply.get("telemetry"), t0, t1)
-            for key, entry in (reply.get("shards") or {}).items():
-                shard = int(key)
-                with self._locks[shard]:
-                    self._engine.restore_shard(shard, entry["state"])
-                link.pulled_epoch[shard] = int(entry["epoch"])
-                link.acked_epoch[shard] = max(
-                    link.acked_epoch[shard], int(entry["epoch"])
-                )
-                moved += 1
+            sp = span("serving.collect", worker=link.index)
+            sp.__enter__()
+            ref = link._trace_ref(sp)
+            if ref is not None:
+                frame["trace"] = ref
+            t0 = time.perf_counter_ns()
+            try:
+                link.send_control(frame, timeout)
+            except Exception as exc:
+                sp.__exit__(type(exc), exc, exc.__traceback__)
+                error = error or exc
+                continue
+            sent.append((link, sp, t0))
+        moved = 0
+        for link, sp, t0 in sent:
+            try:
+                reply = link.wait_control(timeout)
+            except Exception as exc:
+                sp.__exit__(type(exc), exc, exc.__traceback__)
+                error = error or exc
+                continue
+            sp.__exit__(None, None, None)
+            self._ingest_telemetry(link, reply.get("telemetry"), t0, link._reply_at_ns)
+            try:
+                moved += self._land(link, reply)
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
+        return moved
+
+    def _land(self, link, reply: dict) -> int:
+        """Restore one pull reply's shard states into the mirror."""
+        moved = 0
+        for key, entry in (reply.get("shards") or {}).items():
+            shard = int(key)
+            with self._locks[shard]:
+                self._engine.restore_shard(shard, entry["state"])
+            link.pulled_epoch[shard] = int(entry["epoch"])
+            link.acked_epoch[shard] = max(
+                link.acked_epoch[shard], int(entry["epoch"])
+            )
+            moved += 1
         return moved
 
     def compact(self, now=None, timeout: float = CONTROL_TIMEOUT) -> int:

@@ -22,6 +22,7 @@ __all__ = [
     "assert_matches_distribution",
     "f0_state",
     "gappy_timed_stream",
+    "pool_columns",
     "reference_pool_merge",
     "replay_timed",
 ]
@@ -79,6 +80,41 @@ def f0_state(copy, *fields: str) -> list:
     ]
 
 
+def pool_columns(state: dict) -> dict:
+    """A ``SamplerPool`` snapshot (one state buffer) in the older
+    ten-column form, which ``restore`` still loads: per-instance
+    ``items`` (-1 where empty), ``items_live``, ``offsets`` and
+    ``timestamps``, the heap as sorted ``heap_times`` / ``heap_slots``,
+    and the tracked items' ``count_keys`` / ``count_vals`` and
+    ``ref_keys`` / ``ref_vals`` in insertion order.  Every array is a
+    fresh copy, so a test may break one and restore the result."""
+    r = state["instances"]
+    v = np.asarray(state["state"], dtype=np.int64)
+    tracked = int(v[0])
+
+    def col(index: int, n: int = r) -> np.ndarray:
+        return v[1 + index * r:1 + index * r + n].copy()
+
+    live, heap, keys = col(1), col(4, 2 * r), col(6, tracked)
+    return {
+        "kind": state["kind"],
+        "instances": r,
+        "position": state["position"],
+        "heap_events": state["heap_events"],
+        "items": np.where(live != 0, col(0), -1),
+        "items_live": live,
+        "offsets": col(2),
+        "timestamps": col(3),
+        "heap_times": heap[0::2].copy(),
+        "heap_slots": heap[1::2].copy(),
+        "count_keys": keys,
+        "count_vals": col(7, tracked),
+        "ref_keys": keys.copy(),
+        "ref_vals": col(8, tracked),
+        "rng_state": state["rng_state"],
+    }
+
+
 def reference_pool_merge(pool, other) -> list[bool]:
     """The executable spec of ``SamplerPool.merge``: the pairwise rule
     written out instance by instance, one scalar coin per instance and
@@ -89,9 +125,9 @@ def reference_pool_merge(pool, other) -> list[bool]:
     with its timestamp shifted by ``m₁``; counts and refs are built in
     first-pick order, each count the largest picked forward count of
     its item.  Reads both pools through ``finalize`` / ``snapshot`` and
-    writes the result back through ``restore`` (so ``pool``'s generator
-    is replaced by one continuing the same stream); returns the kept
-    mask.
+    writes the result back through ``restore`` in the ten-column form
+    (so ``pool``'s generator is replaced by one continuing the same
+    stream); returns the kept mask.
     """
     r = pool.instances
     m1, m2 = pool.position, other.position
@@ -100,7 +136,7 @@ def reference_pool_merge(pool, other) -> list[bool]:
     total = m1 + m2
     mine = pool.finalize()
     theirs = other.finalize()
-    state = pool.snapshot()
+    state = pool_columns(pool.snapshot())
     rng = generator_from_state(state["rng_state"])
     kept_self: list[bool] = []
     picks: list[tuple[int, int, int]] = []

@@ -6,7 +6,7 @@ universe partition."""
 import numpy as np
 import pytest
 
-from helpers import F0_FIELDS, assert_matches_distribution, f0_state
+from helpers import F0_FIELDS, assert_matches_distribution, f0_state, pool_columns
 from repro.core.f0_sampler import RandomOracleF0Sampler, TrulyPerfectF0Sampler
 from repro.core.g_sampler import SamplerPool, TrulyPerfectGSampler
 from repro.core.lp_sampler import TrulyPerfectLpSampler
@@ -256,7 +256,7 @@ class TestPoolMergeExactness:
             assert count >= 1
             assert 1 <= ts <= 2000
         # Shared counters stay consistent: counts[i] ≥ every holder's need.
-        state = a.snapshot()
+        state = pool_columns(a.snapshot())
         counts = dict(zip(state["count_keys"].tolist(), state["count_vals"].tolist()))
         offsets = state["offsets"].tolist()
         assert state["items"].tolist() == [item for item, __, ___ in finals]

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from helpers import pool_columns
 from repro.core import ingest_kernel
 from repro.core.g_sampler import SamplerPool
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
@@ -210,7 +211,7 @@ POOL_ID_SHAPES = {
 def _assert_pools_bitwise(batched: SamplerPool, scalar: SamplerPool) -> None:
     """Same snapshot bytes (counter insertion order, sorted heap, RNG
     state included), asserted piecewise first for readable failures."""
-    a, b = batched.snapshot(), scalar.snapshot()
+    a, b = pool_columns(batched.snapshot()), pool_columns(scalar.snapshot())
     assert a["count_keys"].tolist() == b["count_keys"].tolist()
     assert a["heap_times"].tolist() == b["heap_times"].tolist()
     assert a["heap_slots"].tolist() == b["heap_slots"].tolist()
@@ -254,7 +255,7 @@ class TestCompiledLoop:
         # caps them at 2^63 - 1 exactly as the compiled loop does.
         pool = SamplerPool(64, seed=4)
         pool.update_batch(_zipf(500, 50, seed=3))
-        state = pool.snapshot()
+        state = pool_columns(pool.snapshot())
         state["position"] = (1 << 60) + 3
         state["heap_times"] = np.full(64, (1 << 60) + 4, dtype=np.int64)
         scalar, batched = SamplerPool(64, seed=4), SamplerPool(64, seed=4)
@@ -262,7 +263,7 @@ class TestCompiledLoop:
         batched.restore(state)
         scalar.update(7)  # every instance wakes here
         batched.update_batch(np.array([7]))
-        assert scalar.snapshot()["heap_times"].max() == (1 << 63) - 1
+        assert pool_columns(scalar.snapshot())["heap_times"].max() == (1 << 63) - 1
         _assert_pools_bitwise(batched, scalar)
 
     def test_scalar_and_batched_calls_interleave(self):
@@ -287,7 +288,7 @@ class TestCompiledLoop:
         _assert_pools_bitwise(batched, scalar)
         assert (batched.replacement_positions().tolist()
                 == scalar.replacement_positions().tolist()
-                == scalar.snapshot()["timestamps"].tolist())
+                == pool_columns(scalar.snapshot())["timestamps"].tolist())
         assert batched.tracked_items == scalar.tracked_items
         assert batched.finalize() == scalar.finalize()
         assert batched.approx_size_bytes() == scalar.approx_size_bytes()
@@ -419,8 +420,9 @@ def _fed_pool() -> SamplerPool:
 
 
 def _broken(state: dict, name: str) -> dict:
-    """``state`` (a pool snapshot) with one structural fault."""
-    state = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in state.items()}
+    """``state`` (a pool snapshot) in the ten-column form with one
+    structural fault."""
+    state = pool_columns(state)
     if name == "no-instances":
         state["instances"] = 0
     elif name == "short-heap":
@@ -502,6 +504,87 @@ class TestMalformedSnapshots:
         assert save_state(twin) == save_state(pool)
 
 
+def _broken_buffer(state: dict, name: str) -> dict:
+    """``state`` (a pool snapshot, one state buffer) with one structural
+    fault written into the buffer."""
+    state = dict(state, state=state["state"].copy())
+    v, r = state["state"], state["instances"]
+    slot, live, heap, keys, refs = 1, 1 + r, 1 + 4 * r, 1 + 6 * r, 1 + 8 * r
+    if name == "short-buffer":
+        state["state"] = v[:-1]
+    elif name == "long-buffer":
+        state["state"] = np.append(v, 0)
+    elif name == "float-buffer":
+        state["state"] = v.astype(np.float64)
+    elif name == "tracked-over-room":
+        v[0] = r + 1
+    elif name == "negative-tracked":
+        v[0] = -1
+    elif name == "duplicate-key":
+        v[keys + 1] = v[keys]
+    elif name == "refs-too-low":
+        v[refs] -= 1
+    elif name == "live-item-untracked":
+        v[slot] = 1 << 40
+    elif name == "slot-repeated":
+        v[heap + 1] = v[heap + 3]
+    elif name == "slot-out-of-range":
+        v[heap + 1] = r + 5
+    elif name == "live-flag-two":
+        v[live] = 2
+    elif name == "no-instances":
+        state["instances"] = 0
+    elif name == "negative-position":
+        state["position"] = -1
+    return state
+
+
+class TestMalformedBufferSnapshots:
+    """The same structural checks on the buffer form.  Two ten-column
+    faults have no buffer counterpart: ``ref-keys-differ`` (the counter
+    and ref tables share one key column) and ``short-counts`` (both
+    tables share one ``tracked`` count); ``short-heap`` and
+    ``short-items`` become a buffer of the wrong length."""
+
+    FAULTS = [
+        "short-buffer", "long-buffer", "float-buffer", "tracked-over-room",
+        "negative-tracked", "duplicate-key", "refs-too-low",
+        "live-item-untracked", "slot-repeated", "slot-out-of-range",
+        "live-flag-two", "no-instances", "negative-position",
+    ]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_restore_rejects_and_leaves_pool_unchanged(self, fault):
+        pool, twin = _fed_pool(), _fed_pool()
+        finals = pool.finalize()
+        rng_state = pool._rng.bit_generator.state
+        with pytest.raises(ValueError):
+            pool.restore(_broken_buffer(pool.snapshot(), fault))
+        assert pool._rng.bit_generator.state == rng_state
+        assert save_state(pool) == save_state(twin)
+        assert pool.finalize() == finals
+        more = _zipf(200, 30, seed=45)
+        pool.update_batch(more[:100])
+        twin.update_batch(more[:100])
+        for item in more[100:].tolist():
+            pool.update(item)
+            twin.update(item)
+        assert save_state(pool) == save_state(twin)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_load_state_rejects(self, fault):
+        blob = state_to_bytes(_broken_buffer(_fed_pool().snapshot(), fault))
+        with pytest.raises(ValueError):
+            load_state(SamplerPool(8), blob)
+
+    @pytest.mark.parametrize("fault", ["refs-too-low", "duplicate-key", "live-flag-two"])
+    def test_python_check_rejects_too(self, fault, monkeypatch):
+        monkeypatch.setattr(ingest_kernel, "kernel_impl", lambda: "python")
+        pool = _fed_pool()
+        with pytest.raises(ValueError):
+            pool.restore(_broken_buffer(pool.snapshot(), fault))
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 @pytest.mark.parametrize("fault", ["slot-out-of-range", "refs-too-low",
                                    "duplicate-key", "tracked-over-room"])
@@ -567,6 +650,7 @@ ingest_kernel._build_library = no_compiler
 from repro.core.g_sampler import SamplerPool
 from repro.engine.state import save_state
 from repro.obs import MetricsRegistry
+from helpers import pool_columns
 
 items = np.asarray(json.loads(sys.argv[1]), dtype=np.int64)
 with warnings.catch_warnings(record=True) as caught:
@@ -584,7 +668,7 @@ with warnings.catch_warnings(record=True) as caught:
     restored.update_batch(items[:500])
 rejected = 0
 for fault in ("refs", "slot", "duplicate", "untracked"):
-    state = restored.snapshot()
+    state = pool_columns(restored.snapshot())
     if fault == "refs":
         state["ref_vals"][0] -= 1
     elif fault == "slot":
@@ -620,7 +704,8 @@ def test_fallback_without_compiler_runs_scalar_loop():
     items = _zipf(5000, 300, seed=90)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        [str(Path(repro.__file__).parents[1]), str(Path(__file__).parent),
+         env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
         [sys.executable, "-c", _FALLBACK_SCRIPT, json.dumps(items.tolist())],
@@ -667,7 +752,7 @@ def test_python_rules_match_compiled_ones(monkeypatch, instances, stream):
         picks = [empty.merge(b), a.merge(b)]
         restored = SamplerPool.from_snapshot(a.snapshot())
         restored.update_batch(items[:300])
-        broken = a.snapshot()
+        broken = pool_columns(a.snapshot())
         broken["ref_vals"][0] += 1
         with pytest.raises(ValueError):
             restored.restore(broken)

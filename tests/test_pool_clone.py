@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_pool_merge
+from helpers import pool_columns, reference_pool_merge
 from repro.core.g_sampler import SamplerPool
 from repro.core.measures import HuberMeasure
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
@@ -278,7 +278,8 @@ def _assert_same_merge(a: SamplerPool, b: SamplerPool) -> None:
     assert save_state(got) == save_state(want)
     assert got.snapshot()["rng_state"] == want.snapshot()["rng_state"]
     # First-pick order of the tracked items.
-    assert got.snapshot()["ref_keys"].tolist() == want.snapshot()["ref_keys"].tolist()
+    assert (pool_columns(got.snapshot())["ref_keys"].tolist()
+            == pool_columns(want.snapshot())["ref_keys"].tolist())
     assert save_state(b) == b_before
 
 
@@ -316,7 +317,7 @@ def test_merge_exact_jump_fallback():
     a.restore(state)
     __, ___, got, ____ = _merged_both_ways(a, b)
     assert got.position > 1 << 53
-    assert got.snapshot()["heap_times"].max() == (1 << 63) - 1
+    assert pool_columns(got.snapshot())["heap_times"].max() == (1 << 63) - 1
     _assert_same_merge(a, b)
 
 

@@ -16,6 +16,8 @@ The contracts the process ingest plane must keep:
 """
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -26,6 +28,7 @@ from repro.engine import ShardedSamplerEngine, state_to_bytes
 from repro.lifecycle.codec import state_from_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import SamplerService, ServiceClosed
+from repro.serving.procplane import FAULT_ITEM_ENV, WorkerDied, WorkerLink
 from repro.serving.transport import FrameConnection, decode_frame, encode_frame
 from repro.streams.generators import zipf_stream
 from repro.streams.timestamped import uniform_arrivals
@@ -227,6 +230,89 @@ class TestWorkerCrash:
             assert report.ready
             assert report.probe("workers").status == "pass"
             assert "restart" in report.probe("workers").detail
+
+
+# ---------------------------------------------------------------------------
+# The fold collector
+# ---------------------------------------------------------------------------
+class TestCollect:
+    def test_every_pull_is_out_before_any_wait(self, monkeypatch):
+        """``collect`` sends every link's ``pull`` before it waits on any
+        reply, so the workers encode their states at the same time."""
+        calls = []
+        send, wait = WorkerLink.send_control, WorkerLink.wait_control
+
+        def logged_send(link, frame, *args, **kwargs):
+            calls.append(("send", link.index, frame["type"]))
+            return send(link, frame, *args, **kwargs)
+
+        def logged_wait(link, *args, **kwargs):
+            calls.append(("wait", link.index, None))
+            return wait(link, *args, **kwargs)
+
+        items = make_items(3_000)
+        with SamplerService(
+            G_CONFIG, shards=4, seed=0, workers_mode="process",
+            ingest_workers=2, compact_interval=None, refresh_interval=1e9,
+        ) as svc:
+            svc.submit(items)
+            svc.flush(timeout=30.0)
+            monkeypatch.setattr(WorkerLink, "send_control", logged_send)
+            monkeypatch.setattr(WorkerLink, "wait_control", logged_wait)
+            assert svc._plane.collect() == 4
+            monkeypatch.undo()
+        assert calls == [("send", 0, "pull"), ("send", 1, "pull"),
+                         ("wait", 0, None), ("wait", 1, None)]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_worker_death_mid_collect_leaves_no_stale_reply(self, monkeypatch):
+        """Worker 0 dies mid-collect (it applies a poisoned frame queued
+        before its pull) while worker 1's ``state`` reply is still to
+        come: collect raises, but only after taking that reply, so
+        worker 1's next control frame is answered by its own reply."""
+        routing = ShardedSamplerEngine(G_CONFIG, shards=4, seed=0)
+        poison = next(
+            item for item in range(999999, 1 << 40, 1 << 20)
+            if routing.shard_of(item) % 2 == 0  # a shard of worker 0
+        )
+        monkeypatch.setenv(FAULT_ITEM_ENV, str(poison))
+        svc = SamplerService(
+            G_CONFIG, shards=4, seed=0, workers_mode="process",
+            ingest_workers=2, compact_interval=None, refresh_interval=1e9,
+        )
+        try:
+            svc.submit(make_items(2_000))
+            svc.flush(timeout=30.0)
+            plane = svc._plane
+            plane.collect()
+            # Hold both workers still while worker 0's poisoned frame and
+            # then the pulls queue up; worker 0 resumes (and dies) first,
+            # worker 1 answers its pull only after that.
+            pids = [link.proc.pid for link in plane.links]
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            svc.submit(np.array([poison], dtype=np.int64))
+            assert _wait_until(
+                lambda: plane.links[0].status()["inflight_frames"] == 1
+            )
+            resumes = [
+                threading.Timer(delay, os.kill, args=(pid, signal.SIGCONT))
+                for delay, pid in zip((0.3, 0.8), pids)
+            ]
+            for timer in resumes:
+                timer.start()
+            try:
+                with pytest.raises(WorkerDied):
+                    plane.collect(timeout=20.0)
+                survivor = plane.links[1]
+                reply = survivor.control({"type": "compact"}, timeout=10.0)
+                assert reply["type"] == "compacted"
+                assert survivor.control({"type": "ping"}, timeout=10.0)["type"] == "pong"
+            finally:
+                for timer in resumes:
+                    timer.join()
+        finally:
+            svc.close(drain=False)
 
 
 # ---------------------------------------------------------------------------

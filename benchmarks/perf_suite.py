@@ -30,8 +30,7 @@ Measures, on one process with fixed seeds:
 * **parallel ingest scaling (PR 8)** — identical write workloads
   through the thread-mode and process-mode ingest planes at 1, 2, and
   4 workers (K=8, best of ``PARALLEL_REPS``, steady-state: worker
-  startup excluded), preceded by a process-mode serialized bitwise
-  preflight against direct engine calls.
+  startup excluded).
 * **ingest kernel** — the one batched ingest route over the grid
   K ∈ {1, 8, 32} × call size ∈ {2^11, 2^16, 2^20}: the same stream fed
   as successive ``ingest`` calls of that size, cells interleaved across
@@ -55,9 +54,14 @@ Measures, on one process with fixed seeds:
   workload with the cross-process worker telemetry plane on
   (``worker_telemetry=True``: worker-side registries, span shipping,
   snapshot merging) vs. off, metrics enabled in both: telemetry-on
-  ingest must stay ≥0.95x the telemetry-off rate.  The process-mode
-  bitwise preflight above already runs with telemetry default-on, so
-  the determinism contract and the overhead gate cover the same plane.
+  ingest must stay ≥0.95x the telemetry-off rate.
+
+The serving bitwise checks this suite's served scenarios stand on —
+thread- and process-mode serialized serving answer exactly as direct
+engine calls, at this suite's ``CONFIG``, K=8 and seed 7 — are tier-1
+tests (``test_perf_suite_config_serialized_equals_direct`` in
+``tests/test_serving.py`` and ``tests/test_process_serving.py``), run
+with telemetry default-on.
 
 Results land in machine-readable JSON (default: ``BENCH_E23.json`` at
 the repo root) so the bench trajectory is tracked from PR 4 forward.
@@ -68,8 +72,6 @@ The suite *gates* itself (exit code 1 on failure):
   recorded in the same run, for every workload;
 * the read-heavy (100:1, K=8) workload must show a ≥10x cached p50 win;
 * ``sample_many(1000)`` must be ≥5x faster than 1000 ``sample()`` calls;
-* serialized serving mode must answer bitwise-identically to direct
-  engine calls (checked before any serving timing);
 * served query p50 must stay within 3x the single-threaded cached-fold
   p50 of the same workload, while the served path answers at least as
   many queries as the baseline did;
@@ -489,22 +491,6 @@ def bench_sample_many(items: np.ndarray, k: int) -> dict:
     }
 
 
-def check_serialized_equals_direct(items: np.ndarray) -> None:
-    """Bitwise gate: serialized serving mode replays the request
-    sequence exactly as direct engine calls would."""
-    engine = ShardedSamplerEngine(CONFIG, shards=SERVED_SHARDS, seed=7)
-    with SamplerService(
-        CONFIG, shards=SERVED_SHARDS, seed=7, serialized=True,
-        compact_interval=None,
-    ) as svc:
-        for chunk in np.array_split(items, 4):
-            svc.submit(chunk)
-            engine.ingest(chunk)
-            a, b = svc.sample(), engine.sample()
-            if a != b:
-                raise AssertionError(f"served {a} != direct {b}")
-
-
 def bench_served(
     preload: np.ndarray, work: np.ndarray, write_batch: int
 ) -> dict:
@@ -615,23 +601,6 @@ def bench_served(
             / statistics.median(x / 1e3 for x in base_lat)
         ),
     }
-
-
-def check_process_serialized_equals_direct(items: np.ndarray) -> None:
-    """Bitwise preflight for the parallel scenario: serialized serving
-    through worker *processes* replays the request sequence exactly as
-    direct engine calls would — speed without this is meaningless."""
-    engine = ShardedSamplerEngine(CONFIG, shards=SERVED_SHARDS, seed=7)
-    with SamplerService(
-        CONFIG, shards=SERVED_SHARDS, seed=7, serialized=True,
-        workers_mode="process", ingest_workers=2, compact_interval=None,
-    ) as svc:
-        for chunk in np.array_split(items, 4):
-            svc.submit(chunk)
-            engine.ingest(chunk)
-            a, b = svc.sample(), engine.sample()
-            if a != b:
-                raise AssertionError(f"process-served {a} != direct {b}")
 
 
 def _parallel_run(
@@ -1104,10 +1073,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     print(f"perf_suite: m={m} queries/workload={queries} smoke={args.smoke}")
-    check_serialized_equals_direct(items[:20_000])
-    print("bitwise gate: serialized serving == direct engine ✓")
-    check_process_serialized_equals_direct(items[:20_000])
-    print("bitwise gate: process-mode serving == direct engine ✓")
     check_ingest_kernel_bitwise(kernel_items[:20_000])
     print("bitwise gate: batched ingest == scalar loop == item-at-a-time ✓")
 

@@ -293,6 +293,31 @@ def _merge_trees(base_families: dict, latest_families: dict) -> dict:
     return merged["families"]
 
 
+def _changed_children(shown: dict, merged: dict) -> dict:
+    """The families of ``merged`` cut down to the children whose sample
+    differs from ``shown`` (the last merged tree materialized); a family
+    new since then is kept even when it has no children, so it
+    registers."""
+    out = {}
+    for name, entry in merged.items():
+        before = shown.get(name)
+        children = entry.get("children", {})
+        if before is None:
+            out[name] = entry
+            continue
+        seen = before.get("children", {})
+        moved = {
+            jkey: sample
+            for jkey, sample in children.items()
+            if seen.get(jkey) != sample
+        }
+        if moved:
+            out[name] = {k: v for k, v in entry.items() if k != "children"} | {
+                "children": moved
+            }
+    return out
+
+
 class WorkerTelemetry:
     """Parent-side merger: per-worker cumulative snapshots → one mirror
     registry with a ``worker`` label, monotone across respawns.
@@ -317,25 +342,33 @@ class WorkerTelemetry:
     def update(self, worker: str, generation: int, tree: dict) -> None:
         """Merge one worker's cumulative snapshot ``tree`` (a full
         ``{"version", "families"}`` snapshot) for ``generation`` into
-        the mirror registry.  Raises ``ValueError`` on malformed or
-        incompatible trees — callers surface that as a merge-error
-        counter rather than crashing the plane."""
+        the mirror registry.  Only the children whose merged sample
+        changed since this worker's last merge are materialized; the
+        rest already hold that value.  Raises ``ValueError`` on
+        malformed or incompatible trees — callers surface that as a
+        merge-error counter rather than crashing the plane."""
         families = _check_version(tree)
         worker = str(worker)
         with self._lock:
             state = self._workers.setdefault(
-                worker, {"generation": int(generation), "base": {}, "latest": {}}
+                worker,
+                {"generation": int(generation), "base": {}, "latest": {},
+                 "shown": {}},
             )
             if int(generation) != state["generation"]:
                 _fold_into_base(state["base"], state["latest"])
                 state["generation"] = int(generation)
-                state["latest"] = {}
             state["latest"] = families
-            merged = _merge_trees(state["base"], families)
-        if self.registry is not None and self.registry.enabled:
-            _materialize_tree(
-                self.registry, merged, extra_labels=((self.worker_label, worker),)
+            merged = (
+                _merge_trees(state["base"], families) if state["base"] else families
             )
+            changed = _changed_children(state["shown"], merged)
+            state["shown"] = merged
+            if changed and self.registry is not None and self.registry.enabled:
+                _materialize_tree(
+                    self.registry, changed,
+                    extra_labels=((self.worker_label, worker),),
+                )
 
     def latest(self, worker) -> dict | None:
         """The most recent raw (current-generation) snapshot tree for

@@ -12,6 +12,11 @@ keeping the front door's contracts intact:
   queued + in-flight items and only drains when a worker *acks* the
   frame, so a slow shard process throttles its producers exactly like a
   slow shard thread did.
+- **One frame per turn.**  Each pump turn takes one coalesced batch
+  from every ready lane the worker owns (:meth:`ShardQueues.take`) and
+  ships them as one ``ingest`` frame of arrays; the worker applies the
+  parts in order and answers with one ``ack``.  So the parent's frame,
+  codec and ack work follows the pump's turns, not the lane count.
 - **Same determinism.**  Each worker process boots a bitwise replica of
   its owned shards — :meth:`ShardedSamplerEngine.shard_config` rebuilds
   the sampler with the shard's exact registry config (per-shard seed
@@ -51,14 +56,19 @@ back piggybacked on ``pull`` replies and on demand via ``telemetry``
 frames; :class:`~repro.obs.telemetry.WorkerTelemetry` merges them into
 the parent's mirror registry under a ``worker`` label with
 per-generation base accounting (lossless respawns never double-count
-or regress a counter), and each control round trip refines a
-min-RTT worker-clock offset used to align spans in Chrome exports.
+or regress a counter, and only children that moved are rewritten),
+and each control round trip refines a min-RTT worker-clock offset used
+to align spans in Chrome exports.  Shipped spans stay raw JSON lines
+until a trace export or ``telemetry_info`` reads them.
+
+**Protocol errors.**  A worker answers a frame type it does not know
+with an ``error`` frame, which the link reports through ``on_error``.
 
 **Test hook.**  When the environment variable
 ``REPRO_SERVING_FAULT_ITEM`` is set, a worker hard-exits before
-applying any ingest frame containing that item value — the only way to
-deterministically produce a mid-batch crash in an out-of-process
-worker.
+applying any part of an ingest frame containing that item value — the
+only way to deterministically produce a mid-batch crash in an
+out-of-process worker.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ import os
 import threading
 import time
 from collections import deque
+from itertools import repeat
 
 import numpy as np
 
@@ -83,9 +94,13 @@ __all__ = ["ProcessPlane", "WorkerLink", "WorkerDied", "FAULT_ITEM_ENV"]
 FAULT_ITEM_ENV = "REPRO_SERVING_FAULT_ITEM"
 
 #: Ingest frames a link keeps in flight before the pump waits for acks.
-#: Deep enough to hide pipe latency, shallow enough that a crash can
-#: only strand a few micro-batches (each individually accounted).
-MAX_INFLIGHT_FRAMES = 4
+#: Each frame carries up to one micro-batch per owned lane, so the
+#: window holds at most this many batches per lane.  Two keep the worker
+#: busy (one frame applies while the next waits in the pipe); anything
+#: queued beyond that stays in the lanes and rides the next frame, so a
+#: busy worker gets fewer, larger frames.  A crash strands at most two
+#: frames, each lane of each individually accounted.
+MAX_INFLIGHT_FRAMES = 2
 
 #: How long a control request (pull/compact/ping) may wait for its
 #: reply before the worker is declared unresponsive.
@@ -192,28 +207,39 @@ def _worker_main(conn_raw) -> None:
             parent_ref = frame.get("trace")
             link_attrs = {"parent": parent_ref} if parent_ref else {}
             if kind == "ingest":
-                shard = int(frame["shard"])
+                shards = frame["shards"]
+                counts = frame["counts"]
                 items = np.asarray(frame["items"], dtype=np.int64)
                 ts = frame.get("ts")
-                if fault_item is not None and items.size and np.any(
-                    items == int(fault_item)
-                ):
+                if fault_item is not None and np.any(items == int(fault_item)):
                     os._exit(13)
-                t0 = time.perf_counter()
-                ack = {"type": "ack", "shard": shard, "n": int(items.size)}
-                try:
-                    with tracer.span(
-                        "worker.apply", shard=shard, items=int(items.size),
-                        **link_attrs,
-                    ):
-                        ingest(samplers[shard], items, timestamps=ts)
-                    epochs[shard] += 1
-                    ack.update(ok=1, epoch=epochs[shard])
-                    m_apply[shard].observe(time.perf_counter() - t0)
-                except Exception as exc:
-                    ack.update(ok=0, epoch=epochs[shard], error=repr(exc))
-                ack["seconds"] = time.perf_counter() - t0
-                conn.send(ack)
+                ok, acked, seconds = [], [], []
+                errors = {}
+                lo = 0
+                for shard, n in zip(shards, counts):
+                    hi = lo + n
+                    t0 = time.perf_counter()
+                    try:
+                        with tracer.span(
+                            "worker.apply", shard=shard, items=n, **link_attrs
+                        ):
+                            ingest(
+                                samplers[shard], items[lo:hi],
+                                timestamps=None if ts is None else ts[lo:hi],
+                            )
+                        epochs[shard] += 1
+                        ok.append(1)
+                        m_apply[shard].observe(time.perf_counter() - t0)
+                    except Exception as exc:
+                        ok.append(0)
+                        errors[str(shard)] = repr(exc)
+                    acked.append(epochs.get(shard, -1))
+                    seconds.append(time.perf_counter() - t0)
+                    lo = hi
+                conn.send(
+                    {"type": "ack", "shards": shards, "counts": counts, "ok": ok,
+                     "epochs": acked, "seconds": seconds, "errors": errors}
+                )
             elif kind == "pull":
                 seen = frame.get("epochs") or {}
                 out = {}
@@ -268,16 +294,13 @@ def _worker_main(conn_raw) -> None:
                 finally:
                     return
             else:  # unknown frame: protocol bug — die loudly, not silently
-                conn.send(
-                    {"type": "ack", "shard": -1, "n": 0, "ok": 0,
-                     "epoch": -1, "error": f"unknown frame type {kind!r}"}
-                )
+                conn.send({"type": "error", "error": f"unknown frame type {kind!r}"})
 
 
 class WorkerLink:
     """Parent-side handle for one worker process: its pipe, its pump
-    thread (queues → ingest frames), and its receiver thread (acks and
-    control replies → occupancy release / mailbox)."""
+    thread (queues → one ingest frame per turn), and its receiver thread
+    (acks and control replies → occupancy release / mailbox)."""
 
     def __init__(
         self,
@@ -315,17 +338,17 @@ class WorkerLink:
         self.generation = -1
         #: generation → (best rtt_ns, worker-minus-parent offset_ns).
         self.clock_by_gen: dict[int, tuple[int, int]] = {}
-        #: shipped worker span records (JSONL dicts, annotated with
-        #: pid/generation/worker at arrival), bounded like the worker ring.
-        self.spans: deque[dict] = deque(maxlen=2 * WORKER_TRACE_CAPACITY)
+        #: shipped worker spans as (pid, generation, JSON line), bounded
+        #: like the worker ring; :meth:`span_records` parses them.
+        self.spans: deque[tuple] = deque(maxlen=2 * WORKER_TRACE_CAPACITY)
         self.telemetry_ships = 0
         self.telemetry_spans = 0
         self.last_telemetry_at: float | None = None
         self._trace_seq = 0
         self._halt = threading.Event()
-        self._cursor = 0
-        # In-flight window: (shard, n) per unacked ingest frame, FIFO.
-        self._inflight: deque[tuple[int, int]] = deque()
+        # In-flight window, FIFO: one entry per unacked ingest frame,
+        # the ((shard, n), ...) parts it carries.
+        self._inflight: deque[tuple[tuple[int, int], ...]] = deque()
         self._window = threading.Condition()
         # One outstanding control request at a time, held from
         # send_control to wait_control; the receiver thread posts the
@@ -429,19 +452,13 @@ class WorkerLink:
         self._recv_t.start()
 
     # -- pump: owned queue lanes → ingest frames ----------------------------
+    def _fail(self, parts) -> None:
+        self._queues.release([(shard, n, False) for shard, n in parts])
+
     def _pump(self) -> None:
         while True:
-            got = self._queues.take(self.owned, self._cursor, self._max_batch)
-            if got is None:
-                if self._halt.is_set():
-                    return
-                self._queues.wait_for_work(self.owned, self._halt)
-                continue
-            shard, items, ts, n = got
-            self._cursor = self.owned.index(shard) + 1
-            if self.sink:
-                self._queues.mark_applied(shard, n, ok=False)
-                continue
+            # Wait for window room *before* taking, so lanes keep filling
+            # while the worker is busy and the next frame carries them all.
             with self._window:
                 while (
                     len(self._inflight) >= MAX_INFLIGHT_FRAMES
@@ -450,37 +467,61 @@ class WorkerLink:
                     and not self._halt.is_set()
                 ):
                     self._window.wait(0.05)
-                if self.sink:
-                    self._queues.mark_applied(shard, n, ok=False)
-                    continue
-                self._inflight.append((shard, n))
-            frame = {"type": "ingest", "shard": shard, "items": items}
-            if ts is not None:
-                frame["ts"] = ts
             try:
-                with span("serving.ipc_send", shard=shard, items=n) as sp:
+                got = self._queues.take(self.owned, self._max_batch)
+            except Exception as exc:  # coalescing failed; take() failed the items
+                self._report(exc)
+                continue
+            if not got:
+                if self._halt.is_set():
+                    return
+                self._queues.wait_for_work(self.owned, self._halt)
+                continue
+            parts = tuple((shard, n) for shard, __, __, n in got)
+            frame = {
+                "type": "ingest",
+                "shards": [s for s, __ in parts],
+                "counts": [n for __, n in parts],
+            }
+            try:
+                frame["items"] = np.concatenate([items for __, items, __, __ in got])
+                if got[0][2] is not None:
+                    frame["ts"] = np.concatenate([ts for __, __, ts, __ in got])
+            except Exception as exc:  # same contract as a failed take()
+                self._fail(parts)
+                self._report(exc)
+                continue
+            if self.sink:
+                self._fail(parts)
+                continue
+            with self._window:
+                self._inflight.append(parts)
+            total = sum(n for __, n in parts)
+            try:
+                with span("serving.ipc_send", lanes=len(parts), items=total) as sp:
                     ref = self._trace_ref(sp)
                     if ref is not None:
                         frame["trace"] = ref
                     self.conn.send(frame)
-                self._m_coalesce.observe(n)
+                for __, n in parts:
+                    self._m_coalesce.observe(n)
             except (OSError, ValueError, BrokenPipeError) as exc:
                 # The receiver owns death bookkeeping; just unwind this
                 # frame so it isn't double-failed there.  These items
                 # were accepted and are now lost — that must latch.
                 with self._window:
                     try:
-                        self._inflight.remove((shard, n))
+                        self._inflight.remove(parts)
                     except ValueError:
                         pass
-                self._queues.mark_applied(shard, n, ok=False)
+                self._fail(parts)
                 if self._on_error is not None:
                     self._on_error(
                         WorkerDied(
                             f"send to shard worker {self.index} failed "
-                            f"({n} accepted items lost): {exc!r}"
+                            f"({total} accepted items lost): {exc!r}"
                         ),
-                        shard,
+                        parts[0][0],
                     )
 
     # -- receiver: acks + control replies -----------------------------------
@@ -503,37 +544,58 @@ class WorkerLink:
                 continue
             kind = frame.get("type")
             if kind == "ack":
-                shard = int(frame["shard"])
-                n = int(frame["n"])
-                ok = bool(frame.get("ok"))
-                with self._window:
-                    try:
-                        self._inflight.remove((shard, n))
-                    except ValueError:
-                        pass
-                    self._window.notify_all()
-                self.last_ack_at = time.monotonic()
-                self._queues.mark_applied(shard, n, ok=ok)
-                if ok:
-                    self.acked_epoch[shard] = int(frame["epoch"])
-                    # With telemetry on, the worker observes its own
-                    # apply histogram (shipped back with a worker
-                    # label); observing the ack here too would count
-                    # every apply twice in the merged view.
-                    if not self.telemetry:
-                        self._m_apply_s[shard].observe(float(frame["seconds"]))
-                elif self._on_error is not None and shard >= 0:
-                    self._on_error(
-                        RuntimeError(
-                            f"worker {self.index} apply failed: "
-                            f"{frame.get('error')}"
-                        ),
-                        shard,
+                self._on_ack(frame)
+            elif kind == "error":
+                self._report(
+                    RuntimeError(
+                        f"worker {self.index} protocol error: {frame.get('error')}"
                     )
+                )
             else:  # control reply (state/compacted/pong/bye)
                 self._reply = frame
                 self._reply_at_ns = time.perf_counter_ns()
                 self._reply_evt.set()
+
+    def _on_ack(self, frame: dict) -> None:
+        """Release one ingest frame: each part's occupancy drains as
+        applied or failed, and an applied part advances its shard's
+        acked epoch."""
+        shards = frame["shards"]
+        counts = frame["counts"]
+        with self._window:
+            try:
+                self._inflight.remove(tuple(zip(shards, counts)))
+            except ValueError:
+                pass
+            self._window.notify_all()
+        self.last_ack_at = time.monotonic()
+        oks = frame["ok"]
+        self._queues.release(zip(shards, counts, oks))
+        errors = frame.get("errors") or {}
+        for shard, ok, epoch, seconds in zip(
+            shards, oks, frame["epochs"], frame["seconds"]
+        ):
+            if ok:
+                self.acked_epoch[shard] = epoch
+                # With telemetry on, the worker observes its own apply
+                # histogram (shipped back with a worker label); observing
+                # the ack here too would count every apply twice in the
+                # merged view.
+                if not self.telemetry:
+                    self._m_apply_s[shard].observe(seconds)
+            elif self._on_error is not None:
+                self._on_error(
+                    RuntimeError(
+                        f"worker {self.index} apply failed: "
+                        f"{errors.get(str(shard))}"
+                    ),
+                    shard,
+                )
+
+    def _report(self, exc: Exception) -> None:
+        """Surface a link-wide failure against this worker's first shard."""
+        if self._on_error is not None:
+            self._on_error(exc, self.owned[0] if self.owned else -1)
 
     def _on_death(self) -> bool:
         """Handle a dead worker process.  Returns True when the link was
@@ -541,7 +603,7 @@ class WorkerLink:
         exitcode = self.proc.exitcode if self.proc is not None else None
         self.dead = True
         with self._window:
-            stranded = list(self._inflight)
+            stranded = [part for parts in self._inflight for part in parts]
             self._inflight.clear()
             self._window.notify_all()
         # A control waiter must not hang on a reply that will never come.
@@ -551,8 +613,7 @@ class WorkerLink:
         lossless = not stranded and all(
             self.acked_epoch[s] == self.pulled_epoch[s] for s in self.owned
         )
-        for shard, n in stranded:
-            self._queues.mark_applied(shard, n, ok=False)
+        self._fail(stranded)
         if lossless and not self._halt.is_set():
             try:
                 self.spawn()
@@ -576,14 +637,9 @@ class WorkerLink:
         self.sink = True
         with self._window:
             self._window.notify_all()
-        if self._on_error is not None:
-            self._on_error(
-                WorkerDied(
-                    f"shard worker {self.index} died "
-                    f"(exitcode {exitcode}): {why}"
-                ),
-                self.owned[0] if self.owned else -1,
-            )
+        self._report(
+            WorkerDied(f"shard worker {self.index} died (exitcode {exitcode}): {why}")
+        )
 
     # -- control ------------------------------------------------------------
     def control(self, frame: dict, timeout: float = CONTROL_TIMEOUT) -> dict:
@@ -671,9 +727,24 @@ class WorkerLink:
         if best is None or rtt < best[0]:
             self.clock_by_gen[self.generation] = (rtt, offset)
 
+    def span_records(self) -> list[dict]:
+        """The retained worker spans as dicts, each annotated with the
+        ``pid``, ``generation`` and ``worker`` it was shipped from."""
+        out = []
+        for pid, generation, line in list(self.spans):
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            record["pid"] = pid
+            record["generation"] = generation
+            record["worker"] = self.index
+            out.append(record)
+        return out
+
     def status(self) -> dict:
         with self._window:
-            inflight = sum(n for __, n in self._inflight)
+            inflight = sum(n for parts in self._inflight for __, n in parts)
             frames = len(self._inflight)
         alive = self.proc is not None and self.proc.is_alive()
         stalled = (
@@ -925,19 +996,12 @@ class ProcessPlane:
         spans_blob = payload.get("spans")
         span_count = 0
         if spans_blob:
-            pid = payload.get("pid")
-            for line in bytes(spans_blob).decode("utf-8").splitlines():
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                record["pid"] = pid
-                record["generation"] = link.generation
-                record["worker"] = link.index
-                link.spans.append(record)
-                span_count += 1
+            # Kept as raw lines; parsed only when a reader asks for them.
+            lines = bytes(spans_blob).splitlines()
+            link.spans.extend(
+                zip(repeat(payload.get("pid")), repeat(link.generation), lines)
+            )
+            span_count = len(lines)
         link.telemetry_ships += 1
         link.telemetry_spans += span_count
         link.last_telemetry_at = time.monotonic()
@@ -997,7 +1061,7 @@ class ProcessPlane:
             entry["metrics"] = (
                 self._merger.latest(link.index) if self._merger else None
             )
-            entry["trace"] = list(link.spans)
+            entry["trace"] = link.span_records()
             out.append(entry)
         return out
 
@@ -1008,7 +1072,7 @@ class ProcessPlane:
         groups = []
         for link in self.links:
             by_pid: dict[int, list[dict]] = {}
-            for record in list(link.spans):
+            for record in link.span_records():
                 by_pid.setdefault(record.get("pid") or 0, []).append(record)
             for pid, records in by_pid.items():
                 gen = records[-1].get("generation", link.generation)

@@ -8,14 +8,26 @@ on the wire is pickled — a frame is a self-describing bytes buffer, so
 a corrupt or adversarial peer can at worst produce a malformed tree,
 never code execution.
 
+Per-lane fields (``shards``, ``counts``, ``ok``, …) are JSON lists in
+the header: a list of a few ints decodes in about a microsecond, while
+each NumPy leaf costs the decoder a spec, a buffer slice and a copy
+(about 15 µs), and the parent pays that in its GIL once per frame.
+
 Frame vocabulary (the ``type`` key):
 
 ========== =============================================================
-``ingest``   parent → worker: one coalesced micro-batch for one shard
-             (``shard``, ``items`` int64 array, optional ``ts`` float64)
-``ack``      worker → parent: result of one ingest frame (``shard``,
-             ``n`` items, ``ok`` 0/1, ``epoch`` after apply, ``seconds``
-             apply wall time, ``error`` repr when not ok)
+``ingest``   parent → worker: one coalesced micro-batch per ready lane
+             of the worker, in the same few leaves whatever the lane
+             count: ``shards`` and ``counts`` (one entry per lane),
+             ``items`` (int64 array, the lanes concatenated in that
+             order), ``ts`` (float64 array, the same cut) when timed
+``ack``      worker → parent: result of one ingest frame, one entry per
+             lane in each of ``shards``, ``counts``, ``ok`` 0/1,
+             ``epochs`` after apply and ``seconds`` apply wall time;
+             plus ``errors``, ``{shard: repr}`` for the lanes that failed
+``error``    worker → parent: a frame the worker could not take (an
+             unknown ``type``), ``error`` saying why — a protocol bug
+             the parent reports as a worker error
 ``pull``     parent → worker: request snapshot deltas for shards whose
              worker-side epoch is beyond ``epochs[shard]``
 ``state``    worker → parent: ``shards: {shard: {epoch, state bytes}}``

@@ -10,11 +10,11 @@ queued and in-flight items, so a slow shard throttles its producers
 even while its worker is mid-batch.
 
 **Workers.**  Each :class:`IngestWorker` owns a disjoint set of shards
-(round-robin by worker index) and drains them in shard order, coalescing
-queued entries into micro-batches before handing them to
-``engine.ingest_shard`` under that shard's write lock.  Per-shard FIFO
-plus single ownership gives the determinism the tests pin down: the
-final shard state is bitwise identical to a sequential
+(round-robin by worker index).  Each turn takes one coalesced
+micro-batch from every non-empty owned lane and hands them, in shard
+order, to ``engine.ingest_shard`` under that shard's write lock.
+Per-shard FIFO plus single ownership gives the determinism the tests
+pin down: the final shard state is bitwise identical to a sequential
 ``engine.ingest`` of the same submits, for any worker count — batching
 boundaries don't matter because ``update_batch`` is bitwise equal to
 the scalar loop, and cross-shard interleaving doesn't matter because
@@ -47,7 +47,12 @@ class ShardQueues:
         self._lanes: list[deque[RoutedBatch]] = [deque() for _ in range(shards)]
         self._occupancy = [0] * shards  # queued + in-flight items
         self._capacity = capacity
-        self._gate = threading.Condition()
+        lock = threading.RLock()
+        self._gate = threading.Condition(lock)
+        # Ingest workers park on their own condition over the same lock:
+        # only a put (or close) gives them work, so a release that wakes
+        # producers and flushers leaves them asleep.
+        self._work = threading.Condition(lock)
         self._closed = False
         self.submitted_items = 0
         self.shed_count = 0
@@ -152,32 +157,37 @@ class ShardQueues:
                 self._occupancy[part.shard] += len(part)
             self.submitted_items += total
             self._gate.notify_all()
+            self._work.notify_all()
         return total
 
-    def take(self, shards: list[int], cursor: int, max_items: int):
-        """Dequeue one coalesced micro-batch from the first non-empty
-        owned lane at/after ``shards[cursor]`` (round-robin).
+    def take(self, shards: list[int], max_items: int) -> list[tuple]:
+        """Dequeue one coalesced micro-batch from every non-empty owned
+        lane, in ``shards`` order.
 
-        Returns ``(shard, items, timestamps, n)`` — the lane's leading
-        like-shaped entries (up to ``max_items``) concatenated outside
-        the gate — or ``None`` when every owned lane is empty.  The
-        taken items stay counted in occupancy until :meth:`mark_applied`:
-        callers apply the batch, then mark it.  A coalescing failure
-        marks the items failed before it propagates, so it cannot wedge
-        a flush.
+        Returns a list of ``(shard, items, timestamps, n)``, one per
+        lane: the lane's leading like-shaped entries (up to
+        ``max_items``) concatenated outside the gate.  Only lanes whose
+        head entry has the first lane's timed/untimed shape are taken,
+        so one take is all timed or all untimed.  The list is empty when
+        every owned lane is.  The taken items stay counted in occupancy
+        until :meth:`release`: callers apply each batch, then release
+        it.  A coalescing failure releases every taken item as failed
+        before it propagates, so it cannot wedge a flush.
         """
+        taken = []
+        timed = None
         with self._gate:
-            for step in range(len(shards)):
-                shard = shards[(cursor + step) % len(shards)]
+            for shard in shards:
                 lane = self._lanes[shard]
                 if not lane:
                     continue
-                batches = [lane.popleft()]
-                n = len(batches[0])
-                timed = batches[0].timestamps is not None
+                if timed is None:
+                    timed = lane[0].timestamps is not None
                 # Coalesce only like-shaped entries: a timed and an
                 # untimed batch cannot concatenate, and mixing them is a
                 # caller error the *sampler* should report per-batch.
+                batches = []
+                n = 0
                 while (
                     lane
                     and n < max_items
@@ -185,34 +195,39 @@ class ShardQueues:
                 ):
                     n += len(lane[0])
                     batches.append(lane.popleft())
-                break
-            else:
-                return None
-        if len(batches) == 1:
-            return shard, batches[0].items, batches[0].timestamps, n
+                if batches:
+                    taken.append((shard, batches, n))
+        out = []
         try:
-            items = np.concatenate([b.items for b in batches])
-            timestamps = (
-                np.concatenate([b.timestamps for b in batches]) if timed else None
-            )
+            for shard, batches, n in taken:
+                if len(batches) == 1:
+                    out.append((shard, batches[0].items, batches[0].timestamps, n))
+                    continue
+                items = np.concatenate([b.items for b in batches])
+                timestamps = (
+                    np.concatenate([b.timestamps for b in batches]) if timed else None
+                )
+                out.append((shard, items, timestamps, n))
         except BaseException:
-            self.mark_applied(shard, n, ok=False)
+            self.release([(shard, n, False) for shard, __, n in taken])
             raise
-        return shard, items, timestamps, n
+        return out
 
-    def mark_applied(self, shard: int, n: int, ok: bool = True) -> None:
-        """Release ``n`` items of occupancy after their batch finished,
-        counting them applied or failed — the only place either count
-        moves, for both ingest planes.  Occupancy drains either way (a
-        wedged queue is worse than a lost batch), but only
-        successfully-landed items count as applied — ``applied_items``
-        must reconcile with the engine's position."""
+    def release(self, parts) -> None:
+        """Release the occupancy of finished ``(shard, n, ok)`` batches
+        under one gate acquisition and one wake-up, counting each
+        applied or failed — the only place either count moves, for both
+        ingest planes.  Occupancy drains either way (a wedged queue is
+        worse than a lost batch), but only successfully-landed items
+        count as applied — ``applied_items`` must reconcile with the
+        engine's position."""
         with self._gate:
-            self._occupancy[shard] -= n
-            if ok:
-                self.applied_by_shard[shard] += n
-            else:
-                self.failed_by_shard[shard] += n
+            for shard, n, ok in parts:
+                self._occupancy[shard] -= n
+                if ok:
+                    self.applied_by_shard[shard] += n
+                else:
+                    self.failed_by_shard[shard] += n
             self._gate.notify_all()
 
     def wait_empty(self, timeout: float | None = None) -> None:
@@ -243,6 +258,7 @@ class ShardQueues:
         with self._gate:
             self._closed = True
             self._gate.notify_all()
+            self._work.notify_all()
 
     def wait_for_work(self, shards: list[int], stop: threading.Event) -> bool:
         """Park a worker until one of its lanes is non-empty or ``stop``
@@ -251,7 +267,7 @@ class ShardQueues:
             while not stop.is_set():
                 if any(self._lanes[s] for s in shards):
                     return True
-                self._gate.wait(timeout=0.05)
+                self._work.wait(timeout=0.05)
             return any(self._lanes[s] for s in shards)
 
 
@@ -284,7 +300,6 @@ class IngestWorker(threading.Thread):
         self._owned = owned_shards
         self._max_batch = max_batch
         self._halt = threading.Event()
-        self._cursor = 0
         self._on_error = on_error
         # Children pre-resolved per owned shard (ownership is static),
         # so the apply loop never does a label lookup.
@@ -323,7 +338,7 @@ class IngestWorker(threading.Thread):
         except Exception as exc:  # surface, don't die silently
             self._report(exc, shard)
         finally:
-            self._queues.mark_applied(shard, n, ok=ok)
+            self._queues.release(((shard, n, ok),))
             if ok:
                 self._m_apply_s[shard].observe(time.perf_counter() - t0)
                 self._m_coalesce.observe(n)
@@ -331,17 +346,16 @@ class IngestWorker(threading.Thread):
     def run(self) -> None:
         while True:
             try:
-                got = self._queues.take(self._owned, self._cursor, self._max_batch)
+                got = self._queues.take(self._owned, self._max_batch)
             except Exception as exc:  # coalescing failed; take() failed the items
                 self._report(exc, self._owned[0])
                 continue
-            if got is None:
+            if not got:
                 if self._halt.is_set():
                     return
                 self._queues.wait_for_work(self._owned, self._halt)
                 continue
-            shard, items, timestamps, n = got
-            # Resume the scan *after* the drained lane so one hot shard
+            # Every owned lane gets a turn per take, so one hot shard
             # cannot starve its siblings on this worker.
-            self._cursor = self._owned.index(shard) + 1
-            self._apply(shard, items, timestamps, n)
+            for shard, items, timestamps, n in got:
+                self._apply(shard, items, timestamps, n)

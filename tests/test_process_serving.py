@@ -27,7 +27,8 @@ import pytest
 from repro.engine import ShardedSamplerEngine, state_to_bytes
 from repro.lifecycle.codec import state_from_bytes
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import SamplerService, ServiceClosed
+from repro.serving import SamplerService, ServiceClosed, ShardQueues
+from repro.serving import procplane as procplane_mod
 from repro.serving.procplane import FAULT_ITEM_ENV, WorkerDied, WorkerLink
 from repro.serving.transport import FrameConnection, decode_frame, encode_frame
 from repro.streams.generators import zipf_stream
@@ -160,25 +161,109 @@ class TestProcessBitwise:
             assert blob == reference
 
 
+    def test_perf_suite_config_serialized_equals_direct(self):
+        """The perf suite's config at its served shape (K=8, 2 worker
+        processes, seed 7), on a 20K-item prefix of its stream fed in
+        four chunks: every served answer equals the direct engine's."""
+        config = {"kind": "g", "measure": {"name": "huber"}, "instances": 64}
+        items = np.asarray(zipf_stream(1 << 14, 20_000, alpha=1.2, seed=1).items)
+        engine = ShardedSamplerEngine(config, shards=8, seed=7)
+        with SamplerService(
+            config, shards=8, seed=7, serialized=True,
+            workers_mode="process", ingest_workers=2, compact_interval=None,
+        ) as svc:
+            for chunk in np.array_split(items, 4):
+                svc.submit(chunk)
+                engine.ingest(chunk)
+                assert svc.sample() == engine.sample()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_one_frame_carries_every_ready_lane(self, monkeypatch):
+        """Submits queued while both workers are stopped go out as
+        multi-lane frames (fewer frames than lanes applied), and the
+        shard states still equal a direct engine's bit for bit."""
+        frames, lanes = [], []
+        send = FrameConnection.send
+        release = ShardQueues.release
+
+        def logged_send(conn, tree):
+            if tree.get("type") == "ingest":
+                frames.append(len(tree["shards"]))
+            return send(conn, tree)
+
+        def logged_release(queues, parts):
+            parts = list(parts)
+            lanes.extend(parts)
+            return release(queues, parts)
+
+        items = make_items(6_000)
+        engine = ShardedSamplerEngine(G_CONFIG, shards=4, seed=7)
+        with SamplerService(
+            G_CONFIG, shards=4, seed=7, workers_mode="process",
+            ingest_workers=2, compact_interval=None, refresh_interval=1e9,
+        ) as svc:
+            monkeypatch.setattr(FrameConnection, "send", logged_send)
+            monkeypatch.setattr(ShardQueues, "release", logged_release)
+            pids = [link.proc.pid for link in svc._plane.links]
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            try:
+                for lo in range(0, items.size, 500):
+                    svc.submit(items[lo:lo + 500])
+                    engine.ingest(items[lo:lo + 500])
+            finally:
+                for pid in pids:
+                    os.kill(pid, signal.SIGCONT)
+            svc.flush(timeout=30.0)
+            monkeypatch.undo()
+            svc.refresh()
+            assert state_to_bytes(svc.engine.snapshot()) == state_to_bytes(
+                engine.snapshot()
+            )
+            assert svc.stats()["ingest"]["failed_items"] == 0
+        assert all(ok for __, __, ok in lanes)
+        assert sum(frames) == len(lanes)
+        assert len(frames) < len(lanes)
+
+
 # ---------------------------------------------------------------------------
 # Crash handling
 # ---------------------------------------------------------------------------
 class TestWorkerCrash:
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
     def test_mid_batch_crash_latches_and_loses_nothing(self, monkeypatch):
-        """A worker dying with frames in flight cannot restart (accepted
+        """A worker dying with a frame in flight cannot restart (accepted
         items would vanish): the service latches closed, health goes
         not-ready, and the accounting reconciles every accepted item as
-        applied or failed — none silently dropped."""
-        monkeypatch.setenv("REPRO_SERVING_FAULT_ITEM", "999999")
-        items = make_items(2_000)
+        applied or failed — none silently dropped.  The poisoned frame
+        carries every ready lane of its worker, and the fault hook kills
+        the worker before any part applies, so exactly that whole frame
+        is failed."""
+        routing = ShardedSamplerEngine(G_CONFIG, shards=4, seed=0)
+        poison = next(
+            item for item in range(999999, 1 << 40, 1 << 20)
+            if routing.shard_of(item) % 2 == 0  # a shard of worker 0
+        )
+        monkeypatch.setenv(FAULT_ITEM_ENV, str(poison))
         svc = SamplerService(
             G_CONFIG, shards=4, seed=0, workers_mode="process",
             ingest_workers=2, compact_interval=None,
         )
         try:
-            svc.submit(items)
-            poison = np.array([7, 999999, 11], dtype=np.int64)
-            svc.submit(poison)
+            svc.submit(make_items(2_000))
+            svc.flush(timeout=30.0)
+            link = svc._plane.links[0]
+            # Hold worker 0 still so the whole poisoned submit's lanes
+            # for it go out as one frame.
+            os.kill(link.proc.pid, signal.SIGSTOP)
+            try:
+                batch = np.append(make_items(400, seed=5), poison)
+                svc.submit(batch)
+                assert _wait_until(
+                    lambda: link.status()["inflight_frames"] == 1
+                )
+            finally:
+                os.kill(link.proc.pid, signal.SIGCONT)
             assert _wait_until(
                 lambda: svc.stats()["ingest"]["worker_errors"] > 0
             ), "worker crash never latched"
@@ -194,8 +279,35 @@ class TestWorkerCrash:
                 stats["submitted_items"]
                 == stats["applied_items"] + stats["failed_items"]
             )
-            assert stats["failed_items"] > 0
+            shards = routing.partitioner.assign(batch)
+            lost = [int(np.sum(shards == s)) if s % 2 == 0 else 0
+                    for s in range(4)]
+            assert lost[0] > 0 and lost[2] > 0  # a two-lane frame
+            assert svc._queues.failed_by_shard == lost
             assert stats["worker_restarts"] == 0
+        finally:
+            svc.close(drain=False)
+
+    def test_frame_coalescing_failure_fails_items_and_reports(self, monkeypatch):
+        """Lanes the pump cannot concatenate into one frame are failed
+        and reported, so a flush cannot wedge on them."""
+        def boom(arrays, *args, **kwargs):
+            raise MemoryError("no room to coalesce")
+
+        items = make_items(2_000)
+        svc = SamplerService(
+            G_CONFIG, shards=4, seed=0, workers_mode="process",
+            ingest_workers=2, compact_interval=None,
+        )
+        try:
+            monkeypatch.setattr(procplane_mod.np, "concatenate", boom)
+            svc.submit(items)
+            assert _wait_until(lambda: svc._queues.pending() == 0)
+            monkeypatch.undo()
+            stats = svc.stats()["ingest"]
+            assert (stats["applied_items"], stats["failed_items"]) == (0, 2_000)
+            assert svc._worker_errors
+            assert all(type(exc) is MemoryError for exc, __ in svc._worker_errors)
         finally:
             svc.close(drain=False)
 
@@ -362,6 +474,27 @@ class TestProcessServiceSurface:
                 "repro_serving_worker_queue_depth",
             ):
                 assert f"# HELP {name} " in text, name
+
+    def test_unknown_frame_type_is_reported(self):
+        """A frame type the worker does not know is a protocol bug: the
+        worker answers with an ``error`` frame and the service latches
+        it as a worker error instead of dropping it."""
+        svc = SamplerService(
+            G_CONFIG, shards=2, seed=0, workers_mode="process",
+            ingest_workers=1, compact_interval=None,
+        )
+        try:
+            svc._plane.links[0].conn.send({"type": "bogus"})
+            assert _wait_until(
+                lambda: svc.stats()["ingest"]["worker_errors"] > 0
+            ), "protocol error never reported"
+            ((exc, shard),) = svc._worker_errors
+            assert "unknown frame type 'bogus'" in str(exc)
+            assert shard == 0
+            assert svc.health().probe("worker_errors").status == "fail"
+            assert svc.stats()["ingest"]["failed_items"] == 0
+        finally:
+            svc.close(drain=False)
 
     def test_workers_mode_validation(self):
         with pytest.raises(ValueError, match="workers_mode"):

@@ -211,10 +211,8 @@ class TestShardQueues:
 
         def consumer():
             time.sleep(0.05)
-            got = queues.take([0], 0, max_items=100)
-            assert got is not None
-            shard, __, __, n = got
-            queues.mark_applied(shard, n)
+            ((shard, __, __, n),) = queues.take([0], max_items=100)
+            queues.release([(shard, n, True)])
             released.append(True)
 
         thread = threading.Thread(target=consumer)
@@ -231,15 +229,15 @@ class TestShardQueues:
             [RoutedBatch(1, np.arange(2, dtype=np.int64), np.zeros(2))],
             block=False,
         )
-        shard, items, ts, n = queues.take([0, 1], 0, max_items=100)
+        ((shard, items, ts, n),) = queues.take([0, 1], max_items=100)
         # The two untimed entries concatenate; the timed one waits.
         assert (shard, n, ts) == (1, 7, None)
         np.testing.assert_array_equal(items, [0, 1, 2, 0, 1, 2, 3])
-        queues.mark_applied(shard, n)
-        shard, items, ts, n = queues.take([0, 1], 0, max_items=100)
+        queues.release([(shard, n, True)])
+        ((shard, items, ts, n),) = queues.take([0, 1], max_items=100)
         assert (shard, n) == (1, 2) and ts is not None
-        queues.mark_applied(shard, n, ok=False)
-        assert queues.take([0, 1], 0, max_items=100) is None
+        queues.release([(shard, n, False)])
+        assert queues.take([0, 1], max_items=100) == []
         assert queues.applied_by_shard == [0, 7]
         assert queues.failed_by_shard == [0, 2]
         assert (queues.applied_items, queues.failed_items) == (7, 2)
@@ -268,6 +266,67 @@ class TestShardQueues:
         worker.join(timeout=5.0)
         assert errors == [(MemoryError, 0)]
         assert (queues.applied_items, queues.failed_items) == (0, 12)
+
+    def test_take_returns_every_owned_lane_in_order(self):
+        queues = ShardQueues(shards=4, capacity=100)
+        queues.put(_parts({3: 2, 0: 3, 2: 4}), block=False)
+        got = queues.take([3, 2, 0], max_items=100)
+        assert [(shard, n) for shard, __, __, n in got] == [(3, 2), (2, 4), (0, 3)]
+        for shard, items, ts, n in got:
+            assert ts is None
+            np.testing.assert_array_equal(items, np.arange(n))
+        # A lane this caller does not own is left alone.
+        queues.put(_parts({1: 5}), block=False)
+        assert queues.take([3, 2, 0], max_items=100) == []
+        assert queues.depths() == [3, 5, 4, 2]
+
+    def test_take_caps_each_lane_at_max_items(self):
+        queues = ShardQueues(shards=2, capacity=100)
+        for __ in range(4):
+            queues.put(_parts({0: 3, 1: 5}), block=False)
+        got = queues.take([0, 1], max_items=6)
+        # Whole entries only: a lane stops once it holds max_items.
+        assert [(shard, n) for shard, __, __, n in got] == [(0, 6), (1, 10)]
+        got = queues.take([0, 1], max_items=6)
+        assert [(shard, n) for shard, __, __, n in got] == [(0, 6), (1, 10)]
+        assert queues.take([0, 1], max_items=6) == []
+
+    def test_take_keeps_one_shape_across_lanes(self):
+        queues = ShardQueues(shards=3, capacity=100)
+        queues.put(_parts({1: 2}), block=False)
+        queues.put(
+            [RoutedBatch(0, np.arange(3, dtype=np.int64), np.zeros(3)),
+             RoutedBatch(2, np.arange(4, dtype=np.int64), np.zeros(4))],
+            block=False,
+        )
+        # Lane 0's head is timed, so only timed lanes go: lane 2 joins,
+        # lane 1 (untimed) waits for the next take.
+        got = queues.take([0, 1, 2], max_items=100)
+        assert [(shard, n) for shard, __, __, n in got] == [(0, 3), (2, 4)]
+        assert all(ts is not None for __, __, ts, __ in got)
+        got = queues.take([0, 1, 2], max_items=100)
+        assert [(shard, n, ts) for shard, __, ts, n in got] == [(1, 2, None)]
+
+    def test_take_coalescing_failure_fails_each_item_once(self, monkeypatch):
+        queues = ShardQueues(shards=3, capacity=100)
+        queues.put(_parts({0: 2, 1: 3, 2: 4}), block=False)
+        queues.put(_parts({1: 5, 2: 6}), block=False)
+        real = np.concatenate
+        calls = []
+
+        def second_fails(arrays, *args, **kwargs):
+            calls.append(len(arrays))
+            if len(calls) == 2:
+                raise MemoryError("no room to coalesce")
+            return real(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(workers_mod.np, "concatenate", second_fails)
+        with pytest.raises(MemoryError):
+            queues.take([0, 1, 2], max_items=100)
+        assert calls == [2, 2]
+        assert queues.failed_by_shard == [2, 8, 10]
+        assert queues.applied_by_shard == [0, 0, 0]
+        assert queues.pending() == 0
 
     def test_flush_timeout_reports_residue(self):
         queues = ShardQueues(shards=1, capacity=100)
@@ -447,6 +506,21 @@ class TestServingDeterminism:
             assert state_to_bytes(svc.engine.snapshot()) == state_to_bytes(
                 engine.snapshot()
             )
+
+    def test_perf_suite_config_serialized_equals_direct(self):
+        """The perf suite's config at its served shape (K=8, seed 7), on
+        a 20K-item prefix of its stream fed in four chunks: every served
+        answer equals the direct engine's."""
+        config = {"kind": "g", "measure": {"name": "huber"}, "instances": 64}
+        items = np.asarray(zipf_stream(1 << 14, 20_000, alpha=1.2, seed=1).items)
+        engine = ShardedSamplerEngine(config, shards=8, seed=7)
+        with SamplerService(
+            config, shards=8, seed=7, serialized=True, compact_interval=None
+        ) as svc:
+            for chunk in np.array_split(items, 4):
+                svc.submit(chunk)
+                engine.ingest(chunk)
+                assert svc.sample() == engine.sample()
 
     def test_serialized_mode_timed_kind(self):
         items = make_items(4_000)

@@ -26,7 +26,7 @@ def _algorithm_acceptance(p: float, window: int) -> float:
     s = SlidingWindowLpSampler(p, window=window, instances=1, seed=0)
     s.extend(stream)
     gen = s._generations[0]
-    substream_len = s.position - gen.start
+    substream_len = s.position - gen.bucket * window
     zeta = s.normalizer()
     fp = exact_fp(stream.window_frequencies(window), p)
     return fp / (zeta * substream_len)

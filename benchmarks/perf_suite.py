@@ -35,11 +35,7 @@ Measures, on one process with fixed seeds:
   K ∈ {1, 8, 32} × call size ∈ {2^11, 2^16, 2^20}: the same stream fed
   as successive ``ingest`` calls of that size, cells interleaved across
   ``INGEST_KERNEL_REPS`` repetitions, reported as median and quartiles
-  of items/s plus the per-call p99 latency.  A bitwise preflight comes
-  first: batched ingest must land the identical engine snapshot as the
-  scalar ``update()`` loop on a prefix, and as item-at-a-time ingest
-  (``chunk_size=1``) on the whole preflight stream, and answer the
-  identical sample.
+  of items/s plus the per-call p99 latency.
 * **fold** — report-only: ``merged()`` of every shard and one
   ``spawn_query_view`` of the fold, for a G engine at K ∈ {8, 32} and a
   window bank at K=8, after one fixed ingest; cells interleaved across
@@ -56,12 +52,15 @@ Measures, on one process with fixed seeds:
   snapshot merging) vs. off, metrics enabled in both: telemetry-on
   ingest must stay ≥0.95x the telemetry-off rate.
 
-The serving bitwise checks this suite's served scenarios stand on —
-thread- and process-mode serialized serving answer exactly as direct
-engine calls, at this suite's ``CONFIG``, K=8 and seed 7 — are tier-1
-tests (``test_perf_suite_config_serialized_equals_direct`` in
-``tests/test_serving.py`` and ``tests/test_process_serving.py``), run
-with telemetry default-on.
+The bitwise checks this suite's scenarios stand on are tier-1 tests at
+this suite's ``CONFIG``, K=8 and seed 7: thread- and process-mode
+serialized serving answer exactly as direct engine calls
+(``test_perf_suite_config_serialized_equals_direct`` in
+``tests/test_serving.py`` and ``tests/test_process_serving.py``, run
+with telemetry default-on), and batched ingest lands the scalar loop's
+and item-at-a-time ingest's state
+(``test_perf_suite_config_batched_equals_scalar`` in
+``tests/test_ingest_kernel.py``).
 
 Results land in machine-readable JSON (default: ``BENCH_E23.json`` at
 the repo root) so the bench trajectory is tracked from PR 4 forward.
@@ -176,8 +175,6 @@ MIN_PARALLEL_INGEST_FLOOR = 20_000  # items/s, any mode, any worker count
 INGEST_KERNEL_CHUNKS = (1 << 11, 1 << 16, 1 << 20)
 INGEST_KERNEL_CHUNK = INGEST_KERNEL_CHUNKS[-1]
 INGEST_KERNEL_REPS = 5
-#: Stream prefix the scalar ``update()`` reference replays.
-INGEST_KERNEL_SCALAR_PREFIX = 5_000
 MIN_INGEST_KERNEL_K8_FLOORS = {  # items/s by call size
     1 << 11: 3_200_000,
     1 << 16: 15_100_000,
@@ -242,48 +239,6 @@ def bench_ingest(items: np.ndarray, chunk: int) -> list[dict]:
             }
         )
     return out
-
-
-def _normalized(state):
-    """Snapshot trees carry numpy arrays; normalize to plain lists so
-    bitwise-equal states compare equal regardless of container type."""
-    if isinstance(state, dict):
-        return {k: _normalized(v) for k, v in state.items()}
-    if isinstance(state, (list, tuple)):
-        return [_normalized(v) for v in state]
-    if isinstance(state, np.ndarray):
-        return [_normalized(v) for v in state.tolist()]
-    if isinstance(state, np.generic):
-        return state.item()
-    return state
-
-
-def check_ingest_kernel_bitwise(items: np.ndarray) -> None:
-    """Bitwise gate for the ingest-kernel scenario: batched ingest must
-    produce the identical engine state (full snapshot: counts, offsets,
-    heaps, RNG streams) as the scalar ``update()`` loop on a prefix, and
-    as item-at-a-time ingest on the whole stream, and answer the
-    identical next sample.  Speed on a kernel that drifts from the
-    scalar semantics would be meaningless."""
-    prefix = items[:INGEST_KERNEL_SCALAR_PREFIX]
-    batched = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    batched.ingest(prefix, chunk_size=INGEST_KERNEL_CHUNK)
-    scalar = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    for item in prefix.tolist():
-        scalar.update(item)
-    if _normalized(batched.snapshot()) != _normalized(scalar.snapshot()):
-        raise AssertionError("batched ingest state != scalar update() loop")
-    if batched.sample() != scalar.sample():
-        raise AssertionError("batched ingest samples unlike the scalar loop")
-    batched = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    batched.ingest(items, chunk_size=INGEST_KERNEL_CHUNK)
-    stepwise = ShardedSamplerEngine(CONFIG, shards=8, seed=7)
-    stepwise.ingest(items, chunk_size=1)
-    if _normalized(batched.snapshot()) != _normalized(stepwise.snapshot()):
-        raise AssertionError("batched ingest state != item-at-a-time ingest")
-    a, b = batched.sample(), stepwise.sample()
-    if a != b:
-        raise AssertionError(f"kernel call sizes sample differently: {a} {b}")
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -1073,8 +1028,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     print(f"perf_suite: m={m} queries/workload={queries} smoke={args.smoke}")
-    check_ingest_kernel_bitwise(kernel_items[:20_000])
-    print("bitwise gate: batched ingest == scalar loop == item-at-a-time ✓")
 
     report = {
         "bench": "E23-query-fast-path",

@@ -20,7 +20,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.core` — the paper's contribution: Framework 1.3, Lp / G /
   matrix / F0 samplers, multi-pass strict turnstile reductions.
 * :mod:`repro.sliding_window` — Algorithms 4 & 6, windowed F0
-  (count-based windows: "the last W updates").
+  (count-based windows: "the last W updates" — the time-window samplers
+  on the arrival clock).
 * :mod:`repro.windows` — time-based sliding windows ("the last H
   seconds") at multiple resolutions, engine-integrated.
 * :mod:`repro.random_order` — Algorithms 9 & 10.

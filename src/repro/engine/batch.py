@@ -18,9 +18,10 @@ the input carry timestamps), never per-kind dispatch.
 Chunking matters: each pool call pays a fixed Python and ``ctypes``
 cost on top of the compiled per-item loop, so large chunks (the 64K
 default) amortize best.  ``update_batch`` semantics per
-sampler: single-pool and F0 samplers are *bitwise identical* to the
-scalar loop for a fixed seed; sliding-window samplers are exactly
-distribution-preserving but consume RNG draws in a different order.
+sampler: single-pool, F0 and window samplers (count and time) are
+*bitwise identical* to the scalar loop for a fixed seed; the Lp sampler
+with ``p > 1`` is exactly distribution-preserving but feeds its
+Misra–Gries normalizer per distinct item.
 """
 
 from __future__ import annotations

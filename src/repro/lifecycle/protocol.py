@@ -129,9 +129,10 @@ class WatermarkSkewError(ValueError):
 class StaticLifecycleMixin:
     """Default ``compact``/``watermark`` for samplers with no wall clock.
 
-    Whole-stream and count-windowed samplers have nothing to expire —
-    their state is already bounded by construction — and no clock to
-    skew, so ``compact`` is a no-op and ``watermark`` is ``None``.
+    Whole-stream samplers have nothing to expire — their state is
+    already bounded by construction — and no clock to skew, so
+    ``compact`` is a no-op and ``watermark`` is ``None``.  (Count
+    windows get the same two hooks from their arrival clock.)
     """
 
     __slots__ = ()

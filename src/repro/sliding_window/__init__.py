@@ -5,7 +5,10 @@ updates *active*.  The framework samplers extend to it by (a) starting a
 fresh checkpoint of reservoir instances every ``W`` updates and keeping
 the two most recent generations, so some generation always covers the
 active window with a substream of length ≤ 2W, and (b) rejecting samples
-whose reservoir timestamp has expired.
+whose reservoir timestamp has expired.  That is the time-window scheme
+of :mod:`repro.windows` on the clock that reads each update's arrival
+index, so every sampler here is its time-window counterpart on that
+clock (:mod:`repro.sliding_window.arrival_clock`).
 """
 
 from repro.sliding_window.window_sampler import SlidingWindowGSampler

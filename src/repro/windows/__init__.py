@@ -31,6 +31,8 @@ updates; a time window holds however many arrived in ``(now − H, now]``
 — bursts raise the occupancy, quiet spells lower it.  Truly perfect
 exactness is unconditional either way; what traffic shape moves is only
 the FAIL rate (instance counts are sized for an *expected* occupancy).
+A count window is the special case whose clock is the arrival index
+(``H = W``); :mod:`repro.sliding_window` subclasses these samplers so.
 """
 
 from repro.windows.bank import WindowBank

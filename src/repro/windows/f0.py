@@ -1,8 +1,8 @@
 """Truly perfect F0 sampling over time-based sliding windows.
 
-The wall-clock analogue of Corollary 5.3
-(:class:`repro.sliding_window.SlidingWindowF0Sampler`): every
-"position" in the count-based certificate becomes an arrival timestamp.
+Corollary 5.3 with every "position" of the count-based certificate
+read as an arrival timestamp (a count window is this sampler on the
+arrival clock: :class:`repro.sliding_window.SlidingWindowF0Sampler`).
 
 * An LRU table of the ≤ √n+1 most-recently-seen items, keyed by
   last-occurrence *time*.  If every eviction ever performed removed an
@@ -43,10 +43,66 @@ from repro.lifecycle.memory import (
     set_bytes,
 )
 from repro.lifecycle.rng import generator_from_state
-from repro.sliding_window.f0_window import chunk_last_occurrences, lru_fold_chunk
 from repro.windows.chunking import as_clock, as_timed_chunk
 
-__all__ = ["TimeWindowF0Sampler"]
+__all__ = ["TimeWindowF0Sampler", "chunk_last_occurrences", "lru_fold_chunk"]
+
+
+def chunk_last_occurrences(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct items, 0-based index of each item's final chunk
+    occurrence)`` — the digest both windowed-F0 hot paths consume.
+    ``np.unique`` on the reversed chunk returns *first* indices in the
+    reversed order; items come back value-sorted (so ``uniq[0]`` /
+    ``uniq[-1]`` give the chunk's bounds for free)."""
+    uniq, rev_first = np.unique(arr[::-1], return_index=True)
+    return uniq, arr.size - 1 - rev_first
+
+
+def lru_fold_chunk(
+    recent: OrderedDict,
+    capacity: int,
+    uniq: np.ndarray,
+    last_pos: np.ndarray,
+    stamps,
+    horizon,
+):
+    """Fold one chunk into an LRU last-occurrence table without the
+    per-item replay — the windowed-F0 eviction-horizon kernel.
+
+    The sequential process (move-to-back on every occurrence, evict the
+    least-recent key past ``capacity``, record each evicted key's
+    then-current stamp in the horizon) has a closed form over a chunk:
+
+    * final membership is the ``capacity`` most-recently-seen distinct
+      keys — surviving prior entries (already recency-ordered, with
+      stamps no newer than the chunk's) followed by the chunk's distinct
+      items in final-occurrence order;
+    * the newest stamp any eviction ever records is the final stamp of
+      the ``(capacity+1)``-th most-recent key: every key below the top
+      ``capacity`` is evicted at (or after) its final occurrence, and at
+      any eviction moment ``capacity`` keys are more recent than the
+      victim, so no recorded stamp can rank above that cut.
+
+    Bitwise identical to the scalar replay, including the table's
+    iteration order.  ``stamps[i]`` is the arrival time recorded for
+    the chunk position ``i``; ``horizon`` is folded with ``max`` and
+    returned alongside the new table.
+    """
+    order = np.argsort(last_pos)  # ascending recency within the chunk
+    chunk_keys = uniq[order].tolist()
+    chunk_stamps = [stamps[i] for i in last_pos[order].tolist()]
+    if recent:
+        prior_keys = np.fromiter(recent.keys(), dtype=np.int64, count=len(recent))
+        kept = prior_keys[~np.isin(prior_keys, uniq)].tolist()
+        entries = [(key, recent[key]) for key in kept]
+    else:
+        entries = []
+    entries.extend(zip(chunk_keys, chunk_stamps))
+    overflow = len(entries) - capacity
+    if overflow > 0:
+        horizon = max(horizon, entries[overflow - 1][1])
+        entries = entries[overflow:]
+    return OrderedDict(entries), horizon
 
 
 class _WindowCopy:
@@ -71,6 +127,8 @@ class TimeWindowF0Sampler:
     delta:
         FAIL probability; drives the number of independent S-copies.
     """
+
+    _KIND = "tw_f0"  # snapshot tag
 
     def __init__(
         self,
@@ -213,7 +271,7 @@ class TimeWindowF0Sampler:
         (updates consume no randomness).
 
         The LRU recency table folds through the vectorized
-        :func:`~repro.sliding_window.f0_window.lru_fold_chunk`
+        :func:`lru_fold_chunk`
         eviction-horizon kernel (no per-item replay), and the per-copy
         random-subset bookkeeping collapses to one last-occurrence write
         per distinct chunk item.
@@ -321,6 +379,10 @@ class TimeWindowF0Sampler:
         return self.sample()
 
     # -- mergeable state ----------------------------------------------------
+    def _config_fingerprint(self) -> dict:
+        """Construction parameters that must match for restore/merge."""
+        return {"n": self._n, "horizon": self._horizon}
+
     def snapshot(self) -> dict:
         copies = {}
         for i, copy in enumerate(self._copies):
@@ -333,9 +395,8 @@ class TimeWindowF0Sampler:
             vals = np.fromiter((v for __, v in seen), dtype=np.float64, count=len(seen))
             copies[str(i)] = {"s_set": s_arr, "seen_keys": keys, "seen_vals": vals}
         return {
-            "kind": "tw_f0",
-            "n": self._n,
-            "horizon": self._horizon,
+            "kind": self._KIND,
+            **self._config_fingerprint(),
             "delta": self._delta,
             "position": self._t,
             "now": self._now,
@@ -353,13 +414,16 @@ class TimeWindowF0Sampler:
         }
 
     def restore(self, state: dict) -> None:
-        if state.get("kind") != "tw_f0":
-            raise ValueError(f"not a tw_f0 snapshot: {state.get('kind')!r}")
-        if int(state["n"]) != self._n or float(state["horizon"]) != self._horizon:
+        if state.get("kind") != self._KIND:
             raise ValueError(
-                f"snapshot is for n={state['n']}, horizon={state['horizon']}; "
-                f"sampler has n={self._n}, horizon={self._horizon}"
+                f"not a {self._KIND} snapshot: {state.get('kind')!r}"
             )
+        for key, mine in self._config_fingerprint().items():
+            theirs = state[key]
+            if theirs != mine:
+                raise ValueError(
+                    f"snapshot has {key}={theirs!r}, sampler has {mine!r}"
+                )
         self._delta = float(state["delta"])
         self._t = int(state["position"])
         self._now = float(state["now"])

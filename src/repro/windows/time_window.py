@@ -1,8 +1,9 @@
 """Truly perfect G / Lp sampling over *time-based* sliding windows.
 
-This generalizes the two-generation checkpointing of Algorithm 4
-(:class:`repro.sliding_window.SlidingWindowGSampler`) from update counts
-to wall-clock timestamps.  Fix a horizon ``H`` (seconds).  Generations of
+This is the two-generation checkpointing of Algorithm 4 on any
+non-decreasing clock: wall-clock timestamps here, the arrival index for
+the count windows of :mod:`repro.sliding_window` (which subclass these
+samplers with ``H = W``).  Fix a horizon ``H`` (seconds).  Generations of
 reservoir pools are checkpointed at every crossing of a time boundary
 ``k·H`` and the two most recent kept.  Writing ``g = ⌊T/H⌋`` for the
 current bucket, the *older* kept generation started at ``(g−1)·H ≤ T−H``
@@ -24,12 +25,11 @@ padding absorbs it.  Bursty traffic can widen that ratio — which (as
 always with truly perfect samplers) degrades only the FAIL rate, never
 the conditional output distribution.
 
-Unlike the count-based samplers, each generation's pool draws from its
-*own* RNG stream, keyed deterministically by ``(root seed, bucket
-index)`` — so batched ingestion is **bitwise identical** to the scalar
-loop (each pool sees the same draws in the same order either way), and
-generations created during a merge line up with generations created
-locally.
+Each generation's pool draws from its *own* RNG stream, keyed
+deterministically by ``(root seed, bucket index)`` — so batched
+ingestion is **bitwise identical** to the scalar loop (each pool sees
+the same draws in the same order either way), and generations created
+during a merge line up with generations created locally.
 
 For Lp (``p > 1``) the rejection normalizer must certify the window's
 maximum increment.  Each generation carries an *exact* suffix-``‖f‖∞``
@@ -37,10 +37,10 @@ tracker over its substream; the covering substream contains the window,
 so the tracker's value dominates every window frequency and
 ``ζ = z^p − (z−1)^p`` at that value is certified — keeping the sampler
 truly perfect with deterministic (never estimated) ingredients, the
-same exact-inner-estimator substitution
-:mod:`repro.sliding_window.lp_window` makes inside its smooth histogram
-(a sublinear Misra–Gries aux is a ROADMAP follow-on; any upper bound is
-certified, exactness just tightens the FAIL rate).
+same exact-inner-estimator substitution the count-window Lp sampler
+makes inside its smooth histogram (a sublinear Misra–Gries aux is a
+ROADMAP follow-on; any upper bound is certified, exactness just
+tightens the FAIL rate).
 """
 
 from __future__ import annotations
@@ -62,15 +62,33 @@ from repro.lifecycle.memory import (
 )
 from repro.lifecycle.rng import generator_from_state
 from repro.obs.metrics import current_registry
-from repro.sliding_window.lp_window import sliding_window_lp_instances
 from repro.windows.chunking import as_clock, as_timed_chunk, bucket_cuts
 
-__all__ = ["TimeWindowGSampler", "TimeWindowLpSampler"]
+__all__ = [
+    "TimeWindowGSampler",
+    "TimeWindowLpSampler",
+    "lp_window_instances",
+]
 
 #: Default expected number of updates per window, used to size instance
 #: counts when the caller gives no rate hint; over-estimates are safe
 #: (more instances, lower FAIL rate).
 DEFAULT_EXPECTED_WINDOW_COUNT = 10_000
+
+
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+
+
+def lp_window_instances(p: float, window: int, delta: float) -> int:
+    """Theorem 1.4's repetition count ``O(W^{1−1/p})`` with the proof's
+    constant ``p·2^{p−1}`` and the ≤2W substream slack (another 2)."""
+    if p < 1:
+        raise ValueError("the sliding-window Lp sampler requires p ≥ 1")
+    _check_delta(delta)
+    log_term = math.log(1.0 / delta)
+    return max(1, math.ceil(2.0 * p * 2 ** (p - 1) * window ** (1.0 - 1.0 / p) * log_term))
 
 
 def _derive_root(seed) -> int:
@@ -193,8 +211,7 @@ class _TimeWindowPoolSampler:
     ) -> None:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        if not 0 < delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+        _check_delta(delta)
         if instances < 1:
             raise ValueError(f"need at least one instance, got {instances}")
         self._horizon = float(horizon)
@@ -693,6 +710,7 @@ class TimeWindowGSampler(_TimeWindowPoolSampler):
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self._measure = measure
+        _check_delta(delta)
         if instances is None:
             expected = expected_window_count or DEFAULT_EXPECTED_WINDOW_COUNT
             zeta = measure.zeta(None)
@@ -745,7 +763,7 @@ class TimeWindowLpSampler(_TimeWindowPoolSampler):
         self._p = float(p)
         if instances is None:
             expected = expected_window_count or DEFAULT_EXPECTED_WINDOW_COUNT
-            instances = sliding_window_lp_instances(p, expected, delta)
+            instances = lp_window_instances(p, expected, delta)
         super().__init__(horizon, instances, delta, seed)
 
     @property

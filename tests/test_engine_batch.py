@@ -180,8 +180,9 @@ class TestSamplerBatchEquivalence:
         one.update_batch(np.asarray(zipf_stream(16, 950, alpha=1.0, seed=0).items))
         assert one.position == 950
         assert one.generation_count == 2
-        # Oldest kept generation starts at the last-but-one boundary.
-        assert one._generations[0].start == 800
+        # Oldest kept generation starts at the last-but-one boundary:
+        # bucket 8 of the arrival clock, after the first 800 updates.
+        assert one._generations[0].bucket * one.window == 800
         assert one._generations[0].pool.position == 150
 
 

@@ -39,6 +39,7 @@ from repro.core.reservoir import skip_next_replacement, skip_next_replacements
 from repro.engine import ShardedSamplerEngine
 from repro.engine.state import load_state, save_state, state_to_bytes
 from repro.obs import MetricsRegistry, use_registry
+from repro.streams import zipf_stream
 
 
 def norm(state):
@@ -117,6 +118,29 @@ class TestEngineScalarParity:
         self, kind, config, shards, shape
     ):
         _check_lifecycle_parity(kind, config, shards, ID_SHAPES[shape])
+
+
+def test_perf_suite_config_batched_equals_scalar():
+    """The perf suite's kernel config at K=8, seed 7, on the 20K prefix
+    of its kernel stream: one 2^20-item call leaves the state the scalar
+    ``update()`` loop leaves on a 5,000-item prefix, and the state
+    item-at-a-time ingest leaves on the whole prefix, and each pair
+    answers the same next sample."""
+    config = {"kind": "g", "measure": {"name": "huber"}, "instances": 64}
+    items = np.asarray(zipf_stream(1 << 14, 20_000, alpha=1.2, seed=2).items)
+    prefix = items[:5_000]
+    batched = ShardedSamplerEngine(config, shards=8, seed=7)
+    batched.ingest(prefix, chunk_size=1 << 20)
+    scalar = ShardedSamplerEngine(config, shards=8, seed=7)
+    _feed_scalar(scalar, prefix)
+    assert norm(batched.snapshot()) == norm(scalar.snapshot())
+    assert batched.sample() == scalar.sample()
+    batched = ShardedSamplerEngine(config, shards=8, seed=7)
+    batched.ingest(items, chunk_size=1 << 20)
+    stepwise = ShardedSamplerEngine(config, shards=8, seed=7)
+    stepwise.ingest(items, chunk_size=1)
+    assert norm(batched.snapshot()) == norm(stepwise.snapshot())
+    assert batched.sample() == stepwise.sample()
 
 
 def _check_lifecycle_parity(kind, config, shards, shape) -> None:

@@ -46,6 +46,16 @@ Measures, on one process with fixed seeds:
   2048-item submit and flushed before the clock starts), the
   perfbench ``serve_proc_wide`` shape; the three cells interleave
   across ``STATE_REPS`` repetitions, median and quartiles in µs.
+* **window** — report-only: a window bank of the perfbench
+  ``serve_windows`` shape (R=64 Huber rungs at 60/300/3600 s, one
+  shard's 1024-item share of an 8192-item submit) split into the cost
+  of a generation's birth and steady ingest into live generations.  A
+  *steady* chunk stays inside one bucket of every rung; a *crossing*
+  chunk holds the same items, its first one before a boundary of all
+  three rungs and the rest after it, so it feeds the same items to two
+  generations per rung and births three.  Birth µs is the paired
+  difference over three; both cells start from one restored state,
+  interleave across ``WINDOW_REPS`` repetitions, median and quartiles.
 * **telemetry overhead (PR 10)** — the identical process-mode ingest
   workload with the cross-process worker telemetry plane on
   (``worker_telemetry=True``: worker-side registries, span shipping,
@@ -122,7 +132,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import ShardedSamplerEngine, merged  # noqa: E402
+from repro.engine import ShardedSamplerEngine, build_sampler, merged  # noqa: E402
 from repro.engine.state import load_state, save_state  # noqa: E402
 from repro.lifecycle import spawn_query_view  # noqa: E402
 from repro.serving import SamplerService  # noqa: E402
@@ -201,6 +211,13 @@ STATE_SHARDS = 8
 STATE_WORKERS = 2
 STATE_SUBMIT = 2048
 STATE_REPS = 15
+#: Window cells (report-only): one shard of the perfbench
+#: ``serve_windows`` bank.  The warm state holds two generations per
+#: rung and ends ``WINDOW_BOUNDARY_S - 100`` s in, before a boundary of
+#: every rung.
+WINDOW_REPS = 15
+WINDOW_CHUNK = 1024
+WINDOW_BOUNDARY_S = 4 * 3600.0
 
 
 def _percentiles(latencies_ns: list[int]) -> dict:
@@ -376,6 +393,47 @@ def bench_state(items: np.ndarray) -> dict:
         "save_us_per_pool": _quartiles(us["save"]),
         "load_us_per_pool": _quartiles(us["load"]),
         "collect_us": _quartiles(us["collect"]),
+    }
+
+
+def bench_window(items: np.ndarray) -> dict:
+    """Birth vs steady ingest cost of a window bank (see the module
+    docstring): ``WINDOW_REPS`` paired repetitions of a steady and a
+    crossing ``WINDOW_CHUNK``-item chunk, each fed to the same restored
+    warm bank, the pair's order alternating.  Report-only."""
+    bank = build_sampler({**BANK_CONFIG, "seed": 7})
+    warm_ts = np.linspace(0.0, WINDOW_BOUNDARY_S - 100.0, items.size)
+    for start in range(0, items.size, 8 * WINDOW_CHUNK):
+        stop = start + 8 * WINDOW_CHUNK
+        bank.update_batch(items[start:stop], warm_ts[start:stop])
+    warm = bank.snapshot()
+    chunk = items[:WINDOW_CHUNK]
+    boundary = WINDOW_BOUNDARY_S
+    steady_ts = np.linspace(boundary - 50.0, boundary - 10.0, WINDOW_CHUNK)
+    cross_ts = np.concatenate(
+        ([boundary - 50.0], np.linspace(boundary, boundary + 40.0, WINDOW_CHUNK - 1))
+    )
+    births = len(bank.resolutions)
+    cells = {"steady": steady_ts, "cross": cross_ts}
+    us: dict[str, list[float]] = {cell: [] for cell in cells}
+    for rep in range(WINDOW_REPS):
+        for cell in cells if rep % 2 == 0 else list(cells)[::-1]:
+            bank.restore(warm)
+            t0 = time.perf_counter()
+            bank.update_batch(chunk, cells[cell])
+            us[cell].append(1e6 * (time.perf_counter() - t0))
+    return {
+        "chunk": WINDOW_CHUNK,
+        "instances": BANK_CONFIG["instances"],
+        "resolutions": BANK_CONFIG["resolutions"],
+        "reps": WINDOW_REPS,
+        "births_per_cross": births,
+        "steady_chunk_us": _quartiles(us["steady"]),
+        "cross_chunk_us": _quartiles(us["cross"]),
+        "steady_us_per_item": _quartiles([t / WINDOW_CHUNK for t in us["steady"]]),
+        "birth_us": _quartiles(
+            [(c - s) / births for c, s in zip(us["cross"], us["steady"])]
+        ),
     }
 
 
@@ -1042,6 +1100,7 @@ def main(argv: list[str] | None = None) -> int:
         "ingest_kernel": bench_ingest_kernel(kernel_items),
         "fold": bench_fold(kernel_items[:FOLD_ITEMS]),
         "state": bench_state(kernel_items[:FOLD_ITEMS]),
+        "window": bench_window(kernel_items[:FOLD_ITEMS]),
         "query_latency": bench_queries(items, queries, write_batch),
         "sample_many": bench_sample_many(items, k_many),
         "served_scenario": bench_served(items, served_work, served_batch),
@@ -1123,6 +1182,19 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
         + f" (K={st['shards']}, {st['workers']}w, {st['reps']} reps)"
+    )
+    wi = report["window"]
+    print(
+        "  window  "
+        + "  ".join(
+            f"{name} {wi[key]['median']:7.2f}us "
+            f"[q1 {wi[key]['q1']:6.2f}, q3 {wi[key]['q3']:6.2f}]"
+            for name, key in (
+                ("birth", "birth_us"),
+                ("steady/item", "steady_us_per_item"),
+            )
+        )
+        + f" (R={wi['instances']}, {wi['chunk']}-item chunks, {wi['reps']} reps)"
     )
     for row in report["query_latency"]:
         print(

@@ -211,13 +211,16 @@ class SamplerPool(StaticLifecycleMixin):
     def _view(self) -> np.ndarray:
         return np.frombuffer(self._state, dtype=np.int64)
 
-    def replacement_positions(self) -> np.ndarray:
-        """Per-instance position (1-based) of the currently sampled
-        occurrence, as an int64 array — the third component of
-        :meth:`finalize`, exposed separately so wrappers (the time-window
-        samplers) can map positions to wall-clock timestamps right after
-        an ingest step."""
-        return self._view()[_col(self._r, _STAMPS)].copy()
+    def stamp_arrivals(self, since: int, ts, wall: np.ndarray) -> None:
+        """The arrival-stamp rule in Python: each instance whose sampled
+        occurrence lies past position ``since`` gets that occurrence's
+        arrival time in ``wall`` (float64, one per instance), ``ts``
+        holding the arrival times of positions ``since + 1`` on.  The
+        compiled loop writes the same stamps event by event; the
+        time-window samplers call this after a scalar :meth:`update`."""
+        stamps = self._view()[_col(self._r, _STAMPS)]
+        fresh = stamps > since
+        wall[fresh] = np.asarray(ts, dtype=np.float64)[stamps[fresh] - since - 1]
 
     def update(self, item: int) -> None:
         """The rule on the buffer in place (the executable spec the
@@ -330,12 +333,18 @@ class SamplerPool(StaticLifecycleMixin):
         scalar loop for a fixed seed)."""
         self.update_batch(as_item_array(items))
 
-    def update_batch(self, items) -> None:
+    def update_batch(self, items, ts=None, wall=None) -> None:
         """Ingest a chunk of items through the compiled loop
         (:mod:`repro.core.ingest_kernel`): :meth:`update`'s rule in C,
         drawing from this pool's RNG, so for a fixed seed the post-batch
         state — counter insertion order and RNG included — is *bitwise
         identical* to the scalar ``update()`` loop.
+
+        A time-window generation also passes the items' arrival times
+        ``ts`` and its per-instance ``wall`` (float64): every instance
+        that adopts an item gets the item's arrival time written to
+        ``wall`` in place, as :meth:`stamp_arrivals` would after the
+        scalar loop.
 
         The loop runs with the GIL released, on a copy of the buffer
         that replaces it whole afterwards, all under the RNG's lock
@@ -348,13 +357,22 @@ class SamplerPool(StaticLifecycleMixin):
         arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
         if arr.ndim != 1:
             raise ValueError("update_batch expects a 1-d sequence of items")
+        if wall is not None:
+            ts = np.ascontiguousarray(ts, dtype=np.float64)
+            if ts.shape != arr.shape or np.shape(wall) != (self._r,):
+                raise ValueError(
+                    f"arrival stamps need one time per item ({arr.size}) and "
+                    f"one wall entry per instance ({self._r})"
+                )
         if arr.size == 0:
             return
         before = self._heap_events
         if ingest_kernel.kernel_impl() == "c":
             with self._rng.bit_generator.lock:
                 state = self._state[:]
-                self._heap_events += ingest_kernel.run(arr, self._t, self._r, state, self._rng)
+                self._heap_events += ingest_kernel.run(
+                    arr, self._t, self._r, state, self._rng, ts, wall
+                )
                 # The buffer goes in before the position: finalize reads
                 # the position first, and a nonzero one means every
                 # instance of the buffer it then reads holds an item.
@@ -362,7 +380,10 @@ class SamplerPool(StaticLifecycleMixin):
                 self._t += int(arr.size)
                 self._finals = self._rows = None
         else:
+            since = self._t
             self._feed(arr.tolist())
+            if wall is not None:
+                self.stamp_arrivals(since, ts, wall)
         events = self._heap_events - before
         if events:
             self._m_heap_events.add(events)

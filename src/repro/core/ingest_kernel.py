@@ -12,7 +12,9 @@ order.  The pool owns the buffer; this module only passes it to C:
   per-item rule, the same heap order, one uniform per heap event drawn
   through the generator's own ``bit_generator.ctypes.next_double`` — so
   a batched ingest leaves the pool, and its RNG, bitwise where the
-  scalar loop would;
+  scalar loop would.  A time-window generation also hands it the
+  chunk's arrival times and its per-instance wall-clock array, and each
+  heap event stamps the adopted item's arrival time there;
 * :func:`merge` builds a merged buffer from two pools, the pick coins
   and the redrawn wakes (the caller draws both, in the pool's order);
 * :func:`forward_counts` reads each instance's forward count
@@ -114,7 +116,8 @@ def _load():
             path = str(_build_library())
             lib, short = ctypes.CDLL(path), ctypes.PyDLL(path)
             for dll, name, args in (
-                (lib, "repro_pool_ingest", [ptr, i64, i64, i64, i64, ptr, _NEXT_DOUBLE, ptr]),
+                (lib, "repro_pool_ingest",
+                 [ptr, i64, i64, i64, i64, ptr, _NEXT_DOUBLE, ptr, ptr, ptr]),
                 (short, "repro_pool_check", [i64, i64, ptr]),
                 (short, "repro_pool_merge", [i64, i64, ptr, ptr, ptr, ptr, i64, ptr]),
                 (short, "repro_pool_forward", [i64, i64, ptr, ptr]),
@@ -162,6 +165,14 @@ def _address(state: array) -> int:
     return state.buffer_info()[0]
 
 
+def _data(arr: np.ndarray) -> int:
+    """The address of a contiguous array's data.  ``from_buffer`` costs
+    a quarter of ``arr.ctypes`` but needs a writable, non-empty buffer."""
+    if arr.flags.writeable and arr.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
 def _raise_for(code: int, what: str) -> None:
     if code == -2:
         raise MemoryError("no memory for the pool kernel's item table")
@@ -170,17 +181,31 @@ def _raise_for(code: int, what: str) -> None:
 
 
 def run(items: np.ndarray, t: int, r: int, state: array,
-        rng: np.random.Generator) -> int:
+        rng: np.random.Generator, ts: np.ndarray | None = None,
+        wall: np.ndarray | None = None) -> int:
     """Feed ``items`` (contiguous int64) to the ``r``-instance pool
     buffer ``state`` at position ``t``, in place; returns the number of
-    heap events.  An inconsistent buffer raises :class:`RuntimeError`
-    with ``state`` and ``rng`` untouched.  The caller holds
-    ``rng.bit_generator.lock`` when another thread may use ``rng``.
-    Only call when :func:`kernel_impl` is ``"c"``."""
+    heap events.  With ``ts`` (the items' arrival times, contiguous
+    float64, one per item) and ``wall`` (contiguous float64, one per
+    instance), each heap event also writes its item's arrival time to
+    ``wall[idx]``, in place.  An inconsistent buffer raises
+    :class:`RuntimeError` with ``state``, ``wall`` and ``rng``
+    untouched.  The caller holds ``rng.bit_generator.lock`` when another
+    thread may use ``rng``.  Only call when :func:`kernel_impl` is
+    ``"c"``."""
     iface = rng.bit_generator.ctypes
+    stamps = wall_at = None
+    if wall is not None:
+        if not (ts.size == items.size and wall.size == r
+                and ts.dtype == wall.dtype == np.float64
+                and ts.flags.c_contiguous and wall.flags.c_contiguous
+                and wall.flags.writeable):
+            raise ValueError("arrival stamps need contiguous float64 ts (one "
+                             "per item) and a writable wall (one per instance)")
+        stamps, wall_at = _data(ts), _data(wall)
     events = _lib.repro_pool_ingest(
-        items.ctypes.data, items.size, t, r, _room(state, r), _address(state),
-        iface.next_double, iface.state,
+        _data(items), items.size, t, r, _room(state, r), _address(state),
+        iface.next_double, iface.state, stamps, wall_at,
     )
     _raise_for(events, "nothing was ingested")
     return events

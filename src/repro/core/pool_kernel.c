@@ -13,7 +13,11 @@
  * its top is due at t, then bump the item's shared counter if it is
  * tracked.  Each event draws one uniform through the generator's own
  * next_double, so the RNG stream advances exactly as in the Python
- * loop.  repro_pool_merge builds the merge of two pools from the pick
+ * loop.  A time-window generation also passes its items' arrival
+ * times `ts` (n doubles) and its per-instance `wall` (r doubles): each
+ * event writes the adopted item's arrival time to wall[idx], the rule
+ * SamplerPool.stamp_arrivals applies in Python.  Other pools pass NULL
+ * for both.  repro_pool_merge builds the merge of two pools from the pick
  * coins and the redrawn wakes; repro_pool_forward computes each
  * instance's forward count; repro_pool_check validates a buffer.
  * While they run, tracked items live in an open-addressed table of
@@ -180,20 +184,24 @@ static void store(table *t, int64_t *state, layout v) {
     state[0] = m;
 }
 
-/* Sift (time, idx) down from `pos` into the r-entry heap. */
+/* Sift (time, idx) down from `pos` into the r-entry heap.  Pairs
+ * compare lexicographically; the smaller child is picked with bitwise
+ * tests, not a branch the CPU would mispredict about half the time
+ * (young pools are full of equal times). */
 static void sift(int64_t *heap, int64_t r, int64_t pos, int64_t time,
                  int64_t idx) {
-    for (;;) {
-        int64_t c = 2 * pos + 1;
-        if (c >= r) break;
-        if (c + 1 < r && (heap[2 * c + 2] < heap[2 * c]
-                          || (heap[2 * c + 2] == heap[2 * c]
-                              && heap[2 * c + 3] < heap[2 * c + 1])))
-            ++c;
-        if (heap[2 * c] > time || (heap[2 * c] == time && heap[2 * c + 1] > idx))
-            break;
-        heap[2 * pos] = heap[2 * c];
-        heap[2 * pos + 1] = heap[2 * c + 1];
+    int64_t c;
+    while ((c = 2 * pos + 1) < r) {
+        const int64_t *child = heap + 2 * c;
+        if (c + 1 < r) {
+            int right = (child[2] < child[0])
+                        | ((child[2] == child[0]) & (child[3] < child[1]));
+            c += right;
+            child += 2 * right;
+        }
+        if ((child[0] > time) | ((child[0] == time) & (child[1] > idx))) break;
+        heap[2 * pos] = child[0];
+        heap[2 * pos + 1] = child[1];
         pos = c;
     }
     heap[2 * pos] = time;
@@ -237,11 +245,13 @@ int64_t repro_pool_forward(int64_t r, int64_t room, const int64_t *state,
 }
 
 /* Ingest `n` items into the pool at position `t`, in place; returns the
- * number of heap events, or load's error code with `state` and the
- * generator untouched. */
+ * number of heap events, or load's error code with `state`, `wall` and
+ * the generator untouched.  With `wall` (and `ts`) non-NULL, each event
+ * also stamps wall[idx] = ts[p], the adopted item's arrival time. */
 int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
                           int64_t r, int64_t room, int64_t *state,
-                          next_double_fn draw, void *bitgen) {
+                          next_double_fn draw, void *bitgen,
+                          const double *ts, double *wall) {
     layout v = view(state, r, room);
     table tab;
     int rc = load(&tab, state, r, room);
@@ -266,6 +276,7 @@ int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
                 ++tab.tab[ROW * e + REFS];
             v.offsets[idx] = tab.tab[ROW * e + COUNT];
             v.stamps[idx] = t;
+            if (wall) wall[idx] = ts[p];
             sift(v.heap, r, 0, next_wake(t, draw(bitgen)), idx);
         }
         int64_t e = find(&tab, item);

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.sketches.smooth_histogram import SmoothHistogram, ExactSuffixFp, fp_smoothness
 from repro.sliding_window.arrival_clock import _ArrivalClock
+from repro.windows.chunking import parsing
 from repro.windows.time_window import (
     _TimeWindowPoolSampler,
     lp_window_instances as sliding_window_lp_instances,
@@ -63,13 +64,16 @@ class SlidingWindowLpSampler(_ArrivalClock, _TimeWindowPoolSampler):
         super().__init__(window, instances, delta, seed)
         self._p = float(p)
         self._alpha = float(alpha)
-        if p > 1:
-            __, beta = fp_smoothness(p, alpha)
-            self._hist: SmoothHistogram | None = SmoothHistogram(
-                lambda: ExactSuffixFp(p), beta, window
-            )
-        else:
-            self._hist = None
+        self._hist = self._new_hist()
+
+    def _new_hist(self) -> SmoothHistogram | None:
+        """An empty smooth histogram over the window (``None`` for
+        ``p ≤ 1``, which needs no normalizer)."""
+        if self._p <= 1:
+            return None
+        p = self._p
+        __, beta = fp_smoothness(p, self._alpha)
+        return SmoothHistogram(lambda: ExactSuffixFp(p), beta, self.window)
 
     @property
     def p(self) -> float:
@@ -107,12 +111,18 @@ class SlidingWindowLpSampler(_ArrivalClock, _TimeWindowPoolSampler):
             state["hist"] = self._hist.snapshot()
         return state
 
-    def restore(self, state: dict) -> None:
-        if self._hist is None and "hist" in state:
-            raise ValueError("snapshot carries a histogram but p ≤ 1 needs none")
-        super().restore(state)
-        if self._hist is not None:
-            self._hist.restore(state["hist"])
+    def _parse(self, state: dict) -> dict:
+        """The pool sampler's fields plus a histogram restored off to the
+        side, so :meth:`restore` stays all-or-nothing."""
+        fields = super()._parse(state)
+        hist = self._new_hist()
+        if hist is None:
+            if "hist" in state:
+                raise ValueError("snapshot carries a histogram but p ≤ 1 needs none")
+            return fields
+        with parsing(self._KIND):
+            hist.restore(state["hist"])
+        return {**fields, "_hist": hist}
 
     def normalizer(self) -> float:
         """Certified ζ for the active window's frequencies.

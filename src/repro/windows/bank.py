@@ -37,7 +37,7 @@ from repro.core.types import SampleResult, as_timed_arrays
 from repro.lifecycle.memory import INSTANCE_BYTES
 from repro.obs.catalog import CATALOG_HELP
 from repro.obs.metrics import current_registry
-from repro.windows.chunking import as_timed_chunk
+from repro.windows.chunking import as_timed_chunk, parsing
 from repro.windows.f0 import TimeWindowF0Sampler
 from repro.windows.time_window import (
     TimeWindowGSampler,
@@ -358,23 +358,35 @@ class WindowBank:
         }
 
     def restore(self, state: dict) -> None:
-        if state.get("kind") != "window_bank":
-            raise ValueError(f"not a window_bank snapshot: {state.get('kind')!r}")
-        theirs = tuple(float(h) for h in state["resolutions"])
-        if theirs != self._resolutions:
-            raise ValueError(
-                f"snapshot ladder {theirs} differs from bank's {self._resolutions}"
-            )
-        if len(state["f0"]) != len(self._f0_samplers):
-            raise ValueError(
-                "snapshot and bank disagree on F0 members (was the bank "
-                "built with the same n=?)"
-            )
-        self._root = int(state["root"])
-        for i, horizon in enumerate(self._resolutions):
-            self._pool_samplers[horizon].restore(state["pool"][str(i)])
-            if horizon in self._f0_samplers:
-                self._f0_samplers[horizon].restore(state["f0"][str(i)])
+        """Overwrite every member from a :meth:`snapshot` dict.  Every
+        member's part is parsed before any member is assigned, so a
+        malformed snapshot raises :class:`ValueError` and leaves the
+        whole bank as it was."""
+        with parsing("window_bank"):
+            if state.get("kind") != "window_bank":
+                raise ValueError(f"not a window_bank snapshot: {state.get('kind')!r}")
+            theirs = tuple(float(h) for h in state["resolutions"])
+            if theirs != self._resolutions:
+                raise ValueError(
+                    f"snapshot ladder {theirs} differs from bank's {self._resolutions}"
+                )
+            if len(state["f0"]) != len(self._f0_samplers):
+                raise ValueError(
+                    "snapshot and bank disagree on F0 members (was the bank "
+                    "built with the same n=?)"
+                )
+            root = int(state["root"])
+            parsed = []
+            for i, horizon in enumerate(self._resolutions):
+                member = self._pool_samplers[horizon]
+                parsed.append((member, member._parse(state["pool"][str(i)])))
+                if horizon in self._f0_samplers:
+                    member = self._f0_samplers[horizon]
+                    parsed.append((member, member._parse(state["f0"][str(i)])))
+        self._root = root
+        for member, fields in parsed:
+            for name, value in fields.items():
+                setattr(member, name, value)
 
     def merge(self, other: "WindowBank") -> None:
         """Member-wise merge of two banks fed disjoint universe

@@ -3,16 +3,18 @@
 Every windowed ingest path (pool samplers, F0, the bank) must agree
 exactly on chunk validation and on where time-bucket boundaries fall —
 any divergence silently breaks the scalar/batch bitwise identity.  One
-implementation, used by all of them.
+implementation, used by all of them; :func:`parsing` is the guard their
+snapshot restores share.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["as_clock", "as_timed_chunk", "bucket_cuts"]
+__all__ = ["as_clock", "as_timed_chunk", "bucket_cuts", "parsing"]
 
 
 def as_clock(value) -> float:
@@ -37,7 +39,7 @@ def as_timed_chunk(
     of a composite sampler untouched.
     """
     arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
-    ts = np.asarray(timestamps, dtype=np.float64)
+    ts = np.ascontiguousarray(np.asarray(timestamps, dtype=np.float64))
     if arr.ndim != 1 or ts.ndim != 1:
         raise ValueError("update_batch expects 1-d item and timestamp arrays")
     if arr.size != ts.size:
@@ -59,10 +61,46 @@ def as_timed_chunk(
     return arr, ts
 
 
-def bucket_cuts(ts: np.ndarray, horizon: float) -> tuple[np.ndarray, list[int]]:
-    """Time buckets ``⌊ts/horizon⌋`` and the chunk offsets where they
-    change (including 0 and ``len``) — the segmentation both the scalar
-    loop's per-update ``⌊ts/H⌋`` and the batched kernel agree on."""
-    buckets = (ts // horizon).astype(np.int64)
-    cuts = [0, *(np.flatnonzero(np.diff(buckets)) + 1).tolist(), int(ts.size)]
+def bucket_cuts(ts: np.ndarray, horizon: float) -> tuple[list[int], list[int]]:
+    """The time buckets a non-empty, non-decreasing chunk ``ts`` spans
+    and the offsets where each starts (plus ``len`` at the end): the
+    segmentation the scalar loop's per-update ``float(ts) // horizon``
+    gives.  ``buckets[j]`` is the bucket of ``ts[cuts[j]:cuts[j + 1]]``.
+
+    The cost is a binary search per bucket the chunk enters, not a pass
+    over the chunk.  ``np.searchsorted`` finds where ``b·horizon``
+    falls; the product rounds, so the exact scalar predicate
+    ``float(ts[i]) // horizon >= b`` then moves the cut across the few
+    distinct values it misjudged (a whole run of equal timestamps per
+    step).  That relies only on float ``//`` being monotone in ``ts``.
+    """
+    n = int(ts.size)
+    bucket = int(float(ts[0]) // horizon)
+    last = int(float(ts[-1]) // horizon)
+    buckets, cuts = [bucket], [0]
+    while bucket < last:
+        nxt = bucket + 1
+        # The cut is past the last one (whose bucket is below nxt) and
+        # at most len - 1 (ts[-1]'s bucket is at least nxt), which bounds
+        # both walks.
+        i = max(int(ts.searchsorted(nxt * horizon)), cuts[-1] + 1)
+        while float(ts[i - 1]) // horizon >= nxt:
+            i = int(ts.searchsorted(ts[i - 1]))
+        while float(ts[i]) // horizon < nxt:
+            i = int(ts.searchsorted(ts[i], side="right"))
+        bucket = int(float(ts[i]) // horizon)
+        buckets.append(bucket)
+        cuts.append(i)
+    cuts.append(n)
     return buckets, cuts
+
+
+@contextmanager
+def parsing(kind: str):
+    """Reading a ``kind`` snapshot: a missing key, a value of the wrong
+    type or shape, or a malformed member raises :class:`ValueError`
+    (which passes through unchanged)."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} snapshot: {exc!r}") from exc

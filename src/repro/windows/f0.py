@@ -43,7 +43,7 @@ from repro.lifecycle.memory import (
     set_bytes,
 )
 from repro.lifecycle.rng import generator_from_state
-from repro.windows.chunking import as_clock, as_timed_chunk
+from repro.windows.chunking import as_clock, as_timed_chunk, parsing
 
 __all__ = ["TimeWindowF0Sampler", "chunk_last_occurrences", "lru_fold_chunk"]
 
@@ -103,6 +103,14 @@ def lru_fold_chunk(
         horizon = max(horizon, entries[overflow - 1][1])
         entries = entries[overflow:]
     return OrderedDict(entries), horizon
+
+
+def _pairs(keys, vals):
+    """A snapshot's parallel key and value arrays, zipped; arrays of
+    different lengths raise :class:`ValueError`."""
+    if len(keys) != len(vals):
+        raise ValueError(f"{len(keys)} keys but {len(vals)} values")
+    return zip(keys, vals)
 
 
 class _WindowCopy:
@@ -414,40 +422,53 @@ class TimeWindowF0Sampler:
         }
 
     def restore(self, state: dict) -> None:
-        if state.get("kind") != self._KIND:
-            raise ValueError(
-                f"not a {self._KIND} snapshot: {state.get('kind')!r}"
-            )
-        for key, mine in self._config_fingerprint().items():
-            theirs = state[key]
-            if theirs != mine:
+        """Overwrite this sampler from a :meth:`snapshot` dict.  All of
+        it is parsed before any field is assigned, so a malformed
+        snapshot raises :class:`ValueError` and leaves the sampler as it
+        was."""
+        for name, value in self._parse(state).items():
+            setattr(self, name, value)
+
+    def _parse(self, state: dict) -> dict:
+        """The fields :meth:`restore` assigns, by attribute name, read
+        from ``state`` without touching the sampler."""
+        with parsing(self._KIND):
+            if state.get("kind") != self._KIND:
                 raise ValueError(
-                    f"snapshot has {key}={theirs!r}, sampler has {mine!r}"
+                    f"not a {self._KIND} snapshot: {state.get('kind')!r}"
                 )
-        self._delta = float(state["delta"])
-        self._t = int(state["position"])
-        self._now = float(state["now"])
-        last_arrival = state["last_arrival"]
-        self._last_arrival = (
-            -math.inf if last_arrival is None else float(last_arrival)
-        )
-        self._evict_horizon = float(state["evict_horizon"])
-        self._recent = OrderedDict(
-            (int(k), float(v))
-            for k, v in zip(state["recent_keys"], state["recent_vals"])
-        )
-        entries = state["copies"]
-        copies = []
-        for i in range(len(entries)):
-            entry = entries[str(i)]
-            copy = _WindowCopy(set(int(x) for x in entry["s_set"]))
-            copy.last_seen = {
-                int(k): float(v)
-                for k, v in zip(entry["seen_keys"], entry["seen_vals"])
+            for key, mine in self._config_fingerprint().items():
+                theirs = state[key]
+                if theirs != mine:
+                    raise ValueError(
+                        f"snapshot has {key}={theirs!r}, sampler has {mine!r}"
+                    )
+            last_arrival = state["last_arrival"]
+            entries = state["copies"]
+            copies = []
+            for i in range(len(entries)):
+                entry = entries[str(i)]
+                copy = _WindowCopy(set(int(x) for x in entry["s_set"]))
+                copy.last_seen = {
+                    int(k): float(v)
+                    for k, v in _pairs(entry["seen_keys"], entry["seen_vals"])
+                }
+                copies.append(copy)
+            return {
+                "_delta": float(state["delta"]),
+                "_t": int(state["position"]),
+                "_now": float(state["now"]),
+                "_last_arrival": (
+                    -math.inf if last_arrival is None else float(last_arrival)
+                ),
+                "_evict_horizon": float(state["evict_horizon"]),
+                "_recent": OrderedDict(
+                    (int(k), float(v))
+                    for k, v in _pairs(state["recent_keys"], state["recent_vals"])
+                ),
+                "_copies": copies,
+                "_rng": generator_from_state(state["rng_state"]),
             }
-            copies.append(copy)
-        self._copies = copies
-        self._rng = generator_from_state(state["rng_state"])
 
     def merge(self, other: "TimeWindowF0Sampler") -> None:
         """Absorb a sampler fed a disjoint universe partition over the

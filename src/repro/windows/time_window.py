@@ -62,7 +62,7 @@ from repro.lifecycle.memory import (
 )
 from repro.lifecycle.rng import generator_from_state
 from repro.obs.metrics import current_registry
-from repro.windows.chunking import as_clock, as_timed_chunk, bucket_cuts
+from repro.windows.chunking import as_clock, as_timed_chunk, bucket_cuts, parsing
 
 __all__ = [
     "TimeWindowGSampler",
@@ -231,6 +231,9 @@ class _TimeWindowPoolSampler:
         # use_registry scope that built this sampler: every pool it
         # births, restores or merge-copies reports here instead.
         self._registry = current_registry()
+        # The never-fed pool generations are born from, built at the
+        # first birth: see _new_generation.
+        self._blank: SamplerPool | None = None
 
     # -- construction hooks -------------------------------------------------
     def _make_aux(self):
@@ -340,7 +343,18 @@ class _TimeWindowPoolSampler:
         return np.random.default_rng([self._root, 1, bucket])
 
     def _new_generation(self, bucket: int) -> _TimeGeneration:
-        pool = SamplerPool(self._instances, self._gen_rng(bucket), registry=self._registry)
+        """A generation born at ``bucket``: a clone of the blank pool
+        (one buffer copy, the metrics counter already bound) drawing
+        from the bucket's own RNG stream.  The blank never draws; it
+        holds the sampler's query RNG only so that a copy of the sampler
+        clones it at buffer cost (a restore, which replaces that RNG,
+        drops it)."""
+        blank = self._blank
+        if blank is None:
+            blank = self._blank = SamplerPool(
+                self._instances, self._rng, registry=self._registry
+            )
+        pool = copy.deepcopy(blank, {id(blank._rng): self._gen_rng(bucket)})
         return _TimeGeneration(pool, bucket, self._instances, self._make_aux())
 
     def _ensure_generation(self, bucket: int) -> None:
@@ -348,16 +362,6 @@ class _TimeWindowPoolSampler:
             self._generations.append(self._new_generation(bucket))
             if len(self._generations) > 2:
                 self._generations.pop(0)
-
-    def _refresh_wall(
-        self, gen: _TimeGeneration, old_pos: int, seg_ts: np.ndarray
-    ) -> None:
-        """Stamp the instances that adopted an item past ``old_pos`` with
-        its arrival time, ``seg_ts`` holding the positions from
-        ``old_pos + 1`` on: one gather over the pool's stamps."""
-        stamps = gen.pool.replacement_positions()
-        fresh = stamps > old_pos
-        gen.wall[fresh] = seg_ts[stamps[fresh] - old_pos - 1]
 
     def update(self, item: int, timestamp: float) -> None:
         ts = as_clock(timestamp)
@@ -374,7 +378,7 @@ class _TimeWindowPoolSampler:
             gen.pool.update(item)
             self._aux_ingest_one(gen.aux, item)
             if gen.pool.heap_events != old_events:
-                self._refresh_wall(gen, old_pos, np.array([ts]))
+                gen.pool.stamp_arrivals(old_pos, (ts,), gen.wall)
         self._t += 1
         self._now = ts
         self._last_arrival = ts
@@ -414,11 +418,18 @@ class _TimeWindowPoolSampler:
         snapshot or a sample, and eliding it is bitwise: a survivor sees
         exactly the scalar loop's items, its RNG stream is keyed by its
         bucket (not birth order), and the pool kernel is cut-invariant.
+
+        The suffix call carries the suffix's arrival times and a copy of
+        the generation's ``wall``: the compiled loop stamps each adopted
+        item's arrival time into the copy as it adopts it (the Python
+        rule, :meth:`SamplerPool.stamp_arrivals`, when there is no
+        compiler), and the copy replaces ``wall`` right after the pool
+        swapped in its new buffer.  The bucket cuts cost a binary search
+        per bucket the chunk enters, not a pass over the chunk.
         """
         buckets, cuts = bucket_cuts(ts, self._horizon)
         plan = [(gen.bucket, gen, 0) for gen in self._generations]
-        for start in cuts[:-1]:
-            bucket = int(buckets[start])
+        for bucket, start in zip(buckets, cuts):
             if not plan or bucket > plan[-1][0]:
                 plan.append((bucket, None, start))
         kept = []
@@ -426,12 +437,10 @@ class _TimeWindowPoolSampler:
             if gen is None:
                 gen = self._new_generation(bucket)
             seg = arr[start:]
-            old_pos = gen.pool.position
-            old_events = gen.pool.heap_events
-            gen.pool.update_batch(seg)
+            wall = gen.wall.copy()
+            gen.pool.update_batch(seg, ts[start:], wall)
+            gen.wall = wall
             self._aux_ingest(gen.aux, seg)
-            if gen.pool.heap_events != old_events:
-                self._refresh_wall(gen, old_pos, ts[start:])
             kept.append(gen)
         self._generations = kept
         self._t += int(arr.size)
@@ -571,40 +580,68 @@ class _TimeWindowPoolSampler:
         }
 
     def restore(self, state: dict) -> None:
-        if state.get("kind") != self._KIND:
-            raise ValueError(
-                f"not a {self._KIND} snapshot: {state.get('kind')!r}"
-            )
-        for key, mine in self._config_fingerprint().items():
-            theirs = state[key]
-            if theirs != mine:
+        """Overwrite this sampler from a :meth:`snapshot` dict.  All of
+        it is parsed before any field is assigned, so a malformed
+        snapshot (a missing or mistyped key, a corrupt generation)
+        raises :class:`ValueError` and leaves the sampler as it was."""
+        for name, value in self._parse(state).items():
+            setattr(self, name, value)
+
+    def _parse(self, state: dict) -> dict:
+        """The fields :meth:`restore` assigns, by attribute name, read
+        from ``state`` without touching the sampler."""
+        with parsing(self._KIND):
+            if state.get("kind") != self._KIND:
                 raise ValueError(
-                    f"snapshot has {key}={theirs!r}, sampler has {mine!r}"
+                    f"not a {self._KIND} snapshot: {state.get('kind')!r}"
                 )
-        self._delta = float(state["delta"])
-        self._root = int(state["root"])
-        self._t = int(state["position"])
-        self._now = float(state["now"])
-        last_arrival = state["last_arrival"]
-        self._last_arrival = (
-            -math.inf if last_arrival is None else float(last_arrival)
-        )
-        gens: list[_TimeGeneration] = []
-        entries = state["generations"]
-        for i in range(len(entries)):
-            entry = entries[str(i)]
-            gen = _TimeGeneration(
-                SamplerPool.from_snapshot(entry["pool"], self._registry),
-                int(entry["bucket"]),
-                self._instances,
-                self._make_aux(),
-            )
-            gen.wall = np.array(entry["wall"], dtype=np.float64)
-            if gen.aux is not None:
-                gen.aux.restore(entry["aux"])
-            gens.append(gen)
-        self._generations = gens
-        self._rng = generator_from_state(state["rng_state"])
+            for key, mine in self._config_fingerprint().items():
+                theirs = state[key]
+                if theirs != mine:
+                    raise ValueError(
+                        f"snapshot has {key}={theirs!r}, sampler has {mine!r}"
+                    )
+            last_arrival = state["last_arrival"]
+            entries = state["generations"]
+            if len(entries) > 2:
+                raise ValueError(f"{len(entries)} generations, at most 2 are kept")
+            gens: list[_TimeGeneration] = []
+            for i in range(len(entries)):
+                entry = entries[str(i)]
+                gen = _TimeGeneration(
+                    SamplerPool.from_snapshot(entry["pool"], self._registry),
+                    int(entry["bucket"]),
+                    self._instances,
+                    self._make_aux(),
+                )
+                if gen.pool.instances != self._instances:
+                    raise ValueError(
+                        f"generation {i} has {gen.pool.instances} instances, "
+                        f"not {self._instances}"
+                    )
+                if gens and gen.bucket <= gens[-1].bucket:
+                    raise ValueError("generation buckets must ascend")
+                gen.wall = np.array(entry["wall"], dtype=np.float64)
+                if gen.wall.shape != (self._instances,):
+                    raise ValueError(
+                        f"generation {i} wall has shape {gen.wall.shape}, "
+                        f"not ({self._instances},)"
+                    )
+                if gen.aux is not None:
+                    gen.aux.restore(entry["aux"])
+                gens.append(gen)
+            return {
+                "_delta": float(state["delta"]),
+                "_root": int(state["root"]),
+                "_t": int(state["position"]),
+                "_now": float(state["now"]),
+                "_last_arrival": (
+                    -math.inf if last_arrival is None else float(last_arrival)
+                ),
+                "_generations": gens,
+                "_rng": generator_from_state(state["rng_state"]),
+                "_blank": None,
+            }
 
     def _contribution(self, gens: list[_TimeGeneration], bucket: int):
         """A sampler's substream-since-``bucket·H`` generation.

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.measures import HuberMeasure
 from repro.core.reservoir import skip_next_replacement
 from repro.engine.state import save_state
 from repro.lifecycle import generator_from_state
 from repro.stats import assert_matches_distribution
+from repro.windows import TimeWindowGSampler, WindowBank
 
 __all__ = [
     "F0_FIELDS",
     "assert_matches_distribution",
+    "bucket_cuts_spec",
+    "chunked_window_feeds",
     "f0_state",
     "gappy_timed_stream",
     "pool_columns",
@@ -39,6 +43,16 @@ def gappy_timed_stream(m: int, n: int, horizon: float, seed: int):
     spells = rng.random(m) < 0.01
     gaps[spells] += rng.uniform(2.0, 5.0, size=int(spells.sum())) * horizon
     return items.astype(np.int64), np.cumsum(gaps)
+
+
+def bucket_cuts_spec(ts: np.ndarray, horizon: float) -> tuple[np.ndarray, list[int]]:
+    """Every item's time bucket ``ts // horizon`` and the offsets where
+    the bucket changes (including 0 and ``len``), by one floor-divide
+    over the whole chunk: the executable spec of
+    :func:`repro.windows.chunking.bucket_cuts`, which searches instead."""
+    buckets = (ts // horizon).astype(np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(buckets)) + 1).tolist(), int(ts.size)]
+    return buckets, cuts
 
 
 def replay_timed(sampler, items, ts, cuts=None, compact_at=()) -> bytes:
@@ -63,6 +77,24 @@ def replay_timed(sampler, items, ts, cuts=None, compact_at=()) -> bytes:
         else:
             sampler.update_batch(items[a:b], ts[a:b])
     return save_state(sampler)
+
+
+def chunked_window_feeds() -> dict[str, bytes]:
+    """``save_state`` of a ``tw_g`` sampler and a ``window_bank`` fed one
+    gappy timestamped stream in 300-item chunks (many crossing bucket
+    boundaries): what the compiled and the Python arrival-stamp rules
+    must agree on."""
+    items, ts = gappy_timed_stream(4000, 60, 1.0, seed=92)
+    makers = {
+        "tw_g": lambda: TimeWindowGSampler(
+            HuberMeasure(1.0), horizon=1.0, instances=16, seed=93
+        ),
+        "window_bank": lambda: WindowBank(
+            (1.0, 4.0), p=2.0, n=60, instances=16, seed=94
+        ),
+    }
+    cuts = range(0, len(items), 300)
+    return {kind: replay_timed(make(), items, ts, cuts) for kind, make in makers.items()}
 
 
 #: The snapshot fields of one Algorithm-5 F0 copy that ingest sets: the

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from helpers import pool_columns
+from helpers import chunked_window_feeds, pool_columns
 from repro.core import ingest_kernel
 from repro.core.g_sampler import SamplerPool
 from repro.core.reservoir import skip_next_replacement, skip_next_replacements
@@ -300,7 +300,7 @@ class TestCompiledLoop:
         for item in items[:1000].tolist():
             scalar.update(item)
         batched.update_batch(items[:500])
-        assert batched.replacement_positions().min() >= 1
+        assert min(stamp for *__, stamp in batched.finalize()) >= 1
         assert batched.tracked_items > 0
         assert batched.finalize()
         for item in items[500:1000].tolist():
@@ -310,8 +310,8 @@ class TestCompiledLoop:
         for item in items[1000:2000].tolist():
             scalar.update(item)
         _assert_pools_bitwise(batched, scalar)
-        assert (batched.replacement_positions().tolist()
-                == scalar.replacement_positions().tolist()
+        assert ([stamp for *__, stamp in batched.finalize()]
+                == [stamp for *__, stamp in scalar.finalize()]
                 == pool_columns(scalar.snapshot())["timestamps"].tolist())
         assert batched.tracked_items == scalar.tracked_items
         assert batched.finalize() == scalar.finalize()
@@ -674,7 +674,7 @@ ingest_kernel._build_library = no_compiler
 from repro.core.g_sampler import SamplerPool
 from repro.engine.state import save_state
 from repro.obs import MetricsRegistry
-from helpers import pool_columns
+from helpers import chunked_window_feeds, pool_columns
 
 items = np.asarray(json.loads(sys.argv[1]), dtype=np.int64)
 with warnings.catch_warnings(record=True) as caught:
@@ -705,6 +705,7 @@ for fault in ("refs", "slot", "duplicate", "untracked"):
         restored.restore(state)
     except ValueError:
         rejected += 1
+windows = {kind: state.hex() for kind, state in chunked_window_feeds().items()}
 print(json.dumps({
     "impl": ingest_kernel.kernel_impl(),
     "warnings": [str(w.message) for w in caught
@@ -716,6 +717,7 @@ print(json.dumps({
     "finals": merged.finalize(),
     "restored": save_state(restored).hex(),
     "rejected": rejected,
+    "windows": windows,
 }))
 """
 
@@ -724,7 +726,9 @@ def test_fallback_without_compiler_runs_scalar_loop():
     """With the build step failing, batched ingest runs the scalar loop
     and merge, restore and finalize run their Python rules on the same
     buffer: one warning, ``impl="python"`` in the gauge, snapshot bytes
-    equal to the compiled path's, and malformed snapshots rejected."""
+    equal to the compiled path's, and malformed snapshots rejected.  A
+    chunked ``tw_g`` and ``window_bank`` feed stamps arrival times by the
+    Python rule and lands the compiled loop's bytes."""
     items = _zipf(5000, 300, seed=90)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -753,6 +757,8 @@ def test_fallback_without_compiler_runs_scalar_loop():
     restored = SamplerPool.from_snapshot(here.snapshot())
     restored.update_batch(items[:500])
     assert bytes.fromhex(out["restored"]) == save_state(restored)
+    compiled = chunked_window_feeds()
+    assert {kind: bytes.fromhex(state) for kind, state in out["windows"].items()} == compiled
 
 
 @pytest.mark.parametrize("instances", [1, 5, 64])

@@ -6,10 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_matches_distribution, gappy_timed_stream, replay_timed
+from helpers import (
+    assert_matches_distribution,
+    bucket_cuts_spec,
+    gappy_timed_stream,
+    replay_timed,
+)
 from repro.core.g_sampler import SamplerPool
 from repro.core.measures import HuberMeasure, L1L2Measure, LpMeasure
 from repro.engine import ShardedSamplerEngine
@@ -485,9 +490,9 @@ class TestPlannedIngest:
         calls = []
         real = SamplerPool.update_batch
 
-        def spy(pool, chunk):
+        def spy(pool, chunk, *stamps):
             calls.append(pool)
-            return real(pool, chunk)
+            return real(pool, chunk, *stamps)
 
         monkeypatch.setattr(SamplerPool, "update_batch", spy)
         s = POOL_MAKERS["tw_g"]()
@@ -497,6 +502,63 @@ class TestPlannedIngest:
         s.update_batch(items, ts)
         assert len(calls) <= 2
         assert s.generation_count == 2
+
+
+def _near_boundaries(horizon: float, picks) -> np.ndarray:
+    """Sorted non-negative timestamps from ``(k, kind, step)`` picks:
+    ``k·H`` itself, ``step`` ulps away from it, or ``step/8`` of a
+    bucket away from it (negative steps go below)."""
+    out = []
+    for k, kind, step in picks:
+        t = k * horizon
+        if kind == "ulp":
+            for __ in range(abs(step)):
+                t = np.nextafter(t, math.inf if step > 0 else -math.inf)
+        elif kind == "frac":
+            t += horizon * step / 8.0
+        out.append(max(0.0, float(t)))
+    return np.sort(np.asarray(out, dtype=np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    horizon=st.sampled_from([0.1, 1 / 3, 60.0, 3600.0]),
+    picks=st.lists(
+        st.tuples(
+            # Small bucket indices (dense chunks), far ones (chunks that
+            # skip many buckets), and ones past 2^53, where k·H rounds
+            # past timestamps already in bucket k.
+            st.one_of(
+                st.integers(0, 12), st.integers(0, 10**7), st.integers(2**53, 2**62)
+            ),
+            st.sampled_from(["exact", "ulp", "frac"]),
+            st.sampled_from([-3, -2, -1, 1, 2, 3, 4, 7]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    repeat=st.integers(1, 3),
+)
+# Past 2^53 the search can land past a timestamp already in bucket k
+# (here 2 ulps and 1 ulp below k·H sit in buckets k - 1 and k).
+@example(
+    horizon=1 / 3,
+    picks=[(10057916675121887, "ulp", -2), (10057916675121887, "ulp", -1)],
+    repeat=1,
+)
+def test_bucket_cuts_search_matches_floor_divide(horizon, picks, repeat):
+    """The search gives the full floor-divide's cuts and bucket ids, at
+    timestamps on ``k·H``, a few ulps off it, inside buckets, repeated,
+    skipping buckets, and single-item chunks; the ids are the scalar
+    loop's ``float(ts) // H``."""
+    ts = np.repeat(_near_boundaries(horizon, picks), repeat)
+    spec_buckets, spec_cuts = bucket_cuts_spec(ts, horizon)
+    assert spec_buckets.tolist() == [int(t // horizon) for t in ts.tolist()]
+    buckets, cuts = bucket_cuts(ts, horizon)
+    assert cuts == spec_cuts
+    assert buckets == spec_buckets[spec_cuts[:-1]].tolist()
+    for one in ts[:3]:  # single-item chunks
+        assert bucket_cuts(np.array([one]), horizon) == ([int(one // horizon)], [0, 1])
 
 
 PROPERTY_MAKERS = {

@@ -403,9 +403,9 @@ class TestPlannedBankIngest:
         calls = []
         real = SamplerPool.update_batch
 
-        def spy(pool, chunk):
+        def spy(pool, chunk, *stamps):
             calls.append(pool)
-            return real(pool, chunk)
+            return real(pool, chunk, *stamps)
 
         monkeypatch.setattr(SamplerPool, "update_batch", spy)
         bank = make_bank("nesting")

@@ -1,8 +1,9 @@
 """A1 — ablation: the shared-counter pool vs naive parallel instances.
 
-DESIGN.md calls out the O(1)-update data structure (shared hash table of
-counters + per-instance offsets + skip-ahead heap) as the implementation
-of Theorem 3.1's "O(1) expected update time".  This ablation removes it:
+The O(1)-update data structure (shared hash table of counters +
+per-instance offsets + skip-ahead heap; README.md's "Ingest kernel"
+section) is the implementation of Theorem 3.1's "O(1) expected update
+time".  This ablation removes it:
 ``R`` literal Algorithm-1 instances, each flipping its own coin and
 bumping its own counter per update — O(R) per update.
 

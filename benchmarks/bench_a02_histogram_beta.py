@@ -1,9 +1,10 @@
 """A2 — ablation: smooth-histogram β (checkpoint density vs accuracy).
 
-The sliding-window Lp sampler's space is dominated by the histogram's
-``O((1/β)·log F_p)`` checkpoints; its normalizer quality degrades with
-the histogram's α.  Sweeping β exposes the trade-off DESIGN.md calls out
-for Algorithm 6.
+Algorithm 6 as the paper states it takes its normalizer from a [BO07]
+smooth histogram, whose space is ``O((1/β)·log F_p)`` checkpoints and
+whose estimate loosens with α.  Sweeping β exposes that trade-off (the
+count-window sampler here certifies ζ from exact suffix counts instead,
+see :mod:`repro.sliding_window.lp_window`).
 """
 
 from conftest import write_table

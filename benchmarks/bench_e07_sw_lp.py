@@ -1,28 +1,46 @@
 """E7 — Theorem 1.4 (sliding-window Lp, Algorithm 6): instance count
-scales as ``W^{1−1/p}`` and the smooth-histogram normalizer is certified.
+scales as ``W^{1−1/p}`` and the normalizer is certified.
 
-Claim: per-instance acceptance decays like ``W^{1/p−1}``, so required
-instances grow with slope ``1−1/p`` in ``W``; the histogram's certified
-range always covers the window's true ``F_p``.
+Claim: on the normalizer's worst-case window, per-instance acceptance
+decays like ``W^{1/p−1}``, so required instances grow with slope
+``1−1/p`` in ``W``; ζ, the covering generation's exact suffix-``‖f‖∞``
+bound, always dominates the window's largest increment.
 """
+
+import numpy as np
 
 from conftest import loglog_slope, write_table
 from repro.sketches.lp_norm import exact_fp
 from repro.sliding_window import SlidingWindowLpSampler
 from repro.sliding_window.lp_window import sliding_window_lp_instances
-from repro.streams import uniform_stream, zipf_stream
+from repro.streams import Stream, zipf_stream
+
+
+def heavy_over_distinct_stream(window: int, p: float) -> Stream:
+    """``2W`` updates: item 0 at every ``round(W^{1−1/p})``-th position, so
+    about ``W^{1/p}`` times per window, and a fresh item everywhere else.
+
+    The worst case for a ζ read off ``‖f‖∞``: one item makes ζ grow
+    like ``W^{(p−1)/p}`` while the window's ``F_p`` stays ≈ ``2W``.  On
+    a uniform window ``‖f‖∞`` stays near constant, and so does
+    acceptance.
+    """
+    m = 2 * window
+    step = max(1, round(window ** (1.0 - 1.0 / p)))
+    items = np.arange(1, m + 1, dtype=np.int64)
+    items[::step] = 0
+    return Stream(items, m + 1)
 
 
 def _algorithm_acceptance(p: float, window: int) -> float:
-    """Exact acceptance probability on a near-flat window (worst case).
+    """Exact acceptance probability on the worst-case window.
 
-    Only the histogram normalizer ζ is data-dependent: acceptance per
-    instance is ``F_p(window)/(ζ·L)`` with ``L`` the covering
-    generation's substream length.  Computing it directly removes the
-    Monte-Carlo noise that would otherwise need thousands of trials at
-    large ``W``.
+    Only ζ is data-dependent: acceptance per instance is
+    ``F_p(window)/(ζ·L)`` with ``L`` the covering generation's substream
+    length.  Computing it directly removes the Monte-Carlo noise that
+    would otherwise need thousands of trials at large ``W``.
     """
-    stream = uniform_stream(n=window, m=2 * window, seed=window)
+    stream = heavy_over_distinct_stream(window, p)
     s = SlidingWindowLpSampler(p, window=window, instances=1, seed=0)
     s.extend(stream)
     gen = s._generations[0]
@@ -35,7 +53,7 @@ def _algorithm_acceptance(p: float, window: int) -> float:
 def _run_experiment():
     p = 2.0
     lines = []
-    ws = [64, 256, 1024]
+    ws = [64, 256, 1024, 4096]
     needed = []
     for w in ws:
         rate = _algorithm_acceptance(p, w)
@@ -58,8 +76,8 @@ def test_e07_sw_lp_scaling(benchmark):
 
 
 def test_e07_normalizer_certified(benchmark):
-    """The histogram-derived ζ must dominate the worst window increment on
-    every checked prefix."""
+    """ζ must dominate the worst window increment on every checked
+    prefix, and equal the covering generation's exact ``‖f‖∞`` bound."""
 
     def check():
         p, window = 2.0, 200
@@ -74,7 +92,11 @@ def test_e07_normalizer_certified(benchmark):
                     wfreq = stream.prefix(t).window_frequencies(window)
                     linf = int(wfreq.max())
                     worst = linf**p - (linf - 1) ** p
+                    covering = s._generations[0].bucket * window
+                    z = int(np.bincount(items[covering:t]).max())
                     if s.normalizer() < worst - 1e-9:
+                        violations += 1
+                    if s.normalizer() != z**p - (z - 1) ** p:
                         violations += 1
         return violations
 

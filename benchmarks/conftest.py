@@ -1,9 +1,9 @@
 """Shared benchmark utilities.
 
-Every ``bench_eXX`` module regenerates one experiment from DESIGN.md's
-index: it measures the claim, prints the table, writes it to
-``benchmarks/results/<id>.txt`` (the source for EXPERIMENTS.md), and
-asserts the claim's *shape* loosely so regressions fail loudly.
+Every ``bench_eXX`` module regenerates one experiment (README.md's
+"Benchmarks" section): it measures the claim, prints the table, writes
+it to ``benchmarks/results/<id>.txt``, and asserts the claim's *shape*
+loosely so regressions fail loudly.
 """
 
 from __future__ import annotations

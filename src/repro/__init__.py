@@ -15,7 +15,7 @@ Quick start::
     if result.is_item:
         print("sampled index", result.item)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (README.md's "Package map" section has the full table):
 
 * :mod:`repro.core` — the paper's contribution: Framework 1.3, Lp / G /
   matrix / F0 samplers, multi-pass strict turnstile reductions.

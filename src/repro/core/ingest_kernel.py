@@ -20,7 +20,10 @@ order.  The pool owns the buffer; this module only passes it to C:
 * :func:`forward_counts` reads each instance's forward count
   (``counts[item] − offset``, what ``finalize`` reports);
 * :func:`check` validates a buffer's structure (what ``restore``
-  runs on a snapshot; the other calls run it first too).
+  runs on a snapshot; the other calls run it first too);
+* :func:`count_union` is not a pool loop: it merges the sorted
+  item-count tables a time-window Lp generation keeps beside its pool
+  (:class:`repro.windows.time_window._SuffixLinf`).
 
 The library builds on first use, with the compiler Python itself was
 built with (``sysconfig``'s ``CC``), into a per-user cache keyed by a
@@ -29,8 +32,8 @@ hash of the source, the compiler and the platform
 A finished build lands by atomic rename, so processes racing to build
 it never load a partial file.  :func:`run` goes through ``ctypes.CDLL``,
 which releases the GIL for the call: pools ingesting on different
-threads run their loops in parallel.  The short O(R) calls
-(:func:`merge`, :func:`forward_counts`, :func:`check`) go through
+threads run their loops in parallel.  The short calls (:func:`merge`,
+:func:`forward_counts`, :func:`check`, :func:`count_union`) go through
 ``ctypes.PyDLL`` and keep the GIL, so they never wait to take it back.
 
 Without a working compiler, :func:`kernel_impl` reports ``"python"``,
@@ -60,7 +63,10 @@ import numpy as np
 
 from repro.obs.catalog import CATALOG_HELP
 
-__all__ = ["bind_info", "check", "forward_counts", "kernel_impl", "merge", "run"]
+__all__ = [
+    "bind_info", "check", "count_union", "forward_counts", "kernel_impl",
+    "merge", "run",
+]
 
 #: The C source of the loop (shipped as package data).
 _SOURCE = Path(__file__).with_name("pool_kernel.c")
@@ -121,6 +127,8 @@ def _load():
                 (short, "repro_pool_check", [i64, i64, ptr]),
                 (short, "repro_pool_merge", [i64, i64, ptr, ptr, ptr, ptr, i64, ptr]),
                 (short, "repro_pool_forward", [i64, i64, ptr, ptr]),
+                (short, "repro_count_union",
+                 [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr]),
             ):
                 fn = getattr(dll, name)
                 fn.restype = i64
@@ -250,3 +258,24 @@ def merge(r: int, mine: array, theirs: array, kept: np.ndarray,
     )
     _raise_for(code, "nothing was merged")
     return out
+
+
+def count_union(keys: np.ndarray, counts: np.ndarray, more_keys: np.ndarray,
+                more_counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The union of strictly ascending ``keys`` and ascending
+    ``more_keys`` (whose keys may repeat), counts summed:
+    ``(union keys, union counts, top)``, ``top`` the largest summed
+    count among ``more_keys``'s keys (0 when it is empty).
+    ``more_counts`` ``None`` counts each row of ``more_keys`` once.  All
+    arrays are contiguous int64 and only read.  Only call when
+    :func:`kernel_impl` is ``"c"``."""
+    size = keys.size + more_keys.size
+    out_keys = np.empty(size, dtype=np.int64)
+    out_counts = np.empty(size, dtype=np.int64)
+    top = ctypes.c_int64()
+    m = _short.repro_count_union(
+        _data(keys), _data(counts), keys.size, _data(more_keys),
+        None if more_counts is None else _data(more_counts), more_keys.size,
+        _data(out_keys), _data(out_counts), ctypes.byref(top),
+    )
+    return out_keys[:m].copy(), out_counts[:m].copy(), top.value

@@ -20,15 +20,17 @@
  * for both.  repro_pool_merge builds the merge of two pools from the pick
  * coins and the redrawn wakes; repro_pool_forward computes each
  * instance's forward count; repro_pool_check validates a buffer.
+ * repro_count_union is not a pool loop: it merges the sorted item-count
+ * tables a time-window Lp generation keeps beside its pool.
  * While they run, tracked items live in an open-addressed table of
  * (item, count, refs, born) rows; `born` numbers insertions so the
  * rows go back to the buffer in insertion order.
  *
  * Built and loaded by repro.core.ingest_kernel.  No Python API is used.
  * Only repro_pool_ingest is called with the GIL released (through
- * ctypes.CDLL); the O(R) entry points, repro_pool_check,
- * repro_pool_merge and repro_pool_forward, are loaded through
- * ctypes.PyDLL and keep it.
+ * ctypes.CDLL); the short entry points, repro_pool_check,
+ * repro_pool_merge, repro_pool_forward and repro_count_union, are
+ * loaded through ctypes.PyDLL and keep it.
  */
 #include <math.h>
 #include <stdint.h>
@@ -350,4 +352,35 @@ free_both:
 free_theirs:
     free(in[0].tab);
     return rc;
+}
+
+/* The union of a strictly ascending key list `ak` (counts `ac`, na rows)
+ * and an ascending key list `bk` whose keys may repeat (counts `bc`, or
+ * one per row when `bc` is NULL; nb rows), counts summed, into
+ * out_keys/out_counts (room for na + nb rows).  This is how a
+ * time-window Lp generation's exact count table absorbs a sorted chunk
+ * or another table.  Returns the union's size and writes the largest
+ * summed count among `bk`'s keys to *top. */
+int64_t repro_count_union(const int64_t *ak, const int64_t *ac, int64_t na,
+                          const int64_t *bk, const int64_t *bc, int64_t nb,
+                          int64_t *out_keys, int64_t *out_counts, int64_t *top) {
+    int64_t i = 0, m = 0, best = 0;
+    for (int64_t j = 0; j < nb;) {
+        int64_t key = bk[j], count = 0;
+        do count += bc ? bc[j] : 1; while (++j < nb && bk[j] == key);
+        for (; i < na && ak[i] < key; ++i, ++m) {
+            out_keys[m] = ak[i];
+            out_counts[m] = ac[i];
+        }
+        if (i < na && ak[i] == key) count += ac[i++];
+        out_keys[m] = key;
+        out_counts[m++] = count;
+        if (count > best) best = count;
+    }
+    for (; i < na; ++i, ++m) {
+        out_keys[m] = ak[i];
+        out_counts[m] = ac[i];
+    }
+    *top = best;
+    return m;
 }

@@ -232,7 +232,6 @@ def _build_sw_lp(cfg: dict):
         p=float(cfg.pop("p")),
         window=int(cfg.pop("window")),
         instances=cfg.pop("instances", None),
-        alpha=float(cfg.pop("alpha", 0.5)),
         **common,
     )
 

@@ -9,7 +9,8 @@ exponentials picks index ``i`` with probability proportional to its rate.
 ``ExponentialAssignment`` provides lazily generated, *consistent* per-key
 exponentials: every reference to key ``(item, duplicate)`` sees the same
 draw, which is what the paper's Nisan-PRG derandomization buys and what a
-seeded counter-based PRG gives us directly (DESIGN.md §4).
+seeded counter-based PRG gives us directly: each draw is a function of
+the seed and the key, regenerated on demand instead of stored.
 """
 
 from __future__ import annotations

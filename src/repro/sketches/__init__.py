@@ -13,8 +13,9 @@ Everything the paper's samplers lean on is implemented here from scratch:
 * :mod:`repro.sketches.ams` — the AMS F2 sketch.
 * :mod:`repro.sketches.lp_norm` — insertion-only ``(1±ε)`` Fp estimation.
 * :mod:`repro.sketches.smooth_histogram` — the Braverman–Ostrovsky smooth
-  histogram framework (Definitions A.1–A.3, Theorems A.4/A.5) used by the
-  sliding-window samplers.
+  histogram framework (Definitions A.1–A.3, Theorems A.4/A.5), the
+  normalizer Algorithm 6 states (the count-window Lp sampler certifies
+  its ζ from exact suffix counts instead).
 * :mod:`repro.sketches.sparse_recovery` — deterministic k-sparse recovery
   and the sparsity tester (Theorems D.1, D.2) for strict turnstile F0.
 """

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.lifecycle.memory import INSTANCE_BYTES, mapping_bytes
 
 __all__ = [
@@ -71,27 +69,6 @@ class ExactSuffixFp:
 
     def approx_size_bytes(self) -> int:
         return INSTANCE_BYTES + mapping_bytes(len(self._freq))
-
-    def snapshot(self) -> dict:
-        ordered = sorted(self._freq.items())  # canonical serialization
-        return {
-            "kind": "exact_suffix_fp",
-            "p": self._p,
-            "fp": self._fp,
-            "keys": np.fromiter((k for k, __ in ordered), dtype=np.int64,
-                                count=len(ordered)),
-            "vals": np.fromiter((v for __, v in ordered), dtype=np.int64,
-                                count=len(ordered)),
-        }
-
-    def restore(self, state: dict) -> None:
-        if state.get("kind") != "exact_suffix_fp":
-            raise ValueError(
-                f"not an exact_suffix_fp snapshot: {state.get('kind')!r}"
-            )
-        self._p = float(state["p"])
-        self._fp = float(state["fp"])
-        self._freq = {int(k): int(v) for k, v in zip(state["keys"], state["vals"])}
 
 
 class _Checkpoint:
@@ -197,51 +174,6 @@ class SmoothHistogram:
             and self._checkpoints[1].start <= window_start
         ):
             self._checkpoints.pop(0)
-
-    def snapshot(self) -> dict:
-        """Checkpoint the histogram (requires the inner estimators to be
-        snapshotable, e.g. :class:`ExactSuffixFp`)."""
-        checkpoints = {}
-        for i, cp in enumerate(self._checkpoints):
-            estimator = cp.estimator
-            if not callable(getattr(estimator, "snapshot", None)):
-                raise ValueError(
-                    f"inner estimator {type(estimator).__name__} has no "
-                    "snapshot(); the histogram cannot be checkpointed"
-                )
-            checkpoints[str(i)] = {
-                "start": cp.start,
-                "estimator": estimator.snapshot(),
-            }
-        return {
-            "kind": "smooth_histogram",
-            "beta": self._beta,
-            "window": self._window,
-            "time": self._t,
-            "checkpoints": checkpoints,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Overwrite from a :meth:`snapshot` dict (the estimator factory
-        is construction-time configuration and must match)."""
-        if state.get("kind") != "smooth_histogram":
-            raise ValueError(
-                f"not a smooth_histogram snapshot: {state.get('kind')!r}"
-            )
-        if float(state["beta"]) != self._beta or int(state["window"]) != self._window:
-            raise ValueError(
-                f"snapshot has beta={state['beta']}, window={state['window']}; "
-                f"histogram has beta={self._beta}, window={self._window}"
-            )
-        self._t = int(state["time"])
-        checkpoints: list[_Checkpoint] = []
-        entries = state["checkpoints"]
-        for i in range(len(entries)):
-            entry = entries[str(i)]
-            estimator = self._factory()
-            estimator.restore(entry["estimator"])
-            checkpoints.append(_Checkpoint(int(entry["start"]), estimator))
-        self._checkpoints = checkpoints
 
     def estimate(self) -> float:
         """Estimate of the function over the active window.

@@ -36,9 +36,9 @@ maximum increment.  Each generation carries an *exact* suffix-``‖f‖∞``
 tracker over its substream; the covering substream contains the window,
 so the tracker's value dominates every window frequency and
 ``ζ = z^p − (z−1)^p`` at that value is certified — keeping the sampler
-truly perfect with deterministic (never estimated) ingredients, the
-same exact-inner-estimator substitution the count-window Lp sampler
-makes inside its smooth histogram (a sublinear Misra–Gries aux is a
+truly perfect with deterministic (never estimated) ingredients.  The
+count-window Lp sampler takes the same ζ on the arrival clock, in place
+of Algorithm 6's smooth histogram (a sublinear Misra–Gries aux is a
 ROADMAP follow-on; any upper bound is certified, exactness just
 tightens the FAIL rate).
 """
@@ -50,6 +50,7 @@ import math
 
 import numpy as np
 
+from repro.core import ingest_kernel
 from repro.core.g_sampler import SamplerPool
 from repro.core.measures import Measure
 from repro.core.rejection import rejection_many
@@ -57,7 +58,6 @@ from repro.core.types import SampleResult, as_timed_arrays
 from repro.lifecycle.memory import (
     INSTANCE_BYTES,
     RNG_STATE_BYTES,
-    mapping_bytes,
     ndarray_bytes,
 )
 from repro.lifecycle.rng import generator_from_state
@@ -102,73 +102,110 @@ def _derive_root(seed) -> int:
     return int(seed) % 2**63
 
 
-class _SuffixLinf:
-    """Exact ``‖f‖∞`` of a generation's substream.
+#: The keys a pool sampler's snapshot carries besides ``kind`` and its
+#: config fingerprint; a restore refuses any other key.
+_STATE_KEYS = (
+    "delta", "root", "position", "now", "last_arrival", "generations", "rng_state",
+)
 
-    Chunk-schedule invariant (the mapping depends only on the multiset
-    ingested), which is what lets batched bank ingestion stay bitwise
+
+def _count_union(
+    keys: np.ndarray, counts: np.ndarray, more_keys: np.ndarray,
+    more_counts: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`repro.core.ingest_kernel.count_union`: the compiled merge,
+    or without a compiler the same union by ``np.unique``."""
+    if ingest_kernel.kernel_impl() == "c":
+        return ingest_kernel.count_union(keys, counts, more_keys, more_counts)
+    if more_counts is None:
+        more_counts = np.ones(more_keys.size, dtype=np.int64)
+    union, inverse = np.unique(
+        np.concatenate((keys, more_keys)), return_inverse=True
+    )
+    summed = np.zeros(union.size, dtype=np.int64)
+    np.add.at(summed, inverse, np.concatenate((counts, more_counts)))
+    touched = summed[inverse[keys.size:]]
+    return union, summed, int(touched.max()) if touched.size else 0
+
+
+class _SuffixLinf:
+    """Exact ``‖f‖∞`` of a generation's substream: every item's count, as
+    ascending ``keys`` and matching ``counts`` int64 arrays.
+
+    Chunk-schedule invariant (the arrays depend only on the multiset
+    ingested), which is what lets batched ingestion stay bitwise
     identical to the scalar loop; a sublinear Misra–Gries substitute
     would trade that and some acceptance probability for space.
     """
 
-    __slots__ = ("_counts", "_max")
+    __slots__ = ("_keys", "_counts", "_max")
 
     def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
+        self._keys = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
         self._max = 0
 
     def __deepcopy__(self, memo: dict) -> "_SuffixLinf":
         clone = _SuffixLinf()
-        clone._counts = dict(self._counts)  # int keys and values
+        clone._keys = self._keys.copy()
+        clone._counts = self._counts.copy()
         clone._max = self._max
         memo[id(self)] = clone
         return clone
 
     def update(self, item: int) -> None:
-        c = self._counts.get(item, 0) + 1
-        self._counts[item] = c
+        """The reference rule: one item's count goes up by one."""
+        keys = self._keys
+        i = int(keys.searchsorted(item))
+        if i < keys.size and keys[i] == item:
+            c = int(self._counts[i]) + 1
+            self._counts[i] = c
+        else:
+            self._keys = np.concatenate((keys[:i], [item], keys[i:]))
+            self._counts = np.concatenate((self._counts[:i], [1], self._counts[i:]))
+            c = 1
         if c > self._max:
             self._max = c
 
-    def update_batch(self, items: np.ndarray) -> None:
-        uniq, cnts = np.unique(np.asarray(items, dtype=np.int64), return_counts=True)
-        counts = self._counts
-        for item, cnt in zip(uniq.tolist(), cnts.tolist()):
-            c = counts.get(item, 0) + cnt
-            counts[item] = c
-            if c > self._max:
-                self._max = c
+    def add_sorted(self, ordered: np.ndarray) -> None:
+        """:meth:`update` with each of ``ordered`` (ascending int64): one
+        merge of the chunk into the table."""
+        self._absorb(ordered, None)
+
+    def _absorb(self, keys: np.ndarray, counts: np.ndarray | None) -> None:
+        self._keys, self._counts, top = _count_union(
+            self._keys, self._counts, keys, counts
+        )
+        if top > self._max:
+            self._max = top
 
     def linf(self) -> int:
         return self._max
 
     def approx_size_bytes(self) -> int:
-        return INSTANCE_BYTES + mapping_bytes(len(self._counts))
+        return INSTANCE_BYTES + ndarray_bytes(self._keys) + ndarray_bytes(self._counts)
 
     def snapshot(self) -> dict:
-        ordered = sorted(self._counts.items())  # canonical serialization
         return {
             "kind": "suffix_linf",
             "max": self._max,
-            "keys": np.fromiter((k for k, __ in ordered), dtype=np.int64,
-                                count=len(ordered)),
-            "vals": np.fromiter((v for __, v in ordered), dtype=np.int64,
-                                count=len(ordered)),
+            "keys": self._keys.copy(),
+            "vals": self._counts.copy(),
         }
 
     def restore(self, state: dict) -> None:
         if state.get("kind") != "suffix_linf":
             raise ValueError(f"not a suffix_linf snapshot: {state.get('kind')!r}")
+        keys = np.array(state["keys"], dtype=np.int64)
+        counts = np.array(state["vals"], dtype=np.int64)
+        if keys.ndim != 1 or counts.shape != keys.shape or np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("suffix_linf keys must ascend strictly, one count each")
         self._max = int(state["max"])
-        self._counts = {
-            int(k): int(v) for k, v in zip(state["keys"], state["vals"])
-        }
+        self._keys = keys
+        self._counts = counts
 
     def merge(self, other: "_SuffixLinf") -> None:
-        counts = self._counts
-        for item, cnt in other._counts.items():
-            counts[item] = counts.get(item, 0) + cnt
-        self._max = max(counts.values(), default=0)
+        self._absorb(other._keys, other._counts)
 
 
 class _TimeGeneration:
@@ -183,7 +220,7 @@ class _TimeGeneration:
         # (float64); filled at the first update (every instance replaces
         # at position 1).
         self.wall = np.full(instances, -math.inf)
-        self.aux = aux  # per-substream normalizer state (Lp: Misra-Gries)
+        self.aux = aux  # per-substream normalizer state (Lp: _SuffixLinf)
 
     def __deepcopy__(self, memo: dict) -> "_TimeGeneration":
         """Clone at state cost: the pool and aux through their own
@@ -239,8 +276,9 @@ class _TimeWindowPoolSampler:
     def _make_aux(self):
         return None
 
-    def _aux_ingest(self, aux, items: np.ndarray) -> None:
-        pass
+    def _aux_ingest(self, arr: np.ndarray, feeds: list) -> None:
+        """Feed each kept generation's aux the chunk suffix ``arr[start:]``
+        (``feeds`` holds ``(aux, start)`` pairs)."""
 
     def _aux_ingest_one(self, aux, item: int) -> None:
         pass
@@ -436,13 +474,12 @@ class _TimeWindowPoolSampler:
         for bucket, gen, start in plan[-2:]:
             if gen is None:
                 gen = self._new_generation(bucket)
-            seg = arr[start:]
             wall = gen.wall.copy()
-            gen.pool.update_batch(seg, ts[start:], wall)
+            gen.pool.update_batch(arr[start:], ts[start:], wall)
             gen.wall = wall
-            self._aux_ingest(gen.aux, seg)
-            kept.append(gen)
-        self._generations = kept
+            kept.append((gen, start))
+        self._aux_ingest(arr, [(gen.aux, start) for gen, start in kept])
+        self._generations = [gen for gen, __ in kept]
         self._t += int(arr.size)
         self._now = float(ts[-1])
         self._last_arrival = float(ts[-1])
@@ -595,7 +632,14 @@ class _TimeWindowPoolSampler:
                 raise ValueError(
                     f"not a {self._KIND} snapshot: {state.get('kind')!r}"
                 )
-            for key, mine in self._config_fingerprint().items():
+            fingerprint = self._config_fingerprint()
+            unknown = set(state) - {"kind", *fingerprint, *_STATE_KEYS}
+            if unknown:
+                raise ValueError(
+                    f"{self._KIND} snapshot carries {sorted(unknown)}: a "
+                    "retired layout; rebuild it from the stream"
+                )
+            for key, mine in fingerprint.items():
                 theirs = state[key]
                 if theirs != mine:
                     raise ValueError(
@@ -796,7 +840,7 @@ class TimeWindowLpSampler(_TimeWindowPoolSampler):
         seed: int | np.random.Generator | None = None,
     ) -> None:
         if p < 1:
-            raise ValueError("TimeWindowLpSampler requires p ≥ 1")
+            raise ValueError(f"{type(self).__name__} requires p ≥ 1")
         self._p = float(p)
         if instances is None:
             expected = expected_window_count or DEFAULT_EXPECTED_WINDOW_COUNT
@@ -818,9 +862,14 @@ class TimeWindowLpSampler(_TimeWindowPoolSampler):
             return None
         return _SuffixLinf()
 
-    def _aux_ingest(self, aux, items: np.ndarray) -> None:
-        if aux is not None:
-            aux.update_batch(items)
+    def _aux_ingest(self, arr: np.ndarray, feeds: list) -> None:
+        """Generations fed the same suffix share one sort of it."""
+        ordered = {}
+        for aux, start in feeds:
+            if aux is not None:
+                if start not in ordered:
+                    ordered[start] = np.sort(arr[start:])
+                aux.add_sorted(ordered[start])
 
     def _aux_ingest_one(self, aux, item: int) -> None:
         if aux is not None:

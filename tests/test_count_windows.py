@@ -3,9 +3,10 @@
 The count-window samplers (``sw-g``, ``sw-lp``, ``sw-f0``) are the
 :mod:`repro.windows` samplers with each update stamped by its arrival
 index.  Pinned here: batched ingest is bitwise the scalar loop at any
-cut, snapshots of the retired position-offset layout are refused, the
-engine still treats the kinds as clockless and unmergeable, and the F0
-sampler's eviction certificate holds before the first ``W`` updates.
+cut, snapshots of the retired layouts (position offsets; the ``sw-lp``
+smooth histogram) are refused, the engine still treats the kinds as
+clockless and unmergeable, and the F0 sampler's eviction certificate
+holds before the first ``W`` updates.
 """
 
 from __future__ import annotations
@@ -64,14 +65,42 @@ def _old_layout(state: dict) -> dict:
     return old
 
 
-@pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_old_layout_snapshot_is_refused_and_changes_nothing(kind):
+def _histogram_layout(state: dict) -> dict:
+    """``state`` as the smooth-histogram ``sw-lp`` wrote it: ``alpha``
+    in the fingerprint, the histogram's checkpoints under ``hist``, and
+    no per-generation normalizer state."""
+    estimator = {
+        "kind": "exact_suffix_fp", "p": 2.0, "fp": 5.0,
+        "keys": np.array([3, 8]), "vals": np.array([2, 1]),
+    }
+    hist = {
+        "kind": "smooth_histogram", "beta": 0.25, "window": state["window"],
+        "time": state["position"],
+        "checkpoints": {"0": {"start": 0, "estimator": estimator}},
+    }
+    generations = {
+        i: {key: value for key, value in gen.items() if key != "aux"}
+        for i, gen in state["generations"].items()
+    }
+    return {**state, "alpha": 0.5, "generations": generations, "hist": hist}
+
+
+RETIRED_LAYOUTS = [
+    *((kind, _old_layout) for kind in sorted(CONFIGS)),
+    ("sw-lp", _histogram_layout),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, layout", RETIRED_LAYOUTS, ids=[*sorted(CONFIGS), "sw-lp-histogram"]
+)
+def test_old_layout_snapshot_is_refused_and_changes_nothing(kind, layout):
     donor = build_sampler({**CONFIGS[kind], "seed": 1})
     donor.update_batch(STREAM[:150])
     sampler = build_sampler({**CONFIGS[kind], "seed": 2})
     sampler.update_batch(STREAM[150:])
     before = save_state(sampler)
-    old = _old_layout(donor.snapshot())
+    old = layout(donor.snapshot())
     with pytest.raises(ValueError, match="layout"):
         sampler.restore(old)
     with pytest.raises(ValueError, match="layout"):

@@ -135,6 +135,10 @@ class TestBuildSampler:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="pee"):
             build_sampler({"kind": "lp", "p": 2.0, "n": 64, "pee": 3.0})
+        # The count-window Lp sampler has no smooth histogram, so no
+        # accuracy knob.
+        with pytest.raises(ValueError, match="unknown keys.*alpha"):
+            build_sampler({"kind": "sw-lp", "p": 2.0, "window": 50, "alpha": 0.5})
 
     def test_missing_required_key_is_config_error(self):
         with pytest.raises(ValueError, match="requires key 'p'"):

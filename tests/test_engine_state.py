@@ -142,27 +142,29 @@ class TestSlidingWindowSnapshotRestore:
         with pytest.raises(ValueError, match="measure"):
             wrong_measure.restore(a.snapshot())
 
-    def test_sw_lp_roundtrip_restores_histogram(self):
+    def test_sw_lp_roundtrip_restores_normalizer(self):
         items = np.asarray(zipf_stream(48, 4000, alpha=1.3, seed=32).items)
         a = SlidingWindowLpSampler(2.0, window=700, instances=48, seed=6)
         a.update_batch(items[:2000])
+        assert all("aux" in gen for gen in a.snapshot()["generations"].values())
         b = SlidingWindowLpSampler(2.0, window=700, instances=48, seed=13)
         load_state(b, save_state(a))
         assert b.normalizer() == a.normalizer()
-        assert b.histogram_checkpoints == a.histogram_checkpoints
         a.update_batch(items[2000:])
         b.update_batch(items[2000:])
         assert state_to_bytes(a.snapshot()) == state_to_bytes(b.snapshot())
         assert b.normalizer() == a.normalizer()
 
-    def test_sw_lp_p1_roundtrip_has_no_histogram(self):
+    def test_sw_lp_p1_roundtrip_has_no_normalizer_state(self):
         a = SlidingWindowLpSampler(1.0, window=50, instances=8, seed=1)
         a.update_batch(np.arange(40))
         state = a.snapshot()
-        assert "hist" not in state
+        assert not any("aux" in gen for gen in state["generations"].values())
         b = SlidingWindowLpSampler(1.0, window=50, instances=8, seed=2)
         b.restore(state)
         assert b.position == 40
+        assert b.normalizer() == 1.0
+        assert state_to_bytes(b.snapshot()) == state_to_bytes(state)
 
     def test_sw_f0_roundtrip_continues_bitwise(self):
         items = np.asarray(zipf_stream(80, 4000, alpha=1.0, seed=33).items)

@@ -40,6 +40,7 @@ from repro.engine import ShardedSamplerEngine
 from repro.engine.state import load_state, save_state, state_to_bytes
 from repro.obs import MetricsRegistry, use_registry
 from repro.streams import zipf_stream
+from repro.windows import time_window
 
 
 def norm(state):
@@ -759,6 +760,33 @@ def test_fallback_without_compiler_runs_scalar_loop():
     assert bytes.fromhex(out["restored"]) == save_state(restored)
     compiled = chunked_window_feeds()
     assert {kind: bytes.fromhex(state) for kind, state in out["windows"].items()} == compiled
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@settings(max_examples=200, deadline=None)
+@given(
+    table=st.dictionaries(st.integers(-40, 40), st.integers(1, 9), max_size=30),
+    more=st.lists(st.integers(-50, 50), max_size=40),
+    weighted=st.booleans(),
+)
+def test_count_union_matches_numpy_rule(table, more, weighted):
+    """The compiled union of a sorted count table with a sorted chunk
+    (repeats allowed) or another table is the ``np.unique`` rule the
+    time-window Lp generations fall back to: same keys, counts and
+    largest touched count."""
+    keys = np.array(sorted(table), dtype=np.int64)
+    counts = np.array([table[k] for k in sorted(table)], dtype=np.int64)
+    more_keys = np.array(sorted(set(more) if weighted else more), dtype=np.int64)
+    more_counts = (np.arange(1, more_keys.size + 1, dtype=np.int64)
+                   if weighted else None)
+    compiled = ingest_kernel.count_union(keys, counts, more_keys, more_counts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest_kernel, "kernel_impl", lambda: "python")
+        rule = time_window._count_union(keys, counts, more_keys, more_counts)
+    assert compiled[0].tolist() == rule[0].tolist()
+    assert compiled[1].tolist() == rule[1].tolist()
+    assert compiled[2] == rule[2]
+    assert compiled[0].dtype == compiled[1].dtype == np.int64
 
 
 @pytest.mark.parametrize("instances", [1, 5, 64])

@@ -110,10 +110,22 @@ class TestSlidingWindowLpSampler:
         with pytest.raises(ValueError):
             SlidingWindowLpSampler(0.5, window=10)
 
-    def test_histogram_checkpoints_logarithmic(self):
-        s = SlidingWindowLpSampler(2.0, window=100, instances=4, seed=0)
-        s.extend(zipf_stream(N, 1500, seed=3))
-        assert s.histogram_checkpoints <= 300
+    def test_normalizer_is_the_covering_generations_linf(self):
+        """ζ is ``z² − (z−1)²`` at the exact ``‖f‖∞`` of the covering
+        generation's substream — the updates since its bucket started,
+        at most ``2W`` of them — so the state holds at most two
+        generations of at most ``2W`` counters each, however long the
+        stream."""
+        window = 100
+        stream = zipf_stream(N, 1550, seed=3)
+        s = SlidingWindowLpSampler(2.0, window=window, instances=4, seed=0)
+        s.extend(stream)
+        covering_start = ((s.position - 1) // window - 1) * window
+        z = int(np.bincount(stream.items[covering_start:]).max())
+        assert s.normalizer() == z**2 - (z - 1) ** 2
+        assert s.generation_count == 2
+        for gen in s.snapshot()["generations"].values():
+            assert gen["aux"]["keys"].size <= 2 * window
 
 
 class TestSlidingWindowF0Sampler:

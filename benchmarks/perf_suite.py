@@ -36,10 +36,11 @@ Measures, on one process with fixed seeds:
   as successive ``ingest`` calls of that size, cells interleaved across
   ``INGEST_KERNEL_REPS`` repetitions, reported as median and quartiles
   of items/s plus the per-call p99 latency.
-* **fold** — report-only: ``merged()`` of every shard and one
-  ``spawn_query_view`` of the fold, for a G engine at K ∈ {8, 32} and a
-  window bank at K=8, after one fixed ingest; cells interleaved across
-  ``FOLD_REPS`` repetitions, median and quartiles in µs.
+* **fold** — ``merged()`` of every shard and one ``spawn_query_view``
+  of the fold, for a G engine at K ∈ {8, 32} and a window bank at K=8,
+  after one fixed ingest; cells interleaved across ``FOLD_REPS``
+  repetitions, median and quartiles in µs.  The G K=32 and bank K=8
+  fold medians are gated (below); the views are report-only.
 * **state** — report-only: ``save_state`` and ``load_state`` of one G
   pool (R=64) per shard of an 8-shard engine, and one process-plane
   ``collect`` (8 shards, 2 worker processes, every shard dirtied by a
@@ -110,7 +111,10 @@ The suite *gates* itself (exit code 1 on failure):
   process ≥1.5x thread at 4 workers, ingest *increasing* with worker
   count — arm only where the host has the cores to express them
   (≥4 and ≥2 respectively) and are recorded as skipped-for-cores in
-  the report otherwise, so a pass on a small box is visibly weaker.
+  the report otherwise, so a pass on a small box is visibly weaker;
+* the median fold of a G engine at K=32 and of a window bank at K=8
+  must each take at most 1 ms (the median of the alternated
+  repetitions; the line prints it with its quartiles).
 
 Run ``--smoke`` in CI for a reduced-scale pass with the same gates.
 """
@@ -191,9 +195,9 @@ MIN_INGEST_KERNEL_K8_FLOORS = {  # items/s by call size
     1 << 20: 13_900_000,
 }
 MIN_INGEST_KERNEL_K1_FLOOR = 2_000_000  # items/s
-#: Fold cells (report-only): a G engine at K=8 and K=32 and a window
-#: bank (the perfbench ``serve_windows`` rung ladder) at K=8, each timed
-#: after one fixed ingest.
+#: Fold cells: a G engine at K=8 and K=32 and a window bank (the
+#: perfbench ``serve_windows`` rung ladder) at K=8, each timed after one
+#: fixed ingest.  The cells in ``MAX_FOLD_US`` gate their median fold.
 BANK_CONFIG = {
     "kind": "window_bank",
     "measure": {"name": "huber"},
@@ -201,6 +205,7 @@ BANK_CONFIG = {
     "resolutions": [60.0, 300.0, 3600.0],
 }
 FOLD_CELLS = ((CONFIG, 8), (CONFIG, 32), (BANK_CONFIG, 8))
+MAX_FOLD_US = {("g", 32): 1000.0, ("window_bank", 8): 1000.0}
 FOLD_REPS = 15
 FOLD_ITEMS = 200_000
 #: Event time the bank's ingest spans, in seconds: past the longest rung,
@@ -313,7 +318,8 @@ def bench_fold(items: np.ndarray) -> dict:
     then one ``spawn_query_view`` of that fold, after one fixed ingest
     of ``items`` (the bank's spread evenly over ``FOLD_BANK_SPAN_S``).
     Cells run in an order that reverses every repetition; each reports
-    the median and quartiles of both times in µs.  Report-only."""
+    the median and quartiles of both times in µs (``MAX_FOLD_US`` gates
+    the fold medians)."""
     engines = []
     for config, shards in FOLD_CELLS:
         engine = ShardedSamplerEngine(config, shards=shards, seed=7)
@@ -1043,6 +1049,15 @@ def evaluate_gates(report: dict) -> list[str]:
             f"{audit['p50_ratio']:.3f}x the audit-off "
             f"{audit['disabled']['p50_us']:.1f}us (> {MAX_AUDIT_P50_RATIO}x)"
         )
+    for row in report["fold"]["runs"]:
+        bound = MAX_FOLD_US.get((row["kind"], row["shards"]))
+        fold = row["fold_us"]
+        if bound is not None and fold["median"] > bound:
+            failures.append(
+                f"{row['kind']} K={row['shards']} fold median "
+                f"{fold['median']:.0f}us [q1 {fold['q1']:.0f}, q3 "
+                f"{fold['q3']:.0f}] exceeds {bound:.0f}us"
+            )
     telemetry = report["telemetry_overhead"]
     if telemetry["throughput_ratio"] < MIN_TELEMETRY_THROUGHPUT_RATIO:
         failures.append(

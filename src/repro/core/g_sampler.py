@@ -27,13 +27,14 @@ import copy
 import math
 import operator
 from array import array
+from itertools import accumulate
 
 import numpy as np
 
 from repro.core import ingest_kernel
 from repro.core.measures import Measure
 from repro.core.rejection import rejection_many
-from repro.core.reservoir import _WAKE_CAP, skip_next_replacement, skip_next_replacements
+from repro.core.reservoir import _WAKE_CAP, skip_next_replacement, skip_wakes
 from repro.core.types import SampleResult, as_item_array
 from repro.lifecycle.memory import INSTANCE_BYTES, RNG_STATE_BYTES, ndarray_bytes
 from repro.lifecycle.protocol import StaticLifecycleMixin
@@ -114,8 +115,12 @@ class SamplerPool(StaticLifecycleMixin):
 
     At most ``R`` items are tracked, since each is held by an instance.
     :meth:`update` (the executable spec) applies the rule to the buffer
-    in place; :meth:`update_batch` and :meth:`merge` hand it to C
-    without conversion, and every reader slices it.  Two caches derive
+    in place; :meth:`update_batch` and :meth:`fold` hand it to C
+    without conversion, and every reader slices it.  A time-window
+    generation's pool also keeps ``wall``, each instance's sampled
+    arrival time (float64; ``None`` for other pools): writers swap it
+    with the buffer and readers take the two under the RNG's lock, so
+    neither is ever paired with the other's older state.  Two caches derive
     from it: the per-instance finals, kept with the buffer they were
     read from and valid only while that buffer is the pool's (shared by
     clones), and :meth:`update`'s index of where each tracked item's
@@ -124,7 +129,7 @@ class SamplerPool(StaticLifecycleMixin):
     """
 
     __slots__ = ("_r", "_state", "_t", "_rng", "_heap_events", "_m_heap_events",
-                 "_finals", "_rows")
+                 "_finals", "_rows", "wall")
 
     def __init__(self, instances: int, seed: int | np.random.Generator | None = None,
                  *, registry: MetricsRegistry | None = None) -> None:
@@ -143,6 +148,7 @@ class SamplerPool(StaticLifecycleMixin):
         self._heap_events = 0
         self._finals = None
         self._rows = None
+        self.wall = None
         self.bind_metrics(registry if registry is not None else current_registry())
 
     def __deepcopy__(self, memo: dict) -> "SamplerPool":
@@ -154,12 +160,12 @@ class SamplerPool(StaticLifecycleMixin):
         memo entry placed by the caller substitutes for it.  Read under
         the RNG's lock, like :meth:`snapshot`, so a clone taken while
         another thread runs :meth:`update_batch` is the pool before or
-        after that call."""
+        after that call, :attr:`wall` included."""
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         rng = memo.get(id(self._rng))
         with self._rng.bit_generator.lock:
-            state, finals = self._state, self._finals
+            state, finals, wall = self._state, self._finals, self.wall
             clone._t = self._t
             clone._heap_events = self._heap_events
             if rng is None:
@@ -173,6 +179,7 @@ class SamplerPool(StaticLifecycleMixin):
             (clone._state, finals[1]) if finals is not None and finals[0] is state else None
         )
         clone._rows = None
+        clone.wall = None if wall is None else wall.copy()
         clone._rng = rng
         return clone
 
@@ -211,16 +218,16 @@ class SamplerPool(StaticLifecycleMixin):
     def _view(self) -> np.ndarray:
         return np.frombuffer(self._state, dtype=np.int64)
 
-    def stamp_arrivals(self, since: int, ts, wall: np.ndarray) -> None:
+    def stamp_arrivals(self, since: int, ts) -> None:
         """The arrival-stamp rule in Python: each instance whose sampled
         occurrence lies past position ``since`` gets that occurrence's
-        arrival time in ``wall`` (float64, one per instance), ``ts``
-        holding the arrival times of positions ``since + 1`` on.  The
-        compiled loop writes the same stamps event by event; the
-        time-window samplers call this after a scalar :meth:`update`."""
+        arrival time in :attr:`wall`, ``ts`` holding the arrival times
+        of positions ``since + 1`` on.  The compiled loop writes the
+        same stamps event by event; the time-window samplers call this
+        after a scalar :meth:`update`."""
         stamps = self._view()[_col(self._r, _STAMPS)]
         fresh = stamps > since
-        wall[fresh] = np.asarray(ts, dtype=np.float64)[stamps[fresh] - since - 1]
+        self.wall[fresh] = np.asarray(ts, dtype=np.float64)[stamps[fresh] - since - 1]
 
     def update(self, item: int) -> None:
         """The rule on the buffer in place (the executable spec the
@@ -333,36 +340,38 @@ class SamplerPool(StaticLifecycleMixin):
         scalar loop for a fixed seed)."""
         self.update_batch(as_item_array(items))
 
-    def update_batch(self, items, ts=None, wall=None) -> None:
+    def update_batch(self, items, ts=None) -> None:
         """Ingest a chunk of items through the compiled loop
         (:mod:`repro.core.ingest_kernel`): :meth:`update`'s rule in C,
         drawing from this pool's RNG, so for a fixed seed the post-batch
         state — counter insertion order and RNG included — is *bitwise
         identical* to the scalar ``update()`` loop.
 
-        A time-window generation also passes the items' arrival times
-        ``ts`` and its per-instance ``wall`` (float64): every instance
-        that adopts an item gets the item's arrival time written to
-        ``wall`` in place, as :meth:`stamp_arrivals` would after the
-        scalar loop.
+        A pool with a :attr:`wall` (a time-window generation's) also
+        takes the items' arrival times ``ts``: every instance that adopts
+        an item gets the item's arrival time in its :attr:`wall` entry,
+        as :meth:`stamp_arrivals` would after the scalar loop.
 
-        The loop runs with the GIL released, on a copy of the buffer
-        that replaces it whole afterwards, all under the RNG's lock
-        (which the loop's draws need anyway).  :meth:`snapshot` and
-        clones read under that lock and :meth:`finalize` reads one
-        buffer, so a reader on another thread sees the pool, RNG
-        included, before or after the call, never part-way.  Without the
-        compiled loop (no compiler) the chunk runs :meth:`update`'s rule.
+        The loop runs with the GIL released, on copies of the buffer and
+        the wall that replace them whole afterwards, all under the RNG's
+        lock (which the loop's draws need anyway).  :meth:`snapshot`,
+        clones and folds read under that lock and :meth:`finalize` reads
+        one buffer, so a reader on another thread sees the pool, RNG and
+        wall included, before or after the call, never part-way.
+        Without the compiled loop (no compiler) the chunk runs
+        :meth:`update`'s rule.
         """
         arr = np.ascontiguousarray(np.asarray(items, dtype=np.int64))
         if arr.ndim != 1:
             raise ValueError("update_batch expects a 1-d sequence of items")
-        if wall is not None:
+        if (ts is None) != (self.wall is None):
+            raise ValueError("arrival times go with a pool that keeps a wall, "
+                             "and only with one")
+        if ts is not None:
             ts = np.ascontiguousarray(ts, dtype=np.float64)
-            if ts.shape != arr.shape or np.shape(wall) != (self._r,):
+            if ts.shape != arr.shape:
                 raise ValueError(
-                    f"arrival stamps need one time per item ({arr.size}) and "
-                    f"one wall entry per instance ({self._r})"
+                    f"arrival stamps need one time per item ({arr.size})"
                 )
         if arr.size == 0:
             return
@@ -370,6 +379,7 @@ class SamplerPool(StaticLifecycleMixin):
         if ingest_kernel.kernel_impl() == "c":
             with self._rng.bit_generator.lock:
                 state = self._state[:]
+                wall = None if ts is None else self.wall.copy()
                 self._heap_events += ingest_kernel.run(
                     arr, self._t, self._r, state, self._rng, ts, wall
                 )
@@ -377,13 +387,15 @@ class SamplerPool(StaticLifecycleMixin):
                 # the position first, and a nonzero one means every
                 # instance of the buffer it then reads holds an item.
                 self._state = state
+                if wall is not None:
+                    self.wall = wall
                 self._t += int(arr.size)
                 self._finals = self._rows = None
         else:
             since = self._t
             self._feed(arr.tolist())
-            if wall is not None:
-                self.stamp_arrivals(since, ts, wall)
+            if ts is not None:
+                self.stamp_arrivals(since, ts)
         events = self._heap_events - before
         if events:
             self._m_heap_events.add(events)
@@ -460,6 +472,7 @@ class SamplerPool(StaticLifecycleMixin):
         # Skips __init__: restore sets every field, and a throwaway
         # default_rng() would read OS entropy only to be overwritten.
         pool = cls.__new__(cls)
+        pool.wall = None
         pool.bind_metrics(registry if registry is not None else current_registry())
         pool.restore(state)
         return pool
@@ -470,7 +483,8 @@ class SamplerPool(StaticLifecycleMixin):
         partition guarantees this; overlapping supports silently break the
         forward-count semantics).
 
-        Merged instance ``k`` keeps this pool's ``k``-th instance with
+        The two-pool :meth:`fold`, drawing from this pool's RNG: merged
+        instance ``k`` keeps this pool's ``k``-th instance with
         probability ``m₁/(m₁+m₂)``, else adopts ``other``'s — i.e. a
         uniform position over the concatenated stream.  Because item
         supports are disjoint, a kept instance's forward count in its own
@@ -481,61 +495,75 @@ class SamplerPool(StaticLifecycleMixin):
         a reservoir's next-replacement law depends only on its position.
 
         Returns the per-instance pick mask (``True`` where this pool's
-        instance was kept) so wrappers carrying side-channel per-instance
-        state (e.g. wall-clock adoption times) can merge it consistently.
+        instance was kept); a ``wall`` is merged by the same picks.
         """
-        if not isinstance(other, SamplerPool):
-            raise TypeError(f"cannot merge SamplerPool with {type(other).__name__}")
-        if other._r != self._r:
-            raise ValueError(
-                f"instance counts differ: {self._r} vs {other._r}"
-            )
-        m1, m2 = self._t, other._t
+        picks = self._fold([self, other])
+        return [True] * self._r if picks is None else (picks == 0).tolist()
+
+    @classmethod
+    def fold(cls, pools) -> "SamplerPool":
+        """One fresh pool holding the merge of ``pools`` (over disjoint
+        universe partitions; see :meth:`merge`), the inputs untouched.
+
+        The fold draws from a copy of the first pool's RNG: one block of
+        ``R`` uniforms ``u``, instance ``k`` taking the first pool ``j``
+        with ``u_k < C_j/Σm`` (``C_j`` the prefix sums of the pools'
+        positions ``m_j``), then one block of wakes redrawn at ``Σm``.
+        So instance ``k`` comes from pool ``j`` with probability
+        ``m_j/Σm``, the law ``K − 1`` pairwise merges give, and two pools
+        fold exactly as :meth:`merge` merges them.  When only one pool
+        holds items no coin is drawn, and when no pool past the first
+        does nothing is drawn at all."""
+        out = copy.deepcopy(pools[0])
+        out._fold([out, *pools[1:]])
+        return out
+
+    def _fold(self, pools: list["SamplerPool"]) -> np.ndarray | None:
+        """Fold ``pools`` (this pool first; each read under its RNG's
+        lock, like a clone) into this pool, drawing from its RNG; returns
+        each instance's pick, or ``None`` when no pool past the first
+        holds an item: then nothing is drawn and nothing changes."""
         r = self._r
-        if m2 == 0:
-            return [True] * r
-        total = m1 + m2
+        for other in pools[1:]:
+            if not isinstance(other, SamplerPool):
+                raise TypeError(f"cannot merge SamplerPool with {type(other).__name__}")
+            if other._r != r:
+                raise ValueError(f"instance counts differ: {r} vs {other._r}")
+        parts = []
+        for pool in pools:
+            with pool._rng.bit_generator.lock:
+                parts.append((pool._state, pool._t, pool._heap_events, pool.wall))
+        states, sizes, events, walls = zip(*parts)
+        total = sum(sizes)
+        if total == sizes[0]:
+            return None
         if total >= _WAKE_CAP:
             raise OverflowError(f"merged position {total} does not fit an int64")
+        # Pool j's stamps follow the streams of the pools before it.
+        shifts = array("q", accumulate(sizes[:-1], initial=0))
         # One coin block (the same floats as R scalar draws, in order),
         # then one batched draw for the schedule redrawn at the merged
         # length — bitwise R scalar skip_next_replacement calls.
-        if m1 > 0:
-            kept = self._rng.random(r) < m1 / total
+        fed = [j for j, size in enumerate(sizes) if size]
+        if len(fed) > 1:
+            # Python int division: exact thresholds past 2^53 too.
+            thresholds = np.array([c / total for c in shifts[1:]])
+            picks = thresholds.searchsorted(self._rng.random(r), side="right")
         else:
-            kept = np.zeros(r, dtype=bool)
-        wakes = array("q", skip_next_replacements([total] * r, self._rng))
+            picks = np.full(r, fed[0], dtype=np.int64)
+        wakes = skip_wakes(total, r, self._rng)
+        walls = None if walls[0] is None else np.concatenate(walls).reshape(len(pools), r)
         if ingest_kernel.kernel_impl() == "c":
-            state = ingest_kernel.merge(r, self._state, other._state, kept, wakes, m1)
+            state, wall = ingest_kernel.fold(r, states, shifts, picks, wakes, walls)
         else:
-            state = self._merged(other, kept.tolist(), wakes, m1)
-        self._state = state
-        self._t = total
-        self._heap_events += other._heap_events
-        self._finals = self._rows = None
-        return kept.tolist()
-
-    def _merged(self, other: "SamplerPool", kept: list[bool], wakes: array,
-                shift: int) -> array:
-        """:meth:`merge`'s buffer without the compiled loops: instance
-        ``k`` picks its side's ``(item, forward count, stamp)``; counts
-        (the largest picked forward count) and refs go in first-pick
-        order."""
-        mine = self.finalize()
-        theirs = [(item, count, shift + ts) for item, count, ts in other.finalize()]
-        picks = [mine[k] if keep else theirs[k] for k, keep in enumerate(kept)]
-        counts: dict[int, int] = {}
-        refs: dict[int, int] = {}
-        for item, count, __ in picks:
-            refs[item] = refs.get(item, 0) + 1
-            counts[item] = max(counts.get(item, 0), count)
-        return _build(
-            self._r, wakes, range(self._r),
-            items=[item for item, __, ___ in picks], live=1,
-            offsets=[counts[item] - count for item, count, __ in picks],
-            stamps=[ts for __, ___, ts in picks],
-            keys=list(counts), counts=list(counts.values()), refs=list(refs.values()),
-        )
+            state = _fold_rule(r, states, shifts, picks, wakes)
+            wall = None if walls is None else walls[picks, np.arange(r)]
+        with self._rng.bit_generator.lock:
+            self._state, self._t, self._heap_events = state, total, sum(events)
+            if wall is not None:
+                self.wall = wall
+            self._finals = self._rows = None
+        return picks
 
     def finalize(self) -> list[tuple[int, int, int]]:
         """Per-instance ``(item, count, timestamp)`` triples.
@@ -581,6 +609,21 @@ def clone_pool_first(sampler, memo: dict):
     return clone
 
 
+def fold_pool_backed(samplers):
+    """The merge of pool-backed samplers into a fresh one, the inputs
+    untouched: the first's fields (shared, so the caller replaces any it
+    mutates) with one :meth:`SamplerPool.fold` of the pools, whose RNG
+    (a copy of the first's) the fold's queries draw from."""
+    first = samplers[0]
+    for other in samplers[1:]:
+        first._check_foldable(other)
+    out = object.__new__(type(first))
+    out.__dict__.update(first.__dict__)
+    out._pool = SamplerPool.fold([sampler._pool for sampler in samplers])
+    out._rng = out._pool._rng
+    return out
+
+
 #: The columns of a pool's state buffer, each ``r`` long after the
 #: leading ``tracked`` count (the heap takes two: interleaved pairs).
 _SLOT, _LIVE, _OFFSETS, _STAMPS, _HEAP, _KEYS, _COUNTS, _REFS = 0, 1, 2, 3, 4, 6, 7, 8
@@ -610,6 +653,36 @@ def _build(r: int, heap_times, heap_slots, *, items, live, offsets, stamps,
     for col, values in ((_KEYS, keys), (_COUNTS, counts), (_REFS, refs)):
         v[_col(r, col, len(keys))] = values
     return state
+
+
+def _fold_rule(r: int, states: list[array], shifts: array, picks: np.ndarray,
+               wakes: array) -> array:
+    """:meth:`SamplerPool.fold`'s buffer without the compiled loops:
+    instance ``k`` takes pool ``picks[k]``'s ``(item, forward count,
+    stamp)``, the stamp shifted; counts (the largest picked forward
+    count) and refs go in first-pick order."""
+    count_of: dict[int, dict] = {}
+    items, forward, stamps = [], [], []
+    for k, j in enumerate(picks.tolist()):
+        s = states[j]
+        if j not in count_of:
+            n = s[0]
+            count_of[j] = dict(zip(s[_col(r, _KEYS, n)], s[_col(r, _COUNTS, n)]))
+        item = s[1 + _SLOT * r + k]
+        items.append(item)
+        forward.append(count_of[j][item] - s[1 + _OFFSETS * r + k])
+        stamps.append(s[1 + _STAMPS * r + k] + shifts[j])
+    counts: dict[int, int] = {}
+    refs: dict[int, int] = {}
+    for item, count in zip(items, forward):
+        refs[item] = refs.get(item, 0) + 1
+        counts[item] = max(counts.get(item, 0), count)
+    return _build(
+        r, wakes, range(r), items=items, live=1,
+        offsets=[counts[item] - count for item, count in zip(items, forward)],
+        stamps=stamps, keys=list(counts), counts=list(counts.values()),
+        refs=list(refs.values()),
+    )
 
 
 def _canonicalize(r: int, v: np.ndarray) -> None:
@@ -846,6 +919,15 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
         Exact under the same contract as :meth:`SamplerPool.merge`; the
         two samplers must use the same measure.
         """
+        self._check_foldable(other)
+        self._pool.merge(other._pool)
+
+    @classmethod
+    def fold(cls, samplers) -> "TrulyPerfectGSampler":
+        """The K-way :meth:`merge` (:func:`fold_pool_backed`)."""
+        return fold_pool_backed(samplers)
+
+    def _check_foldable(self, other) -> None:
         if not isinstance(other, TrulyPerfectGSampler):
             raise TypeError(
                 f"cannot merge TrulyPerfectGSampler with {type(other).__name__}"
@@ -856,7 +938,6 @@ class TrulyPerfectGSampler(StaticLifecycleMixin):
             raise ValueError(
                 f"measures differ: {self._measure.name} vs {other._measure.name}"
             )
-        self._pool.merge(other._pool)
 
     def __deepcopy__(self, memo: dict) -> "TrulyPerfectGSampler":
         return clone_pool_first(self, memo)

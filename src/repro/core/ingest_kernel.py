@@ -15,8 +15,9 @@ order.  The pool owns the buffer; this module only passes it to C:
   scalar loop would.  A time-window generation also hands it the
   chunk's arrival times and its per-instance wall-clock array, and each
   heap event stamps the adopted item's arrival time there;
-* :func:`merge` builds a merged buffer from two pools, the pick coins
-  and the redrawn wakes (the caller draws both, in the pool's order);
+* :func:`fold` builds the fold of K pools' buffers (and their walls)
+  from one pick per instance and the redrawn wakes (the caller draws
+  both, in the pool's order; a two-pool merge is the K = 2 fold);
 * :func:`forward_counts` reads each instance's forward count
   (``counts[item] − offset``, what ``finalize`` reports);
 * :func:`check` validates a buffer's structure (what ``restore``
@@ -32,7 +33,7 @@ hash of the source, the compiler and the platform
 A finished build lands by atomic rename, so processes racing to build
 it never load a partial file.  :func:`run` goes through ``ctypes.CDLL``,
 which releases the GIL for the call: pools ingesting on different
-threads run their loops in parallel.  The short calls (:func:`merge`,
+threads run their loops in parallel.  The short calls (:func:`fold`,
 :func:`forward_counts`, :func:`check`, :func:`count_union`) go through
 ``ctypes.PyDLL`` and keep the GIL, so they never wait to take it back.
 
@@ -64,8 +65,8 @@ import numpy as np
 from repro.obs.catalog import CATALOG_HELP
 
 __all__ = [
-    "bind_info", "check", "count_union", "forward_counts", "kernel_impl",
-    "merge", "run",
+    "bind_info", "check", "count_union", "fold", "forward_counts",
+    "kernel_impl", "run",
 ]
 
 #: The C source of the loop (shipped as package data).
@@ -125,7 +126,8 @@ def _load():
                 (lib, "repro_pool_ingest",
                  [ptr, i64, i64, i64, i64, ptr, _NEXT_DOUBLE, ptr, ptr, ptr]),
                 (short, "repro_pool_check", [i64, i64, ptr]),
-                (short, "repro_pool_merge", [i64, i64, ptr, ptr, ptr, ptr, i64, ptr]),
+                (short, "repro_pool_fold",
+                 [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
                 (short, "repro_pool_forward", [i64, i64, ptr, ptr]),
                 (short, "repro_count_union",
                  [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr]),
@@ -138,7 +140,7 @@ def _load():
             warnings.warn(
                 f"repro: the compiled pool ingest kernel is unavailable "
                 f"({type(exc).__name__}: {exc}); batched ingest runs the "
-                "scalar update() loop, and merge and restore run in Python",
+                "scalar update() loop, and fold and restore run in Python",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -148,7 +150,7 @@ def _load():
 
 def kernel_impl() -> str:
     """``"c"`` when the compiled loops run the pool's batched ingest,
-    merge, finals and structure check, else ``"python"`` (the scalar
+    fold, finals and structure check, else ``"python"`` (the scalar
     ``update()`` loop and the pool's Python rules)."""
     return "python" if (_lib if _loaded else _load()) is None else "c"
 
@@ -241,23 +243,36 @@ def forward_counts(r: int, state: array) -> array:
     return out
 
 
-def merge(r: int, mine: array, theirs: array, kept: np.ndarray,
-          wakes: array, shift: int) -> array:
-    """A new buffer holding the merge of pool buffers ``mine`` and
-    ``theirs``: instance ``k`` is ``mine``'s where ``kept[k]`` (a bool
-    array), else ``theirs``'s with its stamp shifted by ``shift``; the
-    heap is ``(wakes[k], k)``.  Inconsistent inputs (or an empty picked
-    instance) raise :class:`RuntimeError`; the inputs are only read."""
-    kept = np.ascontiguousarray(kept, dtype=np.bool_)
-    if not len(kept) == len(wakes) == r or len(theirs) != len(mine):
-        raise ValueError("merge inputs differ in shape")
-    out = array("q", bytes(8 * len(mine)))
-    code = _short.repro_pool_merge(
-        r, _room(mine, r), _address(mine), _address(theirs), kept.ctypes.data,
-        _address(wakes), shift, _address(out),
+def fold(r: int, states: list[array], shifts: array, picks: np.ndarray,
+         wakes: np.ndarray, walls: np.ndarray | None = None
+         ) -> tuple[array, np.ndarray | None]:
+    """The fold of the pool buffers ``states``, as a new buffer and
+    (with ``walls``, one row of float64 per buffer) a new wall: instance
+    ``i`` is ``states[picks[i]]``'s, its stamp shifted by
+    ``shifts[picks[i]]``, its wall entry ``walls[picks[i], i]``; the
+    heap is ``(wakes[i], i)``.  Inconsistent inputs (or a pick out of
+    range, or of an empty instance) raise :class:`RuntimeError`; the
+    inputs are only read."""
+    k = len(states)
+    size = len(states[0])
+    picks = np.ascontiguousarray(picks, dtype=np.int64)
+    wakes = np.ascontiguousarray(wakes, dtype=np.int64)
+    if walls is not None:
+        walls = np.ascontiguousarray(walls, dtype=np.float64)
+    if not (picks.shape == wakes.shape == (r,) and len(shifts) == k
+            and all(len(state) == size for state in states)
+            and (walls is None or walls.shape == (k, r))):
+        raise ValueError("fold inputs differ in shape")
+    out = array("q", bytes(8 * size))
+    wall_out = None if walls is None else np.empty(r)
+    code = _short.repro_pool_fold(
+        r, _room(out, r), k, (ctypes.c_void_p * k)(*map(_address, states)),
+        _address(shifts), _data(picks), _data(wakes),
+        None if walls is None else _data(walls),
+        None if wall_out is None else _data(wall_out), _address(out),
     )
-    _raise_for(code, "nothing was merged")
-    return out
+    _raise_for(code, "nothing was folded")
+    return out, wall_out
 
 
 def count_union(keys: np.ndarray, counts: np.ndarray, more_keys: np.ndarray,

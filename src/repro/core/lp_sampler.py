@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from repro.core.g_sampler import SamplerPool, clone_pool_first
+from repro.core.g_sampler import SamplerPool, clone_pool_first, fold_pool_backed
 from repro.core.measures import LpMeasure
 from repro.core.rejection import rejection_many
 from repro.core.types import SampleResult, as_item_array
@@ -180,15 +180,29 @@ class TrulyPerfectLpSampler(StaticLifecycleMixin):
         Misra–Gries summary certifies ``max_shards ‖f‖∞`` globally, so
         the rejection step stays truly perfect.
         """
+        self._check_foldable(other)
+        self._pool.merge(other._pool)
+        if self._mg is not None:
+            self._mg.merge(other._mg)
+
+    @classmethod
+    def fold(cls, samplers) -> "TrulyPerfectLpSampler":
+        """The K-way :meth:`merge` (:func:`fold_pool_backed`), the
+        Misra–Gries summaries merged in shard order."""
+        out = fold_pool_backed(samplers)
+        if out._mg is not None:
+            out._mg = copy.deepcopy(out._mg)
+            for other in samplers[1:]:
+                out._mg.merge(other._mg)
+        return out
+
+    def _check_foldable(self, other) -> None:
         if not isinstance(other, TrulyPerfectLpSampler):
             raise TypeError(
                 f"cannot merge TrulyPerfectLpSampler with {type(other).__name__}"
             )
         if other._p != self._p:
             raise ValueError(f"p differs: {self._p} vs {other._p}")
-        self._pool.merge(other._pool)
-        if self._mg is not None:
-            self._mg.merge(other._mg)
 
     def __deepcopy__(self, memo: dict) -> "TrulyPerfectLpSampler":
         return clone_pool_first(self, memo)

@@ -17,9 +17,10 @@
  * times `ts` (n doubles) and its per-instance `wall` (r doubles): each
  * event writes the adopted item's arrival time to wall[idx], the rule
  * SamplerPool.stamp_arrivals applies in Python.  Other pools pass NULL
- * for both.  repro_pool_merge builds the merge of two pools from the pick
- * coins and the redrawn wakes; repro_pool_forward computes each
- * instance's forward count; repro_pool_check validates a buffer.
+ * for both.  repro_pool_fold builds the fold of k pools from one pick
+ * per instance and the redrawn wakes (a two-pool merge is the k = 2
+ * fold); repro_pool_forward computes each instance's forward count;
+ * repro_pool_check validates a buffer.
  * repro_count_union is not a pool loop: it merges the sorted item-count
  * tables a time-window Lp generation keeps beside its pool.
  * While they run, tracked items live in an open-addressed table of
@@ -29,7 +30,7 @@
  * Built and loaded by repro.core.ingest_kernel.  No Python API is used.
  * Only repro_pool_ingest is called with the GIL released (through
  * ctypes.CDLL); the short entry points, repro_pool_check,
- * repro_pool_merge, repro_pool_forward and repro_count_union, are
+ * repro_pool_fold, repro_pool_forward and repro_count_union, are
  * loaded through ctypes.PyDLL and keep it.
  */
 #include <math.h>
@@ -289,40 +290,44 @@ int64_t repro_pool_ingest(const int64_t *items, int64_t n, int64_t t,
     return events;
 }
 
-/* Merge two r-instance pools into `out` (same layout, room rows):
- * instance k keeps `mine`'s k-th instance where kept[k], else adopts
- * `theirs`'s with its stamp shifted by `shift` (the length of `mine`'s
- * stream).  Each picked item's count is the largest picked forward
- * count, its refs the number of picks; both rows go in first-pick
- * order.  The heap is (wakes[k], k), heapified.  Returns 0, or load's
- * error code (also when a picked instance is empty) with `out`
- * untouched. */
-int64_t repro_pool_merge(int64_t r, int64_t room, const int64_t *mine,
-                         const int64_t *theirs, const unsigned char *kept,
-                         const int64_t *wakes, int64_t shift, int64_t *out) {
-    layout s[2] = {view((int64_t *)theirs, r, room), view((int64_t *)mine, r, room)};
+/* Fold k r-instance pools into `out` (same layout, room rows):
+ * instance i takes pool picks[i]'s i-th instance, its stamp shifted by
+ * shifts[picks[i]] (the length of the streams before that pool's).
+ * Each picked item's count is the largest picked forward count, its
+ * refs the number of picks; both rows go in first-pick order.  The heap
+ * is (wakes[i], i), heapified.  With `walls` (k rows of r doubles, one
+ * per pool) non-NULL, wall_out[i] = walls[picks[i] * r + i].  Returns
+ * 0, or load's error code (also when a pick is out of range or picks an
+ * empty instance) with `out` and `wall_out` untouched. */
+int64_t repro_pool_fold(int64_t r, int64_t room, int64_t k,
+                        const int64_t *const *states, const int64_t *shifts,
+                        const int64_t *picks, const int64_t *wakes,
+                        const double *walls, double *wall_out,
+                        int64_t *out) {
     layout o = view(out, r, room);
-    table in[2], merged;
-    int rc = load(&in[0], theirs, r, room);
-    if (rc) return rc;
-    rc = load(&in[1], mine, r, room);
-    if (rc) goto free_theirs;
-    for (int64_t k = 0; k < r; ++k)
-        if (!s[kept[k] != 0].live[k]) rc = -1;
-    if (rc || !open_table(&merged, room)) {
-        rc = rc ? rc : -2;
-        goto free_both;
+    table merged, *in = calloc((size_t)(k > 0 ? k : 1), sizeof(table));
+    int64_t loaded = 0, rc = in ? 0 : -2;
+    while (!rc && loaded < k) { /* a failed load frees its own table */
+        rc = load(&in[loaded], states[loaded], r, room);
+        if (!rc) ++loaded;
     }
+    for (int64_t i = 0; !rc && i < r; ++i)
+        if (picks[i] < 0 || picks[i] >= k
+            || !view((int64_t *)states[picks[i]], r, room).live[i])
+            rc = -1;
+    if (!rc && !open_table(&merged, room)) rc = -2;
+    if (rc) goto done;
     int64_t tracked = 0;
-    for (int64_t k = 0; k < r; ++k) {
-        int side = kept[k] != 0;
-        int64_t item = s[side].slot[k];
-        int64_t count = in[side].tab[ROW * find(&in[side], item) + COUNT]
-                        - s[side].offsets[k];
-        o.slot[k] = item;
-        o.live[k] = 1;
-        o.offsets[k] = count; /* the forward count, until the pass below */
-        o.stamps[k] = s[side].stamps[k] + (side ? 0 : shift);
+    for (int64_t i = 0; i < r; ++i) {
+        int64_t j = picks[i];
+        layout s = view((int64_t *)states[j], r, room);
+        int64_t item = s.slot[i];
+        int64_t count = in[j].tab[ROW * find(&in[j], item) + COUNT] - s.offsets[i];
+        o.slot[i] = item;
+        o.live[i] = 1;
+        o.offsets[i] = count; /* the forward count, until the pass below */
+        o.stamps[i] = s.stamps[i] + shifts[j];
+        if (walls) wall_out[i] = walls[j * r + i];
         int64_t e = find(&merged, item);
         if (e < 0) {
             insert(&merged, item, count, 1, tracked);
@@ -332,25 +337,24 @@ int64_t repro_pool_merge(int64_t r, int64_t room, const int64_t *mine,
             if (count > merged.tab[ROW * e + COUNT]) merged.tab[ROW * e + COUNT] = count;
         }
     }
-    for (int64_t k = 0; k < r; ++k)
-        o.offsets[k] = merged.tab[ROW * find(&merged, o.slot[k]) + COUNT] - o.offsets[k];
-    for (int64_t k = 0; k < tracked; ++k) {
-        int64_t e = find(&merged, o.keys[k]);
-        o.counts[k] = merged.tab[ROW * e + COUNT];
-        o.refs[k] = merged.tab[ROW * e + REFS];
+    for (int64_t i = 0; i < r; ++i)
+        o.offsets[i] = merged.tab[ROW * find(&merged, o.slot[i]) + COUNT] - o.offsets[i];
+    for (int64_t i = 0; i < tracked; ++i) {
+        int64_t e = find(&merged, o.keys[i]);
+        o.counts[i] = merged.tab[ROW * e + COUNT];
+        o.refs[i] = merged.tab[ROW * e + REFS];
     }
     out[0] = tracked;
-    for (int64_t k = 0; k < r; ++k) {
-        o.heap[2 * k] = wakes[k];
-        o.heap[2 * k + 1] = k;
+    for (int64_t i = 0; i < r; ++i) {
+        o.heap[2 * i] = wakes[i];
+        o.heap[2 * i + 1] = i;
     }
-    for (int64_t k = r / 2 - 1; k >= 0; --k)
-        sift(o.heap, r, k, o.heap[2 * k], o.heap[2 * k + 1]);
+    for (int64_t i = r / 2 - 1; i >= 0; --i)
+        sift(o.heap, r, i, o.heap[2 * i], o.heap[2 * i + 1]);
     free(merged.tab);
-free_both:
-    free(in[1].tab);
-free_theirs:
-    free(in[0].tab);
+done:
+    while (loaded > 0) free(in[--loaded].tab);
+    free(in);
     return rc;
 }
 

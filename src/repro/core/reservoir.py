@@ -19,7 +19,7 @@ __all__ = [
     "TimestampedReservoir",
     "KReservoir",
     "skip_next_replacement",
-    "skip_next_replacements",
+    "skip_wakes",
 ]
 
 
@@ -57,43 +57,23 @@ def _jump(t: int, u: float) -> int:
     return min(nxt, _WAKE_CAP) if t < _WAKE_CAP else nxt
 
 
-def skip_next_replacements(times, rng: np.random.Generator) -> list[int]:
-    """Chunk-at-a-time :func:`skip_next_replacement`: one batched uniform
-    draw for a whole sequence of positions.
+def skip_wakes(t: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` calls of :func:`skip_next_replacement` at one position
+    ``0 < t < 2^63 − 1``, from one batched uniform draw, as int64.
 
-    Bitwise identical to calling the scalar helper once per position in
-    order — positions ≤ 0 consume no draw (they replace at 1
-    unconditionally), and ``rng.random(n)`` hands out exactly the floats
-    ``n`` scalar ``rng.random()`` calls would.  The ceiling ``⌈t/u⌉`` is
-    one float64 division per position, exactly as the scalar
-    ``math.ceil(t / u)`` computes it; when a position reaches 2^53 or a
-    jump reaches 2^62 the same uniforms go through the scalar rule's
-    Python-int arithmetic (and its 2^63 − 1 cap) instead.
+    Bitwise identical to the scalar calls in order: ``rng.random(count)``
+    hands out exactly the floats ``count`` scalar ``rng.random()`` calls
+    would, and the ceiling ``⌈t/u⌉`` is one float64 division each,
+    exactly as the scalar ``math.ceil(t / u)`` computes it; when ``t``
+    reaches 2^53 or a jump reaches 2^62 the same uniforms go through the
+    scalar rule's Python-int arithmetic (and its 2^63 − 1 cap) instead.
     """
-    try:
-        ts = np.asarray(times, dtype=np.int64).reshape(-1)
-    except OverflowError:  # a position beyond int64: Python ints throughout
-        ts = np.array([int(t) for t in times], dtype=object)
-    drawing = ts > 0
-    count = int(np.count_nonzero(drawing))
-    if not count:
-        return [1] * ts.size
-    pos = ts if count == ts.size else ts[drawing]
     u = rng.random(count)
-    jumps = None
-    if pos.dtype == np.int64 and pos.max() < _EXACT_T and u.min() > 0.0:
-        ceil = np.ceil(pos / u)
-        if ceil.max() < _EXACT_JUMP:
-            jumps = np.maximum(ceil.astype(np.int64), pos + 1)
-    if jumps is None:
-        jumps = np.array(
-            [_jump(t, x) for t, x in zip(pos.tolist(), u.tolist())], dtype=object
-        )
-    if count == ts.size:
-        return jumps.tolist()
-    out = np.ones(ts.size, dtype=jumps.dtype)
-    out[drawing] = jumps
-    return out.tolist()
+    if t < _EXACT_T and u.min(initial=1.0) > 0.0:
+        ceil = np.ceil(t / u)
+        if ceil.max(initial=0.0) < _EXACT_JUMP:
+            return np.maximum(ceil.astype(np.int64), t + 1)
+    return np.array([_jump(t, x) for x in u.tolist()], dtype=np.int64)
 
 
 class TimestampedReservoir:

@@ -26,7 +26,7 @@ import copy
 
 from repro.lifecycle.codec import state_from_bytes, state_to_bytes
 from repro.lifecycle.envelope import Snapshot
-from repro.lifecycle.protocol import MergeableState, StreamSampler, supports_merge
+from repro.lifecycle.protocol import MergeableState, StreamSampler, fold_samplers, supports_merge
 
 __all__ = [
     "MergeableState",
@@ -55,16 +55,24 @@ def load_state(sampler, buf: bytes) -> None:
 
 def merged(samplers):
     """Fold a sequence of mergeable samplers into a fresh merged sampler,
-    leaving the inputs untouched (the first is deep-copied).
+    leaving the inputs untouched: one sampler is deep-copied, more go
+    through :func:`~repro.lifecycle.protocol.fold_samplers` (the kind's
+    ``fold``: one K-way pick per pool for the pool-backed kinds, a copy
+    of the first plus pairwise ``merge`` calls for the others).
 
     **RNG / determinism contract.**  The fold's RNG stream begins as a
-    copy of the first input's RNG state at fold time (the deep copy) and
-    is advanced by the merge draws; from then on it belongs to the
-    merged view alone.  Queries against the fold draw successive coins
-    from that private stream — they never re-seed from the live input's
-    RNG — so a *retained* fold answers repeated queries with fresh,
-    deterministic draws, while *re-folding* before every query resets
-    the stream and replays the same coins until the inputs ingest again.
+    copy of the first input's RNG state at fold time and is advanced by
+    the fold's draws; from then on it belongs to the merged view alone.
+    Each pool (a window generation's from a copy of its first
+    contributing shard's stream) draws one block of ``R`` pick coins and
+    one block of ``R`` wakes redrawn at the merged length, whatever the
+    shard count: two shards fold bitwise as the pairwise ``merge``, and
+    a fold where no shard past the first holds an item draws nothing.
+    Queries against the fold draw successive coins from that private
+    stream — they never re-seed from the live input's RNG — so a
+    *retained* fold answers repeated queries with fresh, deterministic
+    draws, while *re-folding* before every query resets the stream and
+    replays the same coins until the inputs ingest again.
     :class:`~repro.engine.ShardedSamplerEngine` builds its merged-view
     cache on the retained-fold behavior: it keeps one ``merged(...)``
     fold while no shard's epoch moves and calls ``merged(...)`` afresh
@@ -75,7 +83,6 @@ def merged(samplers):
     samplers = list(samplers)
     if not samplers:
         raise ValueError("nothing to merge")
-    out = copy.deepcopy(samplers[0])
-    for other in samplers[1:]:
-        out.merge(other)
-    return out
+    if len(samplers) == 1:
+        return copy.deepcopy(samplers[0])
+    return fold_samplers(samplers)

@@ -41,6 +41,12 @@ part of it (the engine probes them structurally):
 * ``compact`` must return a *positive* byte count whenever it changed
   any state that can influence an answer — the engine's merged-view
   cache keys invalidation on that signal;
+* ``fold(samplers) -> sampler`` — optional classmethod: the merge of
+  ``samplers`` (all of this kind, the first among them) into a fresh
+  sampler, the inputs only read.  The engine's ``merged`` calls it
+  through :func:`fold_samplers`; kinds without it fold as a deep copy
+  of the first plus ``merge`` of each other in turn.  The pool-backed
+  kinds implement it as one K-way pick per pool instead;
 * ``spawn_query_rng(rng) -> sampler`` — optional *query-view* hook for
   the serving layer (:mod:`repro.serving`): return a query-only clone
   of this sampler sharing (a copy of) its frozen state but drawing all
@@ -62,6 +68,7 @@ checks, and :class:`StreamSampler` extends it.
 
 from __future__ import annotations
 
+import copy
 from typing import Protocol, runtime_checkable
 
 __all__ = [
@@ -70,6 +77,7 @@ __all__ = [
     "WatermarkSkewError",
     "StaticLifecycleMixin",
     "supports_merge",
+    "fold_samplers",
     "conforms",
     "missing_hooks",
 ]
@@ -150,6 +158,19 @@ def supports_merge(sampler) -> bool:
     counts; the engine registry's ``mergeable`` trait records which
     kinds merge *meaningfully*)."""
     return isinstance(sampler, MergeableState)
+
+
+def fold_samplers(samplers):
+    """Fold ``samplers`` (a non-empty list) into a fresh sampler, the
+    inputs only read: the first one's kind's ``fold`` hook, else a deep
+    copy of the first and ``merge`` of each other in turn."""
+    fold = getattr(type(samplers[0]), "fold", None)
+    if fold is not None:
+        return fold(samplers)
+    out = copy.deepcopy(samplers[0])
+    for other in samplers[1:]:
+        out.merge(other)
+    return out
 
 
 def conforms(sampler) -> bool:

@@ -64,7 +64,6 @@ and are reported ``unsupported`` rather than silently "passing".
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from collections import deque
@@ -74,6 +73,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import stats as sps
 
+from repro.lifecycle.protocol import fold_samplers
 from repro.obs.catalog import CATALOG_HELP
 from repro.obs.metrics import current_registry
 from repro.obs.trace import span
@@ -513,10 +513,7 @@ class ShadowTruth:
                 "distinct-kind audit needs the exact regime "
                 "(raise exact_universe_max)",
             )
-        sketches = list(self._sketches.values())
-        merged = copy.deepcopy(sketches[0])
-        for other in sketches[1:]:
-            merged.merge(other)
+        merged = fold_samplers(list(self._sketches.values()))
         d = merged.error_bound()
         heavy = {i: est for i, est in merged.items().items() if est > d}
         if not heavy:

@@ -42,7 +42,7 @@ class _ArrivalClock:
     Ingestion takes bare items and stamps each with its arrival index;
     there is no wall clock, so ``watermark`` is ``None`` and ``compact``
     is a no-op, and no global arrival order across shards, so ``merge``
-    refuses.
+    and ``fold`` refuse.
     """
 
     #: The engine's timed ingest probes ``validate_batch``; a count
@@ -86,12 +86,29 @@ class _ArrivalClock:
         return 0
 
     def merge(self, other) -> None:
+        self.fold([self, other])
+
+    @classmethod
+    def fold(cls, samplers) -> None:
         raise ValueError(
-            f"{type(self).__name__} does not merge: count-based windows "
+            f"{cls.__name__} does not merge: count-based windows "
             "have no global arrival order across shards — use the "
             "time-based samplers in repro.windows for mergeable windowed "
             "sampling"
         )
+
+    def _window_linf(self, gen) -> int:
+        """The Lp normalizer's window ``‖f‖∞`` bound, tightened by the
+        count: the window is the last ``W`` updates, the newer
+        generation ``N`` holds the last ``|N| ≤ W`` of them and the
+        older one ``O`` all of them, so item ``i`` occurs in the window
+        at most ``min(f_i(O), f_i(N) + W − |N|)`` times.  With one
+        generation (or for another ``gen``) the time-window bound."""
+        gens = self._generations
+        if len(gens) < 2 or gen is not gens[0]:
+            return super()._window_linf(gen)
+        newer = gens[1]
+        return gen.aux.capped_linf(newer.aux, self.window - newer.pool.position)
 
     def _config_fingerprint(self) -> dict:
         fingerprint = super()._config_fingerprint()

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.measures import Measure
 from repro.core.types import SampleResult, as_timed_arrays
 from repro.lifecycle.memory import INSTANCE_BYTES
+from repro.lifecycle.protocol import fold_samplers
 from repro.obs.catalog import CATALOG_HELP
 from repro.obs.metrics import current_registry
 from repro.windows.chunking import as_timed_chunk, parsing
@@ -391,6 +392,33 @@ class WindowBank:
     def merge(self, other: "WindowBank") -> None:
         """Member-wise merge of two banks fed disjoint universe
         partitions over the same wall clock."""
+        self._check_foldable(other)
+        for horizon in self._resolutions:
+            self._pool_samplers[horizon].merge(other._pool_samplers[horizon])
+            if horizon in self._f0_samplers:
+                self._f0_samplers[horizon].merge(other._f0_samplers[horizon])
+
+    @classmethod
+    def fold(cls, banks) -> "WindowBank":
+        """The K-way merge of shard banks into a fresh bank, the inputs
+        untouched, rung by rung: each member is its kind's fold (one
+        K-way pick per generation for the pool rungs)."""
+        first = banks[0]
+        for other in banks[1:]:
+            first._check_foldable(other)
+        out = object.__new__(cls)
+        out.__dict__.update(first.__dict__)
+        out._pool_samplers = {
+            h: fold_samplers([bank._pool_samplers[h] for bank in banks])
+            for h in first._pool_samplers
+        }
+        out._f0_samplers = {
+            h: fold_samplers([bank._f0_samplers[h] for bank in banks])
+            for h in first._f0_samplers
+        }
+        return out
+
+    def _check_foldable(self, other) -> None:
         if not isinstance(other, WindowBank):
             raise TypeError(f"cannot merge WindowBank with {type(other).__name__}")
         if other._resolutions != self._resolutions:
@@ -399,7 +427,3 @@ class WindowBank:
             )
         if set(other._f0_samplers) != set(self._f0_samplers):
             raise ValueError("banks disagree on F0 members")
-        for horizon in self._resolutions:
-            self._pool_samplers[horizon].merge(other._pool_samplers[horizon])
-            if horizon in self._f0_samplers:
-                self._f0_samplers[horizon].merge(other._f0_samplers[horizon])

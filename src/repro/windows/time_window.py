@@ -170,17 +170,35 @@ class _SuffixLinf:
     def add_sorted(self, ordered: np.ndarray) -> None:
         """:meth:`update` with each of ``ordered`` (ascending int64): one
         merge of the chunk into the table."""
-        self._absorb(ordered, None)
-
-    def _absorb(self, keys: np.ndarray, counts: np.ndarray | None) -> None:
-        self._keys, self._counts, top = _count_union(
-            self._keys, self._counts, keys, counts
-        )
+        self._keys, self._counts, top = _count_union(self._keys, self._counts, ordered)
         if top > self._max:
             self._max = top
 
+    @classmethod
+    def union(cls, tables: list["_SuffixLinf"]) -> "_SuffixLinf":
+        """The tables of shards' substreams as one table: every key's
+        counts summed, in one merge of their concatenation."""
+        keys = np.concatenate([table._keys for table in tables])
+        counts = np.concatenate([table._counts for table in tables])
+        order = np.argsort(keys, kind="stable")
+        out = object.__new__(cls)
+        out._keys, out._counts, out._max = _count_union(
+            keys[:0], counts[:0], keys[order], counts[order]
+        )
+        return out
+
     def linf(self) -> int:
         return self._max
+
+    def capped_linf(self, newer: "_SuffixLinf", spare: int) -> int:
+        """``max_i min(f_i, g_i + spare)``, ``f`` this table's counts and
+        ``g`` the ``newer`` table's (0 for a key it lacks)."""
+        __, mine, theirs = np.intersect1d(
+            self._keys, newer._keys, assume_unique=True, return_indices=True
+        )
+        inner = np.zeros_like(self._counts)
+        inner[mine] = newer._counts[theirs]
+        return int(np.minimum(self._counts, inner + spare).max(initial=0))
 
     def approx_size_bytes(self) -> int:
         return INSTANCE_BYTES + ndarray_bytes(self._keys) + ndarray_bytes(self._counts)
@@ -204,32 +222,24 @@ class _SuffixLinf:
         self._keys = keys
         self._counts = counts
 
-    def merge(self, other: "_SuffixLinf") -> None:
-        self._absorb(other._keys, other._counts)
-
 
 class _TimeGeneration:
     """A reservoir pool over all updates since a time-bucket boundary."""
 
-    __slots__ = ("pool", "bucket", "wall", "aux")
+    __slots__ = ("pool", "bucket", "aux")
 
-    def __init__(self, pool: SamplerPool, bucket: int, instances: int, aux) -> None:
+    def __init__(self, pool: SamplerPool, bucket: int, aux) -> None:
         self.pool = pool
         self.bucket = bucket
-        # Wall-clock arrival time of each instance's sampled occurrence
-        # (float64); filled at the first update (every instance replaces
-        # at position 1).
-        self.wall = np.full(instances, -math.inf)
         self.aux = aux  # per-substream normalizer state (Lp: _SuffixLinf)
 
     def __deepcopy__(self, memo: dict) -> "_TimeGeneration":
-        """Clone at state cost: the pool and aux through their own
-        clones, ``wall`` by an array copy."""
+        """Clone at state cost: the pool (its buffer and ``wall`` read
+        as one pair) and aux through their own clones."""
         clone = object.__new__(_TimeGeneration)
         memo[id(self)] = clone
         clone.pool = copy.deepcopy(self.pool, memo)
         clone.bucket = self.bucket
-        clone.wall = self.wall.copy()
         clone.aux = copy.deepcopy(self.aux, memo)
         return clone
 
@@ -326,7 +336,7 @@ class _TimeWindowPoolSampler:
         return (
             INSTANCE_BYTES
             + gen.pool.approx_size_bytes()
-            + ndarray_bytes(gen.wall)
+            + ndarray_bytes(gen.pool.wall)
             + aux
         )
 
@@ -392,8 +402,9 @@ class _TimeWindowPoolSampler:
             blank = self._blank = SamplerPool(
                 self._instances, self._rng, registry=self._registry
             )
+            blank.wall = np.full(self._instances, -math.inf)
         pool = copy.deepcopy(blank, {id(blank._rng): self._gen_rng(bucket)})
-        return _TimeGeneration(pool, bucket, self._instances, self._make_aux())
+        return _TimeGeneration(pool, bucket, self._make_aux())
 
     def _ensure_generation(self, bucket: int) -> None:
         if not self._generations or bucket > self._generations[-1].bucket:
@@ -416,7 +427,7 @@ class _TimeWindowPoolSampler:
             gen.pool.update(item)
             self._aux_ingest_one(gen.aux, item)
             if gen.pool.heap_events != old_events:
-                gen.pool.stamp_arrivals(old_pos, (ts,), gen.wall)
+                gen.pool.stamp_arrivals(old_pos, (ts,))
         self._t += 1
         self._now = ts
         self._last_arrival = ts
@@ -457,13 +468,13 @@ class _TimeWindowPoolSampler:
         exactly the scalar loop's items, its RNG stream is keyed by its
         bucket (not birth order), and the pool kernel is cut-invariant.
 
-        The suffix call carries the suffix's arrival times and a copy of
-        the generation's ``wall``: the compiled loop stamps each adopted
-        item's arrival time into the copy as it adopts it (the Python
-        rule, :meth:`SamplerPool.stamp_arrivals`, when there is no
-        compiler), and the copy replaces ``wall`` right after the pool
-        swapped in its new buffer.  The bucket cuts cost a binary search
-        per bucket the chunk enters, not a pass over the chunk.
+        The suffix call carries the suffix's arrival times: the compiled
+        loop stamps each adopted item's arrival time into a copy of the
+        generation's ``wall`` as it adopts it (the Python rule,
+        :meth:`SamplerPool.stamp_arrivals`, when there is no compiler),
+        and the pool swaps the copy in with its new buffer, under one
+        lock.  The bucket cuts cost a binary search per bucket the chunk
+        enters, not a pass over the chunk.
         """
         buckets, cuts = bucket_cuts(ts, self._horizon)
         plan = [(gen.bucket, gen, 0) for gen in self._generations]
@@ -474,9 +485,7 @@ class _TimeWindowPoolSampler:
         for bucket, gen, start in plan[-2:]:
             if gen is None:
                 gen = self._new_generation(bucket)
-            wall = gen.wall.copy()
-            gen.pool.update_batch(arr[start:], ts[start:], wall)
-            gen.wall = wall
+            gen.pool.update_batch(arr[start:], ts[start:])
             kept.append((gen, start))
         self._aux_ingest(arr, [(gen.aux, start) for gen, start in kept])
         self._generations = [gen for gen, __ in kept]
@@ -520,7 +529,7 @@ class _TimeWindowPoolSampler:
             return SampleResult.empty()
         zeta = self._zeta(gen)
         coins = self._rng.random(len(finals))
-        for (item, count, __), coin, wall in zip(finals, coins, gen.wall.tolist()):
+        for (item, count, __), coin, wall in zip(finals, coins, gen.pool.wall.tolist()):
             if wall <= window_start:
                 continue  # the sampled position has expired
             weight = self._weight(count)
@@ -559,12 +568,12 @@ class _TimeWindowPoolSampler:
             return [SampleResult.empty() for __ in range(k)]
         zeta = self._zeta(gen)
         weights = [self._weight(c) for __, c, __ in finals]
-        active = gen.wall > window_start
+        active = gen.pool.wall > window_start
 
         def make(j: int) -> SampleResult:
             item, count, __ = finals[j]
             return SampleResult.of(
-                item, count=count, timestamp=float(gen.wall[j]), zeta=zeta
+                item, count=count, timestamp=float(gen.pool.wall[j]), zeta=zeta
             )
 
         return rejection_many(
@@ -596,7 +605,7 @@ class _TimeWindowPoolSampler:
         for i, gen in enumerate(self._generations):
             entry = {
                 "bucket": gen.bucket,
-                "wall": gen.wall.copy(),
+                "wall": gen.pool.wall.copy(),
                 "pool": gen.pool.snapshot(),
             }
             if gen.aux is not None:
@@ -655,7 +664,6 @@ class _TimeWindowPoolSampler:
                 gen = _TimeGeneration(
                     SamplerPool.from_snapshot(entry["pool"], self._registry),
                     int(entry["bucket"]),
-                    self._instances,
                     self._make_aux(),
                 )
                 if gen.pool.instances != self._instances:
@@ -665,12 +673,13 @@ class _TimeWindowPoolSampler:
                     )
                 if gens and gen.bucket <= gens[-1].bucket:
                     raise ValueError("generation buckets must ascend")
-                gen.wall = np.array(entry["wall"], dtype=np.float64)
-                if gen.wall.shape != (self._instances,):
+                wall = np.array(entry["wall"], dtype=np.float64)
+                if wall.shape != (self._instances,):
                     raise ValueError(
-                        f"generation {i} wall has shape {gen.wall.shape}, "
+                        f"generation {i} wall has shape {wall.shape}, "
                         f"not ({self._instances},)"
                     )
+                gen.pool.wall = wall
                 if gen.aux is not None:
                     gen.aux.restore(entry["aux"])
                 gens.append(gen)
@@ -687,76 +696,91 @@ class _TimeWindowPoolSampler:
                 "_blank": None,
             }
 
-    def _contribution(self, gens: list[_TimeGeneration], bucket: int):
-        """A sampler's substream-since-``bucket·H`` generation.
+    def _contribution(self, bucket: int) -> _TimeGeneration | None:
+        """This sampler's substream-since-``bucket·H`` generation, or
+        ``None`` when this sampler has no update since ``bucket·H`` at
+        all (an empty contribution).
 
         Exact bucket match when present.  When absent but a *later*
-        generation exists, that later generation IS the contribution:
-        generations are created on the first update of a new bucket and
-        the two newest buckets are kept, so lacking bucket ``b`` while
-        holding bucket ``b' > b`` means zero updates arrived in
-        ``[bH, b'H)`` — the gen-``b'`` pool covers exactly the updates
-        since ``bH``.  Returns ``(generation, borrowed)``; a borrowed
-        generation must be copied before mutation (its original still
-        serves its own bucket).  ``(None, False)`` means this sampler
-        has no update since ``bH`` at all — an empty contribution.
+        generation exists, that later generation IS the contribution
+        (borrowed): generations are created on the first update of a new
+        bucket and the two newest buckets are kept, so lacking bucket
+        ``b`` while holding bucket ``b' > b`` means zero updates arrived
+        in ``[bH, b'H)`` — the gen-``b'`` pool covers exactly the
+        updates since ``bH``.
         """
-        for gen in gens:  # ascending buckets
-            if gen.bucket == bucket:
-                return gen, False
-            if gen.bucket > bucket:
-                return gen, True
-        return None, False
+        for gen in self._generations:  # ascending buckets
+            if gen.bucket >= bucket:
+                return gen
+        return None
 
     def merge(self, other) -> None:
         """Absorb a sampler fed a disjoint universe partition over the
-        *same wall clock* (shards of one timestamped stream).
+        *same wall clock* (shards of one timestamped stream): this
+        sampler's generations become those of the two-sampler
+        :meth:`fold`."""
+        self._absorb([self, other])
+
+    @classmethod
+    def fold(cls, samplers) -> "_TimeWindowPoolSampler":
+        """The K-way merge of shards of one timestamped stream into a
+        fresh sampler, the inputs untouched.
 
         Generations align by time bucket — boundaries are absolute
         multiples of the horizon, so the ``k``-th bucket means the same
-        interval on every shard.  Bucket-wise, each side contributes its
-        substream-since-the-boundary pool (see :meth:`_contribution` —
-        a shard quiet since the boundary contributes its next generation
-        or nothing) and the pools merge by the exact uniform-position
-        rule, so every merged generation covers *all* updates of both
-        shards since its absolute start and the covering property is
-        inherited.
-        """
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
-        for key, mine in self._config_fingerprint().items():
-            theirs = other._config_fingerprint()[key]
-            if theirs != mine:
-                raise ValueError(f"{key} differs: {mine!r} vs {theirs!r}")
-        buckets = {gen.bucket for gen in self._generations}
-        buckets |= {gen.bucket for gen in other._generations}
-        merged: list[_TimeGeneration] = []
-        # Ascending order matters: a borrowed generation is copied before
-        # the loop reaches (and mutates) it at its own bucket.
-        for bucket in sorted(buckets)[-2:]:
-            gen, gen_borrowed = self._contribution(self._generations, bucket)
-            theirs, __ = self._contribution(other._generations, bucket)
-            if gen is None:
-                gen = copy.deepcopy(theirs)
-                gen.bucket = bucket
-                gen.pool.bind_metrics(self._registry)
-                merged.append(gen)
-                continue
-            if gen_borrowed:
-                gen = copy.deepcopy(gen)
-                gen.bucket = bucket
-            if theirs is not None:
-                picks = gen.pool.merge(theirs.pool)
-                gen.wall = np.where(picks, gen.wall, theirs.wall)
-                if gen.aux is not None:
-                    gen.aux.merge(theirs.aux)
-            merged.append(gen)
-        self._generations = merged
-        self._t += other._t
-        self._now = max(self._now, other._now)
-        self._last_arrival = max(self._last_arrival, other._last_arrival)
+        interval on every shard.  Bucket-wise, each shard contributes its
+        substream-since-the-boundary generation (see
+        :meth:`_contribution` — a shard quiet since the boundary
+        contributes its next generation or nothing), and the
+        contributions fold once by the exact uniform-position rule
+        (:meth:`SamplerPool.fold`, drawing from a copy of the first
+        contribution's stream; ``wall`` gathered by the same picks, the
+        Lp count tables unioned), so every folded generation covers
+        *all* updates since its absolute start and the covering property
+        is inherited.  The fold's query RNG is a copy of the first
+        sampler's."""
+        first = samplers[0]
+        out = object.__new__(cls)
+        out.__dict__.update(first.__dict__)
+        with first._rng.bit_generator.lock:
+            out._rng = generator_from_state(first._rng.bit_generator.state)
+        out._blank = None
+        out._absorb(samplers)
+        return out
+
+    def _absorb(self, samplers) -> None:
+        """Set this sampler's generations and clock to the fold of
+        ``samplers`` (which it may be among; they are only read)."""
+        first = samplers[0]
+        fingerprint = first._config_fingerprint()
+        for other in samplers[1:]:
+            if type(other) is not type(first):
+                raise TypeError(
+                    f"cannot merge {type(first).__name__} with {type(other).__name__}"
+                )
+            for key, theirs in other._config_fingerprint().items():
+                if theirs != fingerprint[key]:
+                    raise ValueError(f"{key} differs: {fingerprint[key]!r} vs {theirs!r}")
+        buckets = sorted({gen.bucket for s in samplers for gen in s._generations})
+        self._generations = [
+            self._fold_generation(bucket, [s._contribution(bucket) for s in samplers])
+            for bucket in buckets[-2:]
+        ]
+        self._t = sum(s._t for s in samplers)
+        self._now = max(s._now for s in samplers)
+        self._last_arrival = max(s._last_arrival for s in samplers)
+
+    def _fold_generation(self, bucket: int, parts: list) -> _TimeGeneration:
+        """One generation at ``bucket`` from the shards' contributions
+        (``None`` for an empty one)."""
+        gens = [gen for gen in parts if gen is not None]
+        pool = SamplerPool.fold([gen.pool for gen in gens])
+        if parts[0] is None:
+            pool.bind_metrics(self._registry)
+        aux = gens[0].aux
+        if aux is not None:
+            aux = _SuffixLinf.union([gen.aux for gen in gens])
+        return _TimeGeneration(pool, bucket, aux)
 
 
 class TimeWindowGSampler(_TimeWindowPoolSampler):
@@ -888,8 +912,13 @@ class TimeWindowLpSampler(_TimeWindowPoolSampler):
             gen = self._covering_generation()
         if gen is None or gen.aux is None:
             return 1.0
-        z = max(1.0, float(gen.aux.linf()))
+        z = max(1.0, float(self._window_linf(gen)))
         return z**self._p - (z - 1.0) ** self._p
+
+    def _window_linf(self, gen: _TimeGeneration) -> int:
+        """A certified bound on the active window's ``‖f‖∞`` when
+        ``gen`` covers it: ``gen``'s exact suffix-``‖f‖∞``."""
+        return gen.aux.linf()
 
     def _zeta(self, gen: _TimeGeneration) -> float:
         return self.normalizer(gen)

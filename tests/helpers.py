@@ -26,9 +26,12 @@ __all__ = [
     "chunked_window_feeds",
     "f0_state",
     "gappy_timed_stream",
+    "kway_folds",
     "pool_columns",
     "reference_pool_merge",
     "replay_timed",
+    "staggered_stream",
+    "staggered_window_shards",
 ]
 
 
@@ -95,6 +98,69 @@ def chunked_window_feeds() -> dict[str, bytes]:
     }
     cuts = range(0, len(items), 300)
     return {kind: replay_timed(make(), items, ts, cuts) for kind, make in makers.items()}
+
+
+#: Which 10-second buckets each of three shards receives updates in:
+#: shard 0 keeps generations 1 and 3, shard 1 keeps 0 and 2, shard 2
+#: keeps 0.  At the last two buckets (2 and 3) shard 0 lends bucket 3's
+#: generation to bucket 2, and shards 1 and 2 have nothing at bucket 3.
+STAGGERED_BUCKETS = ({0, 1, 3}, {0, 2}, {0})
+STAGGERED_N = 30
+
+
+def staggered_stream(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One timestamped stream over ``[0, 40)`` of Zipf ids in
+    ``[0, 30)``, kept only where :data:`STAGGERED_BUCKETS` lets the
+    id's shard (``id % 3``) receive it: the union of what
+    :func:`staggered_window_shards` feeds."""
+    rng = np.random.default_rng(seed)
+    items = ((rng.zipf(1.2, size=1200) - 1) % STAGGERED_N).astype(np.int64)
+    ts = np.sort(rng.uniform(0.0, 40.0, size=items.size))
+    keep = [int(t // 10.0) in STAGGERED_BUCKETS[item % 3]
+            for item, t in zip(items.tolist(), ts.tolist())]
+    return items[keep], ts[keep]
+
+
+def staggered_window_shards(make, seed: int, shards=(0, 1, 2)) -> list:
+    """``make(j)`` (a fresh time-window sampler or bank for shard ``j``)
+    fed shard ``j``'s part of :func:`staggered_stream`, for each ``j`` in
+    ``shards`` (in that order)."""
+    items, ts = staggered_stream(seed)
+    out = []
+    for j in shards:
+        sampler = make(j)
+        mine = items % 3 == j
+        sampler.update_batch(items[mine], ts[mine])
+        out.append(sampler)
+    return out
+
+
+def kway_folds() -> dict[str, bytes]:
+    """``save_state`` of K-way folds: four pools (one empty), and three
+    staggered ``tw_g`` shards and ``window_bank`` shards (Lp rungs with
+    their count tables, F0 rungs on a shared subset seed): what the
+    compiled and the Python fold rules must agree on."""
+    from repro.core.g_sampler import SamplerPool
+    from repro.engine.state import merged
+
+    pools = []
+    for j, m in enumerate((700, 0, 1300, 90)):
+        pool = SamplerPool(16, seed=40 + j)
+        pool.update_batch(np.arange(m, dtype=np.int64) % (50 + j) + 1000 * j)
+        pools.append(pool)
+    makers = {
+        "tw_g": lambda j: TimeWindowGSampler(
+            HuberMeasure(1.0), horizon=10.0, instances=16, seed=50 + j
+        ),
+        "window_bank": lambda j: WindowBank(
+            (10.0, 20.0), p=2.0, n=STAGGERED_N, instances=16, seed=60 + j, f0_seed=7
+        ),
+    }
+    return {
+        "pools": save_state(SamplerPool.fold(pools)),
+        **{kind: save_state(merged(staggered_window_shards(make, seed=9)))
+           for kind, make in makers.items()},
+    }
 
 
 #: The snapshot fields of one Algorithm-5 F0 copy that ingest sets: the

@@ -32,10 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from helpers import chunked_window_feeds, pool_columns
+from helpers import chunked_window_feeds, kway_folds, pool_columns
 from repro.core import ingest_kernel
 from repro.core.g_sampler import SamplerPool
-from repro.core.reservoir import skip_next_replacement, skip_next_replacements
+from repro.core.reservoir import skip_next_replacement, skip_wakes
 from repro.engine import ShardedSamplerEngine
 from repro.engine.state import load_state, save_state, state_to_bytes
 from repro.obs import MetricsRegistry, use_registry
@@ -204,18 +204,15 @@ def test_adversarial_chunks_match_scalar(name):
 
 
 class TestScalarKernelContracts:
-    def test_skip_next_replacements_bitwise(self):
-        # The vectorized skip helper must consume the RNG stream exactly
-        # as the scalar helper would — same jumps, same end state.
+    def test_skip_wakes_bitwise(self):
+        # The batched wake draw must consume the RNG stream exactly as
+        # the scalar helper would — same jumps, same end state.
         for seed in range(6):
-            times = np.random.default_rng(100 + seed).integers(
-                1, 10_000, size=257
-            )
+            t = int(np.random.default_rng(100 + seed).integers(1, 10_000))
             rng_a = np.random.default_rng(seed)
             rng_b = np.random.default_rng(seed)
-            scalar = [skip_next_replacement(int(t), rng_a) for t in times]
-            batched = skip_next_replacements(times, rng_b)
-            assert list(batched) == scalar
+            scalar = [skip_next_replacement(t, rng_a) for __ in range(257)]
+            assert skip_wakes(t, 257, rng_b).tolist() == scalar
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -641,26 +638,29 @@ def test_compiled_loop_rejects_inconsistent_state_untouched(fault):
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-@pytest.mark.parametrize("fault", ["refs-too-low", "empty-pick"])
-def test_compiled_merge_rejects_inconsistent_input_untouched(fault):
-    """The C merge checks both buffers, and that every picked instance
-    holds an item, before writing: a bad input raises and both buffers
-    stay as they were."""
-    mine, theirs = _fed_pool(), SamplerPool(8, seed=5)
-    theirs.update_batch(_zipf(300, 30, seed=47) + 1000)
-    a, b = mine._state[:], theirs._state[:]
-    r = mine.instances
-    kept = np.zeros(r, dtype=bool)
-    wakes = array("q", range(900, 900 + r))
+@pytest.mark.parametrize("fault", ["refs-too-low", "empty-pick", "pick-out-of-range"])
+def test_compiled_fold_rejects_inconsistent_input_untouched(fault):
+    """The C fold checks every buffer, and that every pick names an
+    input whose instance holds an item, before writing: a bad input
+    raises and every buffer stays as it was."""
+    pools = [_fed_pool(), SamplerPool(8, seed=5), SamplerPool(8, seed=9)]
+    pools[1].update_batch(_zipf(300, 30, seed=47) + 1000)
+    pools[2].update_batch(_zipf(200, 30, seed=48) + 2000)
+    states = [pool._state[:] for pool in pools]
+    r = pools[0].instances
+    picks = np.arange(r, dtype=np.int64) % 3
+    wakes = np.arange(900, 900 + r, dtype=np.int64)
+    shifts = array("q", [0, 300, 600])
     if fault == "refs-too-low":
-        b[1 + 8 * r] -= 1  # the first tracked item's refs
+        states[2][1 + 8 * r] -= 1  # the first tracked item's refs
+    elif fault == "empty-pick":
+        states[0] = SamplerPool(r, seed=6)._state[:]  # no instance holds an item
     else:
-        a = SamplerPool(r, seed=6)._state[:]  # no instance holds an item
-        kept[0] = True
-    copies = a[:], b[:]
-    with pytest.raises(RuntimeError, match="nothing was merged"):
-        ingest_kernel.merge(r, a, b, kept, wakes, mine.position)
-    assert (a, b) == copies
+        picks[1] = 3
+    copies = [state[:] for state in states]
+    with pytest.raises(RuntimeError, match="nothing was folded"):
+        ingest_kernel.fold(r, states, shifts, picks, wakes)
+    assert states == copies
 
 
 _FALLBACK_SCRIPT = """
@@ -675,7 +675,7 @@ ingest_kernel._build_library = no_compiler
 from repro.core.g_sampler import SamplerPool
 from repro.engine.state import save_state
 from repro.obs import MetricsRegistry
-from helpers import chunked_window_feeds, pool_columns
+from helpers import chunked_window_feeds, kway_folds, pool_columns
 
 items = np.asarray(json.loads(sys.argv[1]), dtype=np.int64)
 with warnings.catch_warnings(record=True) as caught:
@@ -707,6 +707,7 @@ for fault in ("refs", "slot", "duplicate", "untracked"):
     except ValueError:
         rejected += 1
 windows = {kind: state.hex() for kind, state in chunked_window_feeds().items()}
+folds = {kind: state.hex() for kind, state in kway_folds().items()}
 print(json.dumps({
     "impl": ingest_kernel.kernel_impl(),
     "warnings": [str(w.message) for w in caught
@@ -719,6 +720,7 @@ print(json.dumps({
     "restored": save_state(restored).hex(),
     "rejected": rejected,
     "windows": windows,
+    "folds": folds,
 }))
 """
 
@@ -729,7 +731,9 @@ def test_fallback_without_compiler_runs_scalar_loop():
     buffer: one warning, ``impl="python"`` in the gauge, snapshot bytes
     equal to the compiled path's, and malformed snapshots rejected.  A
     chunked ``tw_g`` and ``window_bank`` feed stamps arrival times by the
-    Python rule and lands the compiled loop's bytes."""
+    Python rule and lands the compiled loop's bytes, and the K-way folds
+    of pools, ``tw_g`` and ``window_bank`` shards land the compiled
+    fold's."""
     items = _zipf(5000, 300, seed=90)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -760,6 +764,8 @@ def test_fallback_without_compiler_runs_scalar_loop():
     assert bytes.fromhex(out["restored"]) == save_state(restored)
     compiled = chunked_window_feeds()
     assert {kind: bytes.fromhex(state) for kind, state in out["windows"].items()} == compiled
+    compiled = kway_folds()
+    assert {kind: bytes.fromhex(state) for kind, state in out["folds"].items()} == compiled
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")

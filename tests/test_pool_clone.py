@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import pool_columns, reference_pool_merge
 from repro.core.g_sampler import SamplerPool
 from repro.core.measures import HuberMeasure
-from repro.core.reservoir import skip_next_replacement, skip_next_replacements
+from repro.core.reservoir import skip_next_replacement, skip_wakes
 from repro.engine import ShardedSamplerEngine
 from repro.engine.state import save_state
 from repro.lifecycle import (
@@ -326,15 +326,16 @@ def test_merge_exact_jump_fallback():
 
 def test_skip_jumps_fall_back_when_a_jump_reaches_2_62():
     """Below 2^53 a uniform under t/2^62 still makes a jump the float path
-    cannot hold; the fallback must match the scalar rule."""
-    times = [1 << 52] * 20_000
+    cannot hold; the fallback must match the scalar rule, as must the
+    wakes at every position up to the int64 cap."""
     rng = np.random.default_rng(0)
-    assert (rng.random(len(times)) < (1 << 52) / 2.0**62).any()  # it happens
-    wide = [-(1 << 63), -1, 0, 1, (1 << 53) - 1, 1 << 53, (1 << 63) - 1, 1 << 70]
-    for times in (times, wide, [0] * 5, []):
+    assert (rng.random(20_000) < (1 << 52) / 2.0**62).any()  # it happens
+    cases = [(1 << 52, 20_000), (1, 5), ((1 << 53) - 1, 5), (1 << 53, 5),
+             ((1 << 63) - 2, 5), (7, 0)]
+    for t, count in cases:
         a, b = np.random.default_rng(0), np.random.default_rng(0)
-        want = [skip_next_replacement(t, a) for t in times]
-        got = skip_next_replacements(times, b)
-        assert got == want
-        assert all(type(x) is int for x in got)
+        want = [skip_next_replacement(t, a) for __ in range(count)]
+        got = skip_wakes(t, count, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
         assert a.bit_generator.state == b.bit_generator.state

@@ -113,9 +113,10 @@ class TestSlidingWindowLpSampler:
     def test_normalizer_is_the_covering_generations_linf(self):
         """ζ is ``z² − (z−1)²`` at the exact ``‖f‖∞`` of the covering
         generation's substream — the updates since its bucket started,
-        at most ``2W`` of them — so the state holds at most two
-        generations of at most ``2W`` counters each, however long the
-        stream."""
+        at most ``2W`` of them — where the newer generation's count cap
+        does not bind, as at this stop point; the state holds at most
+        two generations of at most ``2W`` counters each, however long
+        the stream."""
         window = 100
         stream = zipf_stream(N, 1550, seed=3)
         s = SlidingWindowLpSampler(2.0, window=window, instances=4, seed=0)
@@ -126,6 +127,33 @@ class TestSlidingWindowLpSampler:
         assert s.generation_count == 2
         for gen in s.snapshot()["generations"].values():
             assert gen["aux"]["keys"].size <= 2 * window
+
+
+    @pytest.mark.parametrize("shape", ["e07", "zipf"])
+    def test_count_capped_linf_bounds_every_window(self, shape):
+        """At every stop point of a 4W stream, the normalizer's
+        ``z = max_i min(f_i(O), f_i(N) + W − |N|)`` is at least the
+        window's true ``‖f‖∞`` and at most the covering generation's
+        ``‖f‖∞``: on the E07 stream (one heavy item every
+        ``round(W^{1/2})``-th update over distinct fillers) and on a
+        Zipf(1.2) stream."""
+        window = 100
+        if shape == "e07":
+            items = np.arange(1, 4 * window + 1)
+            items[:: round(window**0.5)] = 0
+        else:
+            items = np.asarray(zipf_stream(64, 4 * window, alpha=1.2, seed=5).items)
+        s = SlidingWindowLpSampler(2.0, window=window, instances=4, seed=0)
+        tighter = 0
+        for t, item in enumerate(items.tolist(), 1):
+            s.update(item)
+            cover = s._generations[0]
+            z = s._window_linf(cover)
+            assert z >= np.bincount(items[max(0, t - window):t]).max()
+            assert z <= cover.aux.linf()
+            assert s.normalizer() == max(1, z) ** 2 - (max(1, z) - 1) ** 2
+            tighter += z < cover.aux.linf()
+        assert tighter > 0
 
 
 class TestSlidingWindowF0Sampler:
